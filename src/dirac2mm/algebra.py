@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 
 Rat = Fraction
 
@@ -31,6 +31,13 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def exact_int(x, name: str) -> int:
+    """Coerce an integer argument to int; bools and non-integral types are refused."""
+    if isinstance(x, bool) or not isinstance(x, Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .algebra import CouplingPoint, SurdScalar
-from .words import A, B, CanonicalMoment, Word, canonicalize, splits_at, vanishes_by_parity
+from .words import A, B, CanonicalMoment, Word, canonicalize, vanishes_by_parity
 
 M2 = CanonicalMoment((2,))
 
@@ -153,30 +153,41 @@ def _sorted_pair(x: CanonicalMoment, y: CanonicalMoment):
     return (x, y) if x.runs <= y.runs else (y, x)
 
 
-def generate_equation(w: Word | str) -> SdeEquation:
-    """The large-N loop equation obtained from the word w."""
-    w = Word(w)
+def _odd(letters: str) -> bool:
+    """True iff the word's moment vanishes by parity (an odd letter count)."""
+    return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
+
+
+def _equation_terms(w: str):
+    """(lhs, rhs, rhs in insertion order) of the loop equation of a letter string."""
     lhs = []
-    for left, right in splits_at(w, A):
-        cl, cr = canonicalize(left), canonicalize(right)
-        if vanishes_by_parity(cl) or vanishes_by_parity(cr):
-            continue
-        lhs.append(_sorted_pair(cl, cr))
-    lhs.sort(key=lambda p: (p[0].runs, p[1].runs))
+    p = w.find(A)
+    while p >= 0:
+        left, right = w[:p], w[p + 1 :]
+        if not (_odd(left) or _odd(right)):
+            lhs.append(_sorted_pair(canonicalize(left), canonicalize(right)))
+        p = w.find(A, p + 1)
+    lhs.sort(key=lambda pair: (pair[0].runs, pair[1].runs))
 
     rhs = []
-    wa = canonicalize(w + Word("A"))
-    if not vanishes_by_parity(wa):
+    # every insertion has the letter parity of a single A, so the whole
+    # right side vanishes together with m_[wA]
+    if not _odd(w + A):
+        wa = canonicalize(w + A)
         rhs.append((wa, CoefTag.C2))
         for insertion, tag in _INSERTIONS:
-            m = canonicalize(w + Word(insertion))
-            if not vanishes_by_parity(m):
-                rhs.append((m, tag))
+            rhs.append((canonicalize(w + insertion), tag))
         rhs.append((wa, CoefTag.BT))
     display = tuple(rhs)
     rhs.sort(key=lambda e: (e[0].runs, e[1]))
+    return tuple(lhs), tuple(rhs), display
 
-    return SdeEquation(lhs=tuple(lhs), rhs=tuple(rhs), source_word=w, rhs_display=display)
+
+def generate_equation(w: Word | str) -> SdeEquation:
+    """The large-N loop equation obtained from the word w."""
+    w = Word(w)
+    lhs, rhs, display = _equation_terms(w.letters)
+    return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=display)
 
 
 def single_block_words(max_degree: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MomentSeries, rat
+from .algebra import MomentSeries, exact_int, rat
 from .words import (
     A,
     CanonicalMoment,
@@ -30,7 +30,7 @@ from .words import (
     iter_canonical_moments,
     vanishes_by_parity,
 )
-from .sde import M2, CoefTag, generate_equation
+from .sde import M2, CoefTag, _equation_terms
 
 ZERO = Fraction(0)
 
@@ -90,14 +90,14 @@ def _recipes_for(c: CanonicalMoment) -> list[_Recipe]:
         if w in seen:
             continue
         seen.add(w)
-        eq = generate_equation(Word(w))
+        lhs, rhs, _display = _equation_terms(w)
         ins = []
-        for m, tag in eq.rhs:
+        for m, tag in rhs:
             if tag is CoefTag.Q:
                 ins.append((m, 1))
             elif tag is CoefTag.QNEG:
                 ins.append((m, -1))
-        out.append(_Recipe(Word(w), eq.lhs, tuple(ins), c))
+        out.append(_Recipe(Word(w), lhs, tuple(ins), c))
     return out
 
 
@@ -156,6 +156,7 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     overdetermined: when its determinations conflict, the first (canonical
     word) one is used and the conflict is recorded on the returned table.
     """
+    D, K = exact_int(D, "D"), exact_int(K, "K")
     t2 = rat(t2)
     if t2 <= 0:
         raise ValueError("solve_series needs t2 > 0")

@@ -6,12 +6,31 @@ the global A<->B swap (the potential is symmetric in the two matrices).
 ``CanonicalMoment`` is the quotient object: the lexicographically least
 letter string over the full orbit, stored as its alternating run lengths
 (l1, l2, ..., lq), i.e. the index of m_{l1,...,lq}.
+
+The least string of an orbit is the least of four least rotations, one each
+of the word, its reverse, its swap and its reversed swap; no orbit set is
+built.  Booth ("Lexicographically least circular substrings", 1980) finds a
+least rotation in linear time, but for words of about twenty letters it is
+faster in Python to compare only the rotations that start at a longest run
+of A, found with ``str.find`` on the doubled word.
+
+The classes of one degree are enumerated without visiting all 2^d strings.
+The FKM algorithm (Fredricksen, Kessler and Maiorana; Ruskey, Savage and
+Wang 1992) lists the binary necklaces, the strings that are their own least
+rotation, and a necklace is kept when neither reversal nor the swap gives a
+smaller string, as in Sawada's bracelet generation (SIAM J. Comput. 2001).
+
+The loop-equation and solver modules work on plain letter strings; ``Word``
+validates input at the public entry points, and ``canonicalize`` validates
+a string the first time it sees it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .algebra import exact_int
 
 A = "A"
 B = "B"
@@ -28,7 +47,7 @@ class Word:
         if isinstance(letters, Word):
             letters = letters.letters
         s = str(letters).upper()
-        if any(c not in "AB" for c in s):
+        if not set(s) <= {A, B}:
             raise ValueError(f"word must use letters A/B only, got {letters!r}")
         object.__setattr__(self, "letters", s)
 
@@ -73,13 +92,57 @@ class Word:
 
 
 def orbit(letters: str) -> set[str]:
-    """Full rotation x reversal x swap orbit of a letter string."""
+    """Full rotation x reversal x swap orbit of a letter string (brute force)."""
     out = set()
     for base in (letters, letters[::-1]):
         for var in (base, base.translate(_SWAP)):
             for k in range(max(1, len(var))):
                 out.add(var[k:] + var[:k])
     return out
+
+
+def _least_rotation(letters: str, top: int) -> str:
+    """Least rotation of a word that has both letters and longest A-run ``top``.
+
+    The least rotation starts at a longest cyclic run of A, so only those
+    starts are compared.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    key = B + A * top
+    rotations = []
+    i = doubled.find(key)
+    while 0 <= i < n:
+        rotations.append(doubled[i + 1 : i + 1 + n])
+        i = doubled.find(key, i + 1)
+    return min(rotations)
+
+
+def _canonical_rep(letters: str) -> str:
+    """Least string of the orbit of a nonempty letter string.
+
+    It is the least of the least rotations of the word, its reverse, its swap
+    and its reversed swap.  A swapped variant starts with the word's longest
+    B-run, an unswapped one with its longest A-run, and a longer leading run
+    of A is lexicographically smaller, so only the variants whose leading
+    run is the longer one compete.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    top_a = max(map(len, doubled.split(B)))
+    top_b = max(map(len, doubled.split(A)))
+    if max(top_a, top_b) >= n:
+        return A * n
+    rev = letters[::-1]
+    candidates = []
+    if top_a >= top_b:
+        candidates += [_least_rotation(letters, top_a), _least_rotation(rev, top_a)]
+    if top_b >= top_a:
+        candidates += [
+            _least_rotation(letters.translate(_SWAP), top_b),
+            _least_rotation(rev.translate(_SWAP), top_b),
+        ]
+    return min(candidates)
 
 
 def _runs_of(rep: str) -> tuple[int, ...]:
@@ -103,12 +166,14 @@ def _runs_of(rep: str) -> tuple[int, ...]:
     return tuple(runs)
 
 
-@lru_cache(maxsize=None)
+# Bounded so that deep solves keep a fixed footprint.  solve_series(8, 4)
+# canonicalizes about 39k distinct strings, so its hit ratio is unchanged.
+@lru_cache(maxsize=1 << 16)
 def _canonical_from_string(letters: str) -> "CanonicalMoment":
+    letters = Word(letters).letters   # validated once per distinct string
     if not letters:
         return CanonicalMoment(())
-    rep = min(orbit(letters))
-    return CanonicalMoment(_runs_of(rep))
+    return CanonicalMoment(_runs_of(_canonical_rep(letters)))
 
 
 @dataclass(frozen=True)
@@ -169,8 +234,12 @@ class CanonicalMoment:
 
 
 def canonicalize(w: Word | str) -> CanonicalMoment:
-    """Orbit-minimal moment index of a word; deterministic."""
-    return _canonical_from_string(Word(w).letters)
+    """Orbit-minimal moment index of a word or letter string; deterministic.
+
+    A string is validated on its first canonicalization only, so plain
+    strings are the cheap input inside the loop-equation recursion.
+    """
+    return _canonical_from_string(w if isinstance(w, str) else Word(w).letters)
 
 
 def splits_at(w: Word | str, letter: str) -> list[tuple[Word, Word]]:
@@ -198,29 +267,66 @@ def vanishes_by_parity(c: CanonicalMoment) -> bool:
     return c.a_degree % 2 != 0 or c.b_degree % 2 != 0
 
 
-def iter_canonical_moments(degree: int, even_only: bool = True):
+def _necklaces(n: int):
+    """Binary necklaces of length n >= 1 in lexicographic order (FKM).
+
+    Each prenecklace's successor is the periodic extension of its prefix up
+    to the last A, with that A raised to B; it is a necklace exactly when
+    the period divides n.
+    """
+    s = A * n
+    yield s
+    while True:
+        i = s.rfind(A)
+        if i < 0:
+            return
+        period = i + 1
+        s = ((s[:i] + B) * (n // period + 1))[:n]
+        if n % period == 0:
+            yield s
+
+
+@lru_cache(maxsize=64)   # one entry per (degree, even_only) in use
+def _canonical_moments(degree: int, even_only: bool) -> tuple:
+    if degree == 0:
+        return (CanonicalMoment(()),)
+    out = []
+    for s in _necklaces(degree):
+        if s != _canonical_rep(s):
+            continue
+        a = s.count(A)
+        if even_only and (a % 2 or (degree - a) % 2):
+            continue
+        out.append(CanonicalMoment(_runs_of(s)))
+    return tuple(sorted(out, key=lambda c: c.runs))
+
+
+def iter_canonical_moments(degree: int, even_only: bool = True) -> list:
     """All canonical moment classes of the exact given degree, sorted.
 
     With even_only, only classes with even A- and B-degree (the ones not
     killed by parity) are produced.
     """
-    seen = set()
-    for mask in range(1 << degree):
-        letters = "".join(A if (mask >> i) & 1 == 0 else B for i in range(degree))
-        c = _canonical_from_string(letters)
-        if even_only and vanishes_by_parity(c):
-            continue
-        seen.add(c)
-    return sorted(seen, key=lambda c: c.runs)
+    degree = exact_int(degree, "degree")
+    if degree < 0:
+        raise ValueError(f"degree must be >= 0, got {degree}")
+    return list(_canonical_moments(degree, bool(even_only)))
 
 
 def parse_moment_label(text: str) -> CanonicalMoment:
-    """Parse 'm_{3,1,1,1}', '3,1,1,1' or a plain word like 'AABB'."""
+    """Parse 'm_{3,1,1,1}', '3,1,1,1' or a plain word like 'AABB'.
+
+    Run lengths must be positive integers; the single run '0' (as in 'm_0',
+    the label of the empty word) denotes the constant moment.
+    """
     t = text.strip()
     if t.startswith("m_"):
         t = t[2:].strip("{}")
-    if "," in t or t.isdigit():
-        runs = tuple(int(x) for x in t.split(",") if x)
-        word = "".join((A if i % 2 == 0 else B) * r for i, r in enumerate(runs))
-        return canonicalize(Word(word))
-    return canonicalize(Word(t))
+    if t.isalpha() or not t:
+        return canonicalize(t)
+    if t == "0":
+        return CanonicalMoment(())
+    parts = [x.strip() for x in t.split(",")]
+    if not all(x.isdecimal() and int(x) > 0 for x in parts):
+        raise ValueError(f"moment label {text!r}: run lengths must be positive integers")
+    return canonicalize("".join((A if i % 2 == 0 else B) * int(r) for i, r in enumerate(parts)))

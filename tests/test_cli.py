@@ -33,6 +33,13 @@ class TestMoments:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("label", ["m_{0,2}", "2,0", "m_{-1,3}", "m_{2,2,}"])
+    def test_bad_run_lengths_exit_code(self, capsys, label):
+        code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", label)
+        assert code == 1
+        assert out == ""
+        assert label in err and "positive" in err
+
 
 class TestDirac:
     def test_value_and_cross_check(self, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -173,3 +174,34 @@ def test_reference_transcription_consistency():
     for eq in reference_equations():
         if eq.source_word.degree <= 5:
             assert residual(eq, vals, p).is_zero(), str(eq.source_word)
+
+
+# SHA-256 of the JSON list of every word's equation, words of one length in
+# binary-counting order (A = 0), each as_json() plus its rhs in insertion
+# order; frozen from the orbit-set canonicalization.
+EQUATION_DIGESTS = {
+    0: "759e3f5fa88e4bebf0a641f0b41fc7314c0093019c2d8063ae80bb0b8cb0ba96",
+    1: "6846fbb7d51f4364ef7f261890cd441e8871eb352ad7fa26897cefd71f5ce653",
+    2: "c49198cc7a8a0d2a4531e01b2ccd4af178907f80647250e32500fa39d7288ab3",
+    3: "8591ec122021d1f771b014cf31bcda8e1860a65d3a7e42a101b7c667e4dfb007",
+    4: "26b9b41862fccfa63b08f11a07eb2a3628adcdfbefff49a4cbc73518030b3210",
+    5: "ea2ce63c11dbe2cd4b1af8f035912f9337562b8a800f13ad365e81b7e92cdb92",
+    6: "b8f23d7be7b11d8a71b3a1ca4249991dbbb0b5afa6849ed36f2675b87af23025",
+    7: "0f7f09d382af289aecac2acaf3d57231f1ba80d2663bc68653256559f9daaf08",
+    8: "f72f48143deee098584175c670834209143bcb4f264712ef968627230fb08b28",
+    9: "7be38d48d8fe8f25200429ad9e17a21eaed5b2341ef163e666797f016e5f0de9",
+}
+
+
+@pytest.mark.parametrize("length", sorted(EQUATION_DIGESTS))
+def test_equations_match_frozen_digests(length):
+    records = []
+    for mask in range(1 << length):
+        w = "".join("AB"[(mask >> i) & 1] for i in range(length))
+        eq = generate_equation(w)
+        assert isinstance(eq.source_word, Word) and str(eq.source_word) == (w or "1")
+        record = eq.as_json()
+        record["display"] = [[list(m.runs), tag.name] for m, tag in eq.rhs_display]
+        records.append(record)
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == EQUATION_DIGESTS[length]

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +10,7 @@ from dirac2mm.solver import (
     solve_series,
     verify_closed_forms,
 )
-from dirac2mm.words import CanonicalMoment, canonicalize, iter_canonical_moments
+from dirac2mm.words import CanonicalMoment, _canonical_from_string, canonicalize, iter_canonical_moments
 
 M1111 = CanonicalMoment((1, 1, 1, 1))
 
@@ -74,6 +76,11 @@ class TestSolveSeries:
             solve_series(D=3, K=1, t2=1)
         with pytest.raises(ValueError):
             solve_series(D=2, K=1, t2=0)
+
+    @pytest.mark.parametrize("D, K", [(4, True), (True, 1), (4.0, 1), (4, 1.0), (4, -1), (-2, 1), ("4", 1)])
+    def test_bad_degree_or_order_rejected(self, D, K):
+        with pytest.raises(ValueError, match="D must|K must"):
+            solve_series(D, K, 1)
 
     def test_all_degrees_present(self, table):
         for d in (2, 4, 6):
@@ -142,3 +149,28 @@ class TestVerifyClosedForms:
             assert bad.closed_coeffs[0] == F(19 * 16, 3276832768)
         finally:
             cf._MOMENT_TABLE[runs] = original
+
+
+# SHA-256 of json.dumps(solve_series(8, K, t2).as_json(), sort_keys=True),
+# frozen from the orbit-set canonicalization with its 2^d enumeration.
+SERIES_DIGESTS = {
+    (3, F(1)): "67fd28e8349ee7aa1f63f6eb6af6c47cce615e603f53acc17ba88fa302989752",
+    (3, F(3, 2)): "5713f9cdf70a3f0c903bab7716c6bfef08e2fdce0eba64016ea63670a563c099",
+    (5, F(1)): "6dcd6269398fdddd08646b58b4a08f9cd435ab36870affa7028c04d5309aa4c5",
+}
+
+
+@pytest.mark.parametrize("K, t2", [
+    (3, F(1)),
+    (3, F(3, 2)),
+    pytest.param(5, F(1), marks=pytest.mark.slow),
+])
+def test_series_matches_frozen_digest(K, t2):
+    payload = json.dumps(solve_series(8, K, t2).as_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == SERIES_DIGESTS[(K, t2)]
+
+
+def test_canonical_cache_is_bounded():
+    solve_series(8, 4, 1)
+    info = _canonical_from_string.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize

@@ -1,4 +1,6 @@
 import random
+import re
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,36 @@ class TestCanonicalize:
         assert [len(iter_canonical_moments(d)) for d in (2, 4, 6, 8)] == [1, 3, 4, 12]
 
 
+def brute_force_classes(degree: int, even_only: bool) -> list:
+    """Run lengths of every orbit minimum over all 2^degree strings, sorted."""
+    out = set()
+    for mask in range(1 << degree):
+        letters = "".join("AB"[(mask >> i) & 1] for i in range(degree))
+        rep = exhaustive_orbit_minimum(letters)
+        if even_only and (rep.count("A") % 2 or rep.count("B") % 2):
+            continue
+        out.add(tuple(len(list(g)) for _, g in groupby(rep)))
+    return sorted(out)
+
+
+class TestEnumeration:
+    @pytest.mark.parametrize("even_only", [True, False])
+    def test_matches_brute_force(self, even_only):
+        for d in range(15):
+            got = [c.runs for c in iter_canonical_moments(d, even_only)]
+            assert got == brute_force_classes(d, even_only), d
+
+    def test_returns_fresh_list(self):
+        first = iter_canonical_moments(6)
+        first.clear()
+        assert len(iter_canonical_moments(6)) == 4
+
+    @pytest.mark.parametrize("degree", [-2, 3.0, True, "4", None])
+    def test_bad_degree_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            iter_canonical_moments(degree)
+
+
 class TestSplits:
     def test_pure_power(self):
         pairs = splits_at("AAA", "A")
@@ -135,6 +167,16 @@ class TestTypes:
         assert c.as_json() == [3, 1, 1, 1]
         assert parse_moment_label("2").runs == (2,)
         assert parse_moment_label("AABB").runs == (2, 2)
+
+    def test_empty_label_round_trips(self):
+        empty = CanonicalMoment(())
+        assert parse_moment_label(empty.label()) == empty
+        assert parse_moment_label("m_{}") == empty
+
+    @pytest.mark.parametrize("label", ["m_{0,2}", "2,0", "m_{-1,3}", "m_{2,2,}", "m_{,2}", "m_{2,x}", "m_{-2}"])
+    def test_bad_run_lengths_rejected(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            parse_moment_label(label)
 
     def test_degrees(self):
         c = parse_moment_label("m_{3,1,1,1}")
