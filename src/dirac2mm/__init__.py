@@ -12,10 +12,6 @@ from .algebra import (
     MomentSeries,
     SurdScalar,
     rat,
-    series_combine,
-    series_eval,
-    series_sqrt,
-    surd_combine,
     surd_expansion,
 )
 from .words import (
@@ -64,8 +60,7 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingPoint", "MomentSeries", "SurdScalar", "rat",
-    "series_combine", "series_eval", "series_sqrt", "surd_combine", "surd_expansion",
+    "CouplingPoint", "MomentSeries", "SurdScalar", "rat", "surd_expansion",
     "CanonicalMoment", "Word", "canonicalize", "parse_moment_label",
     "splits_at", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",

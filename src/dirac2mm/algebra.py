@@ -244,19 +244,6 @@ class SurdScalar:
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red.ssq}))"
 
 
-def surd_combine(x: SurdScalar, y: SurdScalar, op: str) -> SurdScalar:
-    """Field arithmetic dispatch: op in {'add', 'sub', 'mul', 'div'}."""
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "div":
-        return x / y
-    raise ValueError(f"unknown op {op!r}")
-
-
 class TruncationError(ValueError):
     """Raised when a series operation would need coefficients beyond K."""
 
@@ -395,24 +382,6 @@ class MomentSeries:
     def __repr__(self):
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"MomentSeries(t2={self.t2}; [{terms}])"
-
-
-def series_combine(f: MomentSeries, g: MomentSeries, op: str) -> MomentSeries:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise ValueError(f"unknown op {op!r}")
-
-
-def series_eval(f: MomentSeries, t4) -> Fraction:
-    return f.eval(t4)
-
-
-def series_sqrt(f: MomentSeries) -> MomentSeries:
-    return f.sqrt()
 
 
 def surd_expansion(point_t2, order: int) -> MomentSeries:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from .algebra import CouplingPoint, rat
@@ -95,7 +94,7 @@ def cmd_enumerate(args) -> int:
             "signed_sum_cancels": rep.paired,
         }, indent=2))
         return 0
-    coeff = mapenum.moment_coefficient_parallel(w, args.order, rat(args.t2), workers=args.threads)
+    coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
     print(f"[t4^{args.order}] {canonicalize(w).label()} = {coeff} = {float(coeff):.12g}")
     if args.dump:
         maps = [m for m in mapenum.enumerate_gluings(w, args.order) if m.planar or args.all_maps]
@@ -167,10 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quartic bi-tracial 2-matrix ensembles: exact moments, loop "
         "equations, map enumeration, criticality, Monte Carlo.",
     )
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("DIRAC2MM_THREADS", "1")),
-                    help="worker processes for enumeration-heavy verbs "
-                    "(default: $DIRAC2MM_THREADS or 1)")
     sub = ap.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("moments", help="closed-form moment values")
@@ -250,7 +245,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
+    except (ValueError, KeyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -165,17 +165,14 @@ def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     return acc / SurdScalar.rational(den * t4**q, ssq)
 
 
-def moment(c: CanonicalMoment | Word | str, point: CouplingPoint, signature: Signature | None = None) -> SurdScalar:
+def moment(c: CanonicalMoment | Word | str, point: CouplingPoint) -> SurdScalar:
     """Exact branch value of a moment of degree <= 8.
 
-    The signature argument is accepted for interface symmetry and ignored:
-    all three signatures share the same leading-order moments.
+    All three signatures share the same leading-order moments.
     """
-    del signature
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
-    if point.t4 <= 0:
-        raise ValueError("moment closed forms need t4 > 0")
+    point.require_physical()
     if c.is_empty():
         return SurdScalar(1, 0, point.ssq)
     if vanishes_by_parity(c):
@@ -317,12 +314,10 @@ def _check_ell(ell: int) -> int:
     return ell
 
 
-def dirac_moment(ell: int, point: CouplingPoint, signature: Signature | None = None) -> SurdScalar:
+def dirac_moment(ell: int, point: CouplingPoint) -> SurdScalar:
     """Exact closed form of the normalized Dirac trace power d_ell."""
-    del signature
     ell = _check_ell(ell)
-    if point.t4 <= 0:
-        raise ValueError("dirac_moment needs t4 > 0")
+    point.require_physical()
     t2, t4, ssq = point.t2, point.t4, point.ssq
     s = SurdScalar.s(ssq)
     r = lambda x: SurdScalar.rational(x, ssq)

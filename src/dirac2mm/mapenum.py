@@ -16,6 +16,11 @@ if they are the same matching.  Genus bookkeeping follows the unstable-map
 decomposition: split each cylinder into two discs joined by a branch, then
 a gluing contributes at leading order iff every graph component is planar
 and the branch graph is a tree rooted at the word polygon's component.
+
+One loop serves every entry point: ``_layouts`` yields the feasible cell
+multisets of an order, ``_matchings`` the colour-respecting matchings of
+one of them, and ``enumerate_gluings``, ``moment_coefficient`` and
+``cancellation_report`` all walk those two generators.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .algebra import rat
+from .algebra import exact_int, rat
 from .words import Word
 
 RED = "R"     # colour of A half-edges
@@ -160,8 +165,16 @@ class _Layout:
             factor *= CELLS[kind].factor
         self.weight = factor
 
-    def feasible(self) -> bool:
-        return len(self.reds) % 2 == 0 and len(self.blues) % 2 == 0
+
+def _layouts(w: Word, k: int):
+    """The layout of each k-cell multiset whose colour counts are both even."""
+    k = exact_int(k, "order k")
+    if k < 0:
+        raise ValueError(f"order k must be >= 0, got {k}")
+    for kinds in itertools.combinations_with_replacement(list(CellKind), k):
+        layout = _Layout(w, kinds)
+        if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0:
+            yield layout
 
 
 def _pairings(items: list[int]):
@@ -176,15 +189,22 @@ def _pairings(items: list[int]):
             yield (head,) + tail
 
 
-def _analyze(layout: _Layout, partner: list[int]):
-    """(genus, planar, connected, tree_ok) of one complete matching."""
-    n_darts = len(layout.colors)
-    nxt = layout.nxt
-    polygon_of = layout.polygon_of
-    n_poly = layout.n_polygons
+def _matchings(layout: _Layout):
+    """One partner array per colour-respecting perfect matching of the darts."""
+    for red_part in _pairings(layout.reds):
+        for blue_part in _pairings(layout.blues):
+            partner = [0] * len(layout.colors)
+            for a, b in red_part:
+                partner[a], partner[b] = b, a
+            for a, b in blue_part:
+                partner[a], partner[b] = b, a
+            yield partner
 
-    # graph components of polygons linked by glued edges
-    parent = list(range(n_poly))
+
+def _components(layout: _Layout, partner: list[int]) -> list[int]:
+    """Root of each polygon's component in the graph of glued edges."""
+    polygon_of = layout.polygon_of
+    parent = list(range(layout.n_polygons))
 
     def find(x):
         while parent[x] != x:
@@ -192,12 +212,21 @@ def _analyze(layout: _Layout, partner: list[int]):
             x = parent[x]
         return x
 
-    for h in range(n_darts):
+    for h in range(len(polygon_of)):
         a, b = find(polygon_of[h]), find(polygon_of[partner[h]])
         if a != b:
             parent[a] = b
+    return [find(p) for p in range(layout.n_polygons)]
 
-    comp_of = [find(p) for p in range(n_poly)]
+
+def _analyze(layout: _Layout, partner: list[int]):
+    """(genus, planar, connected, tree_ok) of one complete matching."""
+    n_darts = len(layout.colors)
+    nxt = layout.nxt
+    polygon_of = layout.polygon_of
+    n_poly = layout.n_polygons
+
+    comp_of = _components(layout, partner)
     faces: dict[int, int] = {}
     edges: dict[int, int] = {}
     verts: dict[int, int] = {}
@@ -252,21 +281,6 @@ def _analyze(layout: _Layout, partner: list[int]):
     return genus, planar, connected, tree_ok
 
 
-def _iter_kind_multisets(k: int):
-    yield from itertools.combinations_with_replacement(list(CellKind), k)
-
-
-def _iter_matchings(layout: _Layout):
-    for red_part in _pairings(layout.reds):
-        for blue_part in _pairings(layout.blues):
-            partner = [0] * len(layout.colors)
-            for a, b in red_part:
-                partner[a], partner[b] = b, a
-            for a, b in blue_part:
-                partner[a], partner[b] = b, a
-            yield partner, red_part + blue_part
-
-
 def enumerate_gluings(w: Word | str, k: int):
     """Every colour-respecting gluing of the rooted w-polygon with k cells.
 
@@ -276,18 +290,13 @@ def enumerate_gluings(w: Word | str, k: int):
     half-edges, with the 1/n! absorbed into the weight.
     """
     w = Word(w)
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    for kinds in _iter_kind_multisets(k):
-        layout = _Layout(w, kinds)
-        if not layout.feasible():
-            continue
-        for partner, pairing in _iter_matchings(layout):
+    for layout in _layouts(w, k):
+        for partner in _matchings(layout):
             genus, planar, connected, tree_ok = _analyze(layout, partner)
             yield UnstableMap(
                 word=w,
-                cells=kinds,
-                pairing=tuple(sorted(pairing)),
+                cells=layout.kinds,
+                pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
                 genus=genus,
                 planar=planar,
                 connected=connected,
@@ -300,61 +309,23 @@ def moment_coefficient(w: Word | str, k: int, t2) -> Fraction:
     """Coefficient of t4^k in the genus-0 moment of w, by exhaustive gluing.
 
     Planar connected gluings only; each contributes its signed cell weight
-    times the propagator factor (8 t2)^(-edges).
+    times the propagator factor (8 t2)^(-edges).  Every cell has four
+    half-edges, so all gluings at one (w, k) share the edge count.
     """
     w = Word(w)
     t2 = rat(t2)
+    if t2 <= 0:
+        raise ValueError("moment_coefficient needs t2 > 0")
     total = Fraction(0)
-    edge_factor_cache: dict[int, Fraction] = {}
-    for kinds in _iter_kind_multisets(k):
-        layout = _Layout(w, kinds)
-        if not layout.feasible():
-            continue
-        n_edges = len(layout.colors) // 2
-        if n_edges not in edge_factor_cache:
-            edge_factor_cache[n_edges] = Fraction(1) / (8 * t2) ** n_edges
-        planar_count = 0
-        for partner, _pairs in _iter_matchings(layout):
-            _genus, planar, _connected, _tree = _analyze(layout, partner)
-            if planar:
-                planar_count += 1
-        total += layout.weight * planar_count * edge_factor_cache[n_edges]
-    return total
+    for layout in _layouts(w, k):
+        planar_count = sum(1 for partner in _matchings(layout) if _analyze(layout, partner)[1])
+        total += layout.weight * planar_count
+    return total / (8 * t2) ** ((w.degree + 4 * k) // 2)
 
 
 def moment_series_by_maps(w: Word | str, max_order: int, t2) -> list[Fraction]:
     """Coefficients [t4^0 ... t4^max_order] of the moment of w by gluings."""
     return [moment_coefficient(w, k, t2) for k in range(max_order + 1)]
-
-
-def _multiset_contribution(args) -> Fraction:
-    letters, kinds, t2_str = args
-    layout = _Layout(Word(letters), kinds)
-    t2 = Fraction(t2_str)
-    n_edges = len(layout.colors) // 2
-    planar_count = 0
-    for partner, _pairs in _iter_matchings(layout):
-        _g, planar, _c, _t = _analyze(layout, partner)
-        if planar:
-            planar_count += 1
-    return layout.weight * planar_count / (8 * t2) ** n_edges
-
-
-def moment_coefficient_parallel(w: Word | str, k: int, t2, workers: int = 1) -> Fraction:
-    """moment_coefficient with cell multisets fanned out to worker processes."""
-    w = Word(w)
-    t2 = rat(t2)
-    jobs = [
-        (w.letters, kinds, str(t2))
-        for kinds in _iter_kind_multisets(k)
-        if _Layout(w, kinds).feasible()
-    ]
-    if workers <= 1 or len(jobs) <= 1:
-        return sum((_multiset_contribution(j) for j in jobs), Fraction(0))
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_multiset_contribution, jobs), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -381,8 +352,6 @@ def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
     whose branch closes a handle and leaves planarity), so the report keeps
     explicit witnesses.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
     pos = neg = 0
     signed = Fraction(0)
     distinguished_ok = True
@@ -416,25 +385,13 @@ def branch_graph_dot(m: UnstableMap) -> str:
     partner = [0] * len(layout.colors)
     for a, b in m.pairing:
         partner[a], partner[b] = b, a
-    parent = list(range(layout.n_polygons))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for h in range(len(layout.colors)):
-        a, b = find(layout.polygon_of[h]), find(layout.polygon_of[partner[h]])
-        if a != b:
-            parent[a] = b
-    comps = sorted({find(p) for p in range(layout.n_polygons)})
+    comp_of = _components(layout, partner)
     lines = ["graph branches {"]
-    for c in comps:
-        root_mark = " (root)" if find(0) == c else ""
+    for c in sorted(set(comp_of)):
+        root_mark = " (root)" if comp_of[0] == c else ""
         lines.append(f'  c{c} [label="component {c}{root_mark}"];')
     for pa, pb in layout.branches:
-        lines.append(f"  c{find(pa)} -- c{find(pb)};")
+        lines.append(f"  c{comp_of[pa]} -- c{comp_of[pb]};")
     lines.append("}")
     return "\n".join(lines)
 

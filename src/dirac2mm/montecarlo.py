@@ -52,8 +52,8 @@ class SamplerConfig:
             object.__setattr__(self, "step_scale", guess)
         if self.step_scale <= 0:
             raise ValueError("step_scale must be positive")
-        if self.update_targets not in ("AB", "A", "B"):
-            raise ValueError("update_targets must be 'AB', 'A' or 'B'")
+        if self.update_targets not in ("AB", "A"):
+            raise ValueError("update_targets must be 'AB' or 'A'")
         if self.point.t2 <= 0 or self.point.t4 <= 0:
             raise ValueError("sampler needs t2 > 0 and t4 > 0")
 

@@ -33,6 +33,18 @@ class TestMoments:
         assert code == 1
         assert "error" in err
 
+    def test_overflow_exit_code(self, capsys):
+        code, out, err = run(capsys, "moments", "--index", "2", "--t2", "1e400", "--t4", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_nonpositive_t2_exit_code(self, capsys):
+        code, out, err = run(capsys, "moments", "--t2", "-1", "--t4", "1", "--index", "2")
+        assert code == 1
+        assert out == ""
+        assert "t2 > 0" in err
+
     @pytest.mark.parametrize("label", ["m_{0,2}", "2,0", "m_{-1,3}", "m_{2,2,}"])
     def test_bad_run_lengths_exit_code(self, capsys, label):
         code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", label)
@@ -47,6 +59,13 @@ class TestDirac:
         assert code == 0
         assert "d_4 = 1/4" in out
         assert "from word moments" in out
+
+    @pytest.mark.parametrize("t2", ["-1", "0"])
+    def test_nonpositive_t2_exit_code(self, capsys, t2):
+        code, out, err = run(capsys, "dirac", "--ell", "6", "--t2", t2, "--t4", "1")
+        assert code == 1
+        assert out == ""
+        assert "t2 > 0" in err
 
 
 class TestSde:
@@ -96,10 +115,12 @@ class TestEnumerate:
         assert payload["every_planar_map_has_distinguished_cell"] is True
         assert payload["signed_sum_cancels"] is False
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run(capsys, "--threads", "2", "enumerate", "--word", "AABB", "--order", "1")
-        assert code == 0
-        assert "m_{2,2}" in out
+    @pytest.mark.parametrize("extra", [[], ["--dump"], ["--report-cancellation"]])
+    def test_negative_order_exit_code(self, capsys, extra):
+        code, out, err = run(capsys, "enumerate", "--word", "AB", "--order", "-1", *extra)
+        assert code == 1
+        assert out == ""
+        assert err.strip() == "error: order k must be >= 0, got -1"
 
 
 class TestMc:
@@ -158,10 +179,3 @@ class TestParsing:
 
     def test_missing_required(self, capsys):
         assert run(capsys, "moments", "--t2", "1")[0] == 1
-
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIRAC2MM_THREADS", "3")
-        from dirac2mm.cli import build_parser
-
-        args = build_parser().parse_args(["critical", "--t2", "1"])
-        assert args.threads == 3

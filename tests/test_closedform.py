@@ -48,6 +48,11 @@ class TestMoment:
         with pytest.raises(ValueError):
             cf.moment("AA", CouplingPoint(1, 0))
 
+    @pytest.mark.parametrize("t2", [0, -1, F(-1, 2)])
+    def test_nonpositive_t2_raises(self, t2):
+        with pytest.raises(ValueError, match="t2 > 0"):
+            cf.moment("AA", CouplingPoint(t2, 1))
+
     def test_exact_identities_at_random_points(self):
         for p in random_points(8):
             m4 = cf.moment("AAAA", p)
@@ -114,10 +119,11 @@ class TestDirac:
         with pytest.raises(ValueError):
             cf.dirac_from_words(6, P11)
 
-    def test_signature_is_ignored(self):
-        for sig in cf.Signature:
-            assert cf.moment("AA", P11, signature=sig).rational_value() == F(1, 16)
-            assert cf.dirac_moment(2, P11, signature=sig).rational_value() == F(1, 2)
+    @pytest.mark.parametrize("t2", [0, -1])
+    def test_nonpositive_t2_raises(self, t2):
+        for ell in (2, 4, 6):
+            with pytest.raises(ValueError, match="t2 > 0"):
+                cf.dirac_moment(ell, CouplingPoint(t2, 1))
 
 
 class TestRescaling:

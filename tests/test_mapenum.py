@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +13,6 @@ from dirac2mm.mapenum import (
     dump_maps_json,
     enumerate_gluings,
     moment_coefficient,
-    moment_coefficient_parallel,
 )
 from dirac2mm.solver import gaussian_moment, solve_series
 from dirac2mm.words import Word, canonicalize
@@ -110,8 +111,23 @@ class TestMomentCoefficient:
         table = solve_series(D=2, K=1, t2=F(5, 2))
         assert moment_coefficient("AA", 1, F(5, 2)) == table.series("AA").coefficient(1)
 
-    def test_parallel_matches_sequential(self):
-        assert moment_coefficient_parallel("AABB", 1, 1, workers=2) == moment_coefficient("AABB", 1, 1)
+
+class TestDomain:
+    @pytest.mark.parametrize("k", [-1, True, 1.0, F(1)])
+    def test_every_entry_point_rejects_a_bad_order(self, k):
+        with pytest.raises(ValueError, match="order k"):
+            moment_coefficient("AA", k, 1)
+        with pytest.raises(ValueError, match="order k"):
+            list(enumerate_gluings("AB", k))
+        with pytest.raises(ValueError, match="order k"):
+            cancellation_report(k)
+
+    @pytest.mark.parametrize("t2", [0, -1])
+    def test_nonpositive_t2_raises(self, t2):
+        # at t2 = 0 the propagator 1/(8 t2) is undefined, even for words with no gluing
+        for letters in ("AA", "AB"):
+            with pytest.raises(ValueError, match="t2 > 0"):
+                moment_coefficient(letters, 1, t2)
 
 
 class TestCancellation:
@@ -149,3 +165,30 @@ class TestExports:
         assert dot.startswith("graph branches {") and dot.endswith("}")
         payload = dump_maps_json(maps[:2])
         assert '"word": "AA"' in payload
+
+
+def _pinned_cases():
+    for degree in range(5):
+        for letters in itertools.product("AB", repeat=degree):
+            for k in (0, 1):
+                yield "".join(letters), k
+    for letters in ("AA", "AABB", "ABAB"):
+        yield letters, 2
+
+
+def test_gluings_are_pinned():
+    # SHA-256 of the JSON of every gluing, the DOT of every planar one and
+    # the coefficient at t2 = 3/2, for every word of degree <= 4 at k <= 1
+    # and three words at k = 2, frozen before the gluing loops were merged
+    digest = hashlib.sha256()
+    count = 0
+    for letters, k in _pinned_cases():
+        digest.update(f"{letters} {k}\n".encode())
+        for m in enumerate_gluings(letters, k):
+            count += 1
+            digest.update(json.dumps(m.as_json(), sort_keys=True).encode() + b"\n")
+            if m.planar:
+                digest.update(branch_graph_dot(m).encode() + b"\n")
+        digest.update(f"{moment_coefficient(letters, k, F(3, 2))}\n".encode())
+    assert count == 29_088
+    assert digest.hexdigest() == "a18a776ece222fc6dc1620f54a2f8bb25e36841d9c37236f44cb18a83f74d0b3"

@@ -62,6 +62,8 @@ class TestConfig:
             mc.SamplerConfig(n=4, point=P11, steps=10, burn_in=20)
         with pytest.raises(ValueError):
             mc.SamplerConfig(n=4, point=CouplingPoint(1, F(-1, 2)))
+        with pytest.raises(ValueError, match="update_targets"):
+            mc.SamplerConfig(n=4, point=P11, update_targets="B")
 
     def test_default_scale_depends_on_size(self):
         small = mc.SamplerConfig(n=2, point=P11)
