@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("free-energy", help="planar free energy evaluators")
     p.add_argument("--t2", required=True)
-    p.add_argument("--t4", required=True)
+    p.add_argument("--t4", required=True, help="quartic coupling; a negative one needs --t4=-1/16")
     p.set_defaults(func=cmd_free_energy)
 
     p = sub.add_parser("sde", help="loop equations")

@@ -10,6 +10,13 @@ words determine the same moment, all determinations must agree exactly;
 that agreement is checked at every order and is the module's strongest
 internal invariant.
 
+The recursion runs once, at t2 = 1 and in integers: M[c][k] =
+8^(deg c / 2 + 2k) * m_c,k is an integer, and every term of the loop
+equation of c at order k carries the same power of 8, so the equation
+becomes M = Lhs - 16 Q - 64 Bt with no division.  Every t2 > 0 follows by
+homogeneity, m_c,k(t2) = M[c][k] / (8 t2)^(deg c / 2 + 2k); the only
+fractions are built from the finished table.
+
 The recursion needs moments of degree up to D + 2K at order 0, one degree
 band less per order; the working table is extended internally so any
 (D, K) request is closed automatically.
@@ -68,36 +75,30 @@ class InconsistentSystem(ArithmeticError):
     """Two loop equations determined different values for one coefficient."""
 
 
-@dataclass(frozen=True)
-class _Recipe:
-    """One word's equation, rearranged to isolate its highest moment."""
-
-    word: Word
-    lhs_pairs: tuple        # ((CanonicalMoment, CanonicalMoment), ...)
-    insertions: tuple       # ((CanonicalMoment, +-1), ...) the 16 t4 terms
-    target: CanonicalMoment
-
-
-def _recipes_for(c: CanonicalMoment) -> list[_Recipe]:
-    """All distinct words w with [wA] = c, each giving one determination."""
+def _recipe_words(c: CanonicalMoment):
+    """The distinct words w with [wA] = c, each giving one determination."""
     rep = c.rep_word().letters
     seen = set()
-    out = []
     for p, letter in enumerate(rep):
-        if letter != A:
-            continue
         w = rep[p + 1 :] + rep[:p]
-        if w in seen:
-            continue
-        seen.add(w)
+        if letter == A and w not in seen:
+            seen.add(w)
+            yield w
+
+
+def _recipes_for(c: CanonicalMoment, index: dict) -> list[tuple]:
+    """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
+
+    Every entry is a row index into the integer table; insertions of the top
+    degree band are absent from ``index`` and point past the table.
+    """
+    out = []
+    for w in _recipe_words(c):
         lhs, rhs, _display = _equation_terms(w)
-        ins = []
-        for m, tag in rhs:
-            if tag is CoefTag.Q:
-                ins.append((m, 1))
-            elif tag is CoefTag.QNEG:
-                ins.append((m, -1))
-        out.append(_Recipe(Word(w), lhs, tuple(ins), c))
+        pairs = tuple((index[x], index[y]) for x, y in lhs)
+        plus = tuple(index.get(m, len(index)) for m, tag in rhs if tag is CoefTag.Q)
+        minus = tuple(index.get(m, len(index)) for m, tag in rhs if tag is CoefTag.QNEG)
+        out.append((pairs, plus, minus))
     return out
 
 
@@ -147,7 +148,7 @@ class MomentTable:
 
 
 def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False) -> MomentTable:
-    """Moment series through degree D and order K at fixed rational t2 > 0.
+    """Moment series through degree D and order K at rational t2 > 0.
 
     With ``enforce_vanishing_alternating`` the moment m_{1,1,1,1} is pinned to the zero
     series and its own equation is skipped; by default the recursion is run
@@ -165,78 +166,70 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     if K < 0:
         raise ValueError("K must be >= 0")
 
-    m1111 = CanonicalMoment((1, 1, 1, 1))
-    degree_cap = {k: D + 2 * (K - k) for k in range(K + 1)}
-    all_moments = []
+    degree_cap = [D + 2 * (K - k) for k in range(K + 1)]
+    all_moments = [CanonicalMoment(())]
     for d in range(2, degree_cap[0] + 1, 2):
         all_moments.extend(iter_canonical_moments(d))
-    recipes = {c: _recipes_for(c) for c in all_moments}
+    index = {c: i for i, c in enumerate(all_moments)}
+    m2 = index[M2]
+    pinned = index.get(CanonicalMoment((1, 1, 1, 1))) if enforce_vanishing_alternating else None
 
-    table: dict[CanonicalMoment, list[Fraction]] = {}
+    def value(c: CanonicalMoment, k: int, v: int) -> Fraction:
+        """Integer table entry v of c at order k, as the coefficient at t2."""
+        return v / (8 * t2) ** (c.degree // 2 + 2 * k)
 
-    def coeff(c: CanonicalMoment, k: int) -> Fraction:
-        if k < 0:
-            return ZERO
-        if c.is_empty():
-            return Fraction(1) if k == 0 else ZERO
-        if vanishes_by_parity(c):
-            return ZERO
-        return table[c][k]
-
-    # order 0: Gaussian seed
-    for c in all_moments:
-        table[c] = [gaussian_moment(c, t2)]
-    if enforce_vanishing_alternating:
-        table[m1111] = [ZERO]
-
-    def determination(rec: _Recipe, k: int) -> Fraction:
-        lhs = ZERO
-        for x, y in rec.lhs_pairs:
-            for j in range(k + 1):
-                lhs += coeff(x, j) * coeff(y, k - j)
-        quartic = ZERO
-        for m, sign in rec.insertions:
-            quartic += sign * coeff(m, k - 1)
-        bitrace = ZERO
-        for j in range(k):
-            bitrace += coeff(M2, j) * coeff(rec.target, k - 1 - j)
-        return (lhs - 16 * quartic - 64 * bitrace) / (8 * t2)
-
-    conflicts = []
-
-    # order-zero consistency of the Gaussian seed with every equation
-    for c in all_moments:
-        if enforce_vanishing_alternating and c == m1111:
+    # order 0: the Gaussian seed M[c][0] = 8^(deg c / 2) m_c,0 at t2 = 1, checked
+    # against every equation of c; the top band's recipes serve only this check
+    rows, recipes, conflicts = [[1] + [0] * K], [[]], []
+    for i, c in enumerate(all_moments[1:], 1):
+        seed = gaussian_moment(c, 1) * 8 ** (c.degree // 2)
+        if seed.denominator != 1:
+            raise InconsistentSystem(f"Gaussian seed of {c.label()} is not an integer: {seed}")
+        rows.append([0 if i == pinned else seed.numerator])
+        own = _recipes_for(c, index)
+        recipes.append(own if c.degree < degree_cap[0] else None)
+        if i == pinned:
             continue
-        for rec in recipes[c]:
-            det = determination(rec, 0)
-            if det != table[c][0]:
-                if enforce_vanishing_alternating:
-                    conflicts.append((c, 0, (table[c][0], det)))
+        for r, (pairs, _plus, _minus) in enumerate(own):
+            det = sum(rows[x][0] * rows[y][0] for x, y in pairs)
+            if det != rows[i][0]:
+                want, got = value(c, 0, rows[i][0]), value(c, 0, det)
+                if pinned is not None:
+                    conflicts.append((c, 0, (want, got)))
                     break
+                word = list(_recipe_words(c))[r]
                 raise InconsistentSystem(
-                    f"order 0 of {c.label()} from word {rec.word}: {det} != Gaussian {table[c][0]}"
+                    f"order 0 of {c.label()} from word {word}: {got} != Gaussian {want}"
                 )
 
+    # order k: M = Lhs - 16 Q - 64 Bt, every term carrying the same power of 8
     for k in range(1, K + 1):
-        for d in range(2, degree_cap[k] + 1, 2):
-            for c in iter_canonical_moments(d):
-                if enforce_vanishing_alternating and c == m1111:
-                    table[c].append(ZERO)
-                    continue
-                values = [determination(rec, k) for rec in recipes[c]]
-                if any(v != values[0] for v in values[1:]):
-                    if not enforce_vanishing_alternating:
-                        raise InconsistentSystem(
-                            f"order {k} of {c.label()}: determinations disagree: {values}"
-                        )
-                    conflicts.append((c, k, tuple(values)))
-                table[c].append(values[0])
+        for i, c in enumerate(all_moments[1:], 1):
+            if c.degree > degree_cap[k]:
+                break
+            row = rows[i]
+            if i == pinned:
+                row.append(0)
+                continue
+            bitrace = 64 * sum(rows[m2][j] * row[k - 1 - j] for j in range(k))
+            values = []
+            for pairs, plus, minus in recipes[i]:
+                lhs = sum(rows[x][j] * rows[y][k - j] for x, y in pairs for j in range(k + 1))
+                quartic = sum(rows[m][k - 1] for m in plus) - sum(rows[m][k - 1] for m in minus)
+                values.append(lhs - 16 * quartic - bitrace)
+            if any(v != values[0] for v in values[1:]):
+                at_t2 = tuple(value(c, k, v) for v in values)
+                if pinned is None:
+                    raise InconsistentSystem(
+                        f"order {k} of {c.label()}: determinations disagree: {list(at_t2)}"
+                    )
+                conflicts.append((c, k, at_t2))
+            row.append(values[0])
 
     kept = {
-        c: MomentSeries(t2, coeffs[: K + 1])
-        for c, coeffs in table.items()
-        if c.degree <= D
+        c: MomentSeries(t2, [value(c, k, v) for k, v in enumerate(rows[i])])
+        for i, c in enumerate(all_moments)
+        if 0 < c.degree <= D
     }
     return MomentTable(
         t2=t2, max_degree=D, order=K, moments=kept, enforcement_conflicts=tuple(conflicts)

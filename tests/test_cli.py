@@ -68,6 +68,16 @@ class TestDirac:
         assert "t2 > 0" in err
 
 
+class TestFreeEnergy:
+    def test_negative_coupling_with_equals_sign(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--t2", "1", "--t4=-1/16")
+        assert code == 0 and "as-printed formula" in out
+
+    def test_help_shows_negative_coupling_hint(self, capsys):
+        code, out, _ = run(capsys, "free-energy", "--help")
+        assert code == 0 and "--t4=-1/16" in out
+
+
 class TestSde:
     def test_single_word_text(self, capsys):
         code, out, _ = run(capsys, "sde", "--word", "A")

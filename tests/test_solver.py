@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dirac2mm.sde import CoefTag
 from dirac2mm.solver import (
     InconsistentSystem,
     gaussian_moment,
@@ -62,6 +63,16 @@ class TestSolveSeries:
         # and makes the pinned system visibly overdetermined
         assert table.enforcement_conflicts
         assert solve_series(D=4, K=2, t2=1).enforcement_conflicts == ()
+        # the recorded conflicts, frozen from the Fraction recursion
+        pinned = solve_series(D=4, K=2, t2=F(3, 2), enforce_vanishing_alternating=True)
+        assert pinned.enforcement_conflicts == (
+            (CanonicalMoment((3, 1, 1, 1)), 1, (F(1, 15552), F(0), F(1, 15552), F(1, 7776))),
+        )
+        deep = solve_series(D=6, K=3, t2=1, enforce_vanishing_alternating=True).enforcement_conflicts
+        assert len(deep) == 26
+        assert hashlib.sha256(repr(deep).encode()).hexdigest() == (
+            "d4ea4ecc286590714633c478f1c2e0d90f639e17f2c8b6fe84bf1452464a7efb"
+        )
 
     def test_general_t2(self):
         table = solve_series(D=2, K=1, t2=2)
@@ -118,6 +129,40 @@ class TestDeterminationConsistency:
         monkeypatch.setattr(solver_mod, "gaussian_moment", corrupted)
         with pytest.raises(InconsistentSystem):
             solver_mod.solve_series(D=4, K=1, t2=1)
+
+    def test_fractional_seed_is_refused(self, monkeypatch):
+        # 64 (1/64 + 1/1000) is not an integer; truncating it would restore the
+        # true seed of m_{2,2} and let the tampering through
+        import dirac2mm.solver as solver_mod
+
+        true_gauss = solver_mod.gaussian_moment
+
+        def corrupted(c, t2):
+            value = true_gauss(c, t2)
+            return value + F(1, 1000) if c.runs == (2, 2) else value
+
+        monkeypatch.setattr(solver_mod, "gaussian_moment", corrupted)
+        with pytest.raises(InconsistentSystem, match=r"m_\{2,2\} is not an integer: 133/125"):
+            solver_mod.solve_series(D=4, K=1, t2=1)
+
+    def test_disagreement_at_order_k_is_caught(self, monkeypatch):
+        # dropping the +16 t4 insertions of the word ABB leaves order 0 intact
+        # and makes its determination of m_{2,2} at order 1 differ from BBA's
+        import dirac2mm.solver as solver_mod
+
+        true_terms = solver_mod._equation_terms
+
+        def tampered(w):
+            lhs, rhs, display = true_terms(w)
+            if w == "ABB":
+                rhs = tuple(entry for entry in rhs if entry[1] is not CoefTag.Q)
+            return lhs, rhs, display
+
+        monkeypatch.setattr(solver_mod, "_equation_terms", tampered)
+        message = "order 1 of m_{2,2}: determinations disagree: [Fraction(-1, 108), Fraction(-17, 1296)]"
+        with pytest.raises(InconsistentSystem) as caught:
+            solver_mod.solve_series(D=4, K=1, t2=F(3, 2))
+        assert str(caught.value) == message
 
 
 class TestVerifyClosedForms:
