@@ -30,10 +30,9 @@ print("\nfourth-moment doubling: m_4 = 2 m_{2,2}:",
       moment("AAAA", p), "=", 2 * F(1, 256))
 
 print("\nDirac moments and their word-moment expansions at (1,1):")
-for ell in (2, 4):
+for ell in (2, 4, 6):
     print(f"  d_{ell}: closed form {dirac_moment(ell, p)!r}, "
           f"from words {dirac_from_words(ell, p)!r}")
-print(f"  d_6: closed form {dirac_moment(6, p)!r} (no word expansion)")
 
 print("\nrescaling in the quartic coupling, d_ell(t2, t4) = t4^(-ell/4) d_ell(t2/sqrt(t4), 1):")
 for ell in (2, 4, 6):

@@ -42,8 +42,7 @@ def cmd_moments(args) -> int:
 def cmd_dirac(args) -> int:
     point = _point(args)
     _print_surd(f"d_{args.ell}", closedform.dirac_moment(args.ell, point))
-    if args.ell in (2, 4):
-        _print_surd(f"d_{args.ell} (from word moments)", closedform.dirac_from_words(args.ell, point))
+    _print_surd(f"d_{args.ell} (from word moments)", closedform.dirac_from_words(args.ell, point))
     return 0
 
 

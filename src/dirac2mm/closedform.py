@@ -19,14 +19,18 @@ except the free energies, which are plain floating point.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     CouplingPoint,
     MomentSeries,
     SurdScalar,
+    exact_int,
     rat,
     rational_sqrt,
     surd_expansion,
@@ -65,6 +69,29 @@ class Signature(enum.Enum):
 
 
 DIRAC_INDICES = (2, 4, 6)
+
+
+@lru_cache(maxsize=None, typed=True)   # typed: 2.0 must reach the check, not the entry of 2
+def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
+    """tr D^ell as ((u, v), c): the sum of c tr(u) tr(v) over least rotations u <= v.
+
+    D = sigma3 x (A x 1 + eps1 1 x A^T) + sigma1 x (B x 1 + eps2 1 x B^T).  On
+    each letter string w, tr(sigma_w) = 2 (-1)^(pairs with B before A) when both
+    letter counts are even, else 0, and tr(X x Y^T) = tr X tr Y, the letters of
+    Y read in reverse; the trace of the empty word is N.
+    """
+    eps = {"A": signature.eps1, "B": signature.eps2}
+    rotation = lambda w: min((w[i:] + w[:i] for i in range(len(w))), default="")
+    poly = Counter()
+    for w in itertools.product("AB", repeat=_check_ell(ell)):
+        if w.count("A") % 2 == 0:
+            sign = 2 * (-1) ** sum(w[:i].count("B") for i, x in enumerate(w) if x == "A")
+            for right in itertools.product((False, True), repeat=ell):
+                u = "".join(x for x, r in zip(w, right) if not r)
+                v = "".join(x for x, r in zip(w, right) if r)[::-1]
+                poly[tuple(sorted((rotation(u), rotation(v))))] += sign * math.prod(eps[x] for x in v)
+    return tuple(sorted((pair, c) for pair, c in poly.items() if c))
+
 
 # Numerator of each branch moment over DEN * t4^q, as monomials
 # (coefficient, t2 power, t4 power, s power in {0, 1}).
@@ -308,7 +335,7 @@ def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
 
 
 def _check_ell(ell: int) -> int:
-    ell = int(ell)
+    ell = exact_int(ell, "ell")
     if ell not in DIRAC_INDICES:
         raise ValueError(f"Dirac moment closed forms exist for ell in {DIRAC_INDICES}, got {ell}")
     return ell
@@ -330,24 +357,19 @@ def dirac_moment(ell: int, point: CouplingPoint) -> SurdScalar:
 
 
 def dirac_from_words(ell: int, point: CouplingPoint) -> SurdScalar:
-    """Dirac moments re-derived from word moments via the trace expansion.
+    """d_ell from word moments: (1/N^2) tr(u) tr(v) -> m_u m_v over ``dirac_trace_polynomial``.
 
-    d_2 = 8 m_2 and d_4 = 8 m_4 + 16 m_{2,2} - 8 m_{1,1,1,1} + 32 m_2^2 are
-    the leading-order trace expansions of the squared and fourth-power Dirac
-    operator; no analogous expansion is implemented for ell = 6.
+    m_empty = 1; pairs with a parity-odd moment drop out, and with them every
+    signature-dependent sign.  E.g. d_4 = 8 m_4 + 16 m_{2,2} - 8 m_{1,1,1,1} + 32 m_2^2.
     """
-    ell = int(ell)
-    if ell == 2:
-        return moment("AA", point) * 8
-    if ell == 4:
-        m2 = moment("AA", point)
-        return (
-            moment("AAAA", point) * 8
-            + moment("AABB", point) * 16
-            - moment("ABAB", point) * 8
-            + m2 * m2 * 32
-        )
-    raise ValueError(f"word expansion implemented for ell in (2, 4), got {ell}")
+    pairs = Counter()
+    for (u, v), c in dirac_trace_polynomial(_check_ell(ell), Signature.S20):
+        x, y = sorted((canonicalize(u), canonicalize(v)), key=lambda m: m.runs)
+        if not (vanishes_by_parity(x) or vanishes_by_parity(y)):
+            pairs[x, y] += c
+    values = {x: moment(x, point) for x in set().union(*pairs)}
+    terms = ((values[x] * values[y] if x.runs else values[y]) * c for (x, y), c in pairs.items())
+    return sum(terms, SurdScalar(0, 0, point.ssq))
 
 
 def rescale_dirac(ell: int, point: CouplingPoint):

@@ -11,17 +11,22 @@ traceless slice; anticommutator letters carry full Hermitian matrices.
 Chains are vectorized: every chain keeps its own seeded generator, the
 matrix algebra runs batched over chains.  Estimates come with batch-mean
 standard errors.
+
+Every tr D^ell, in the action and in the Dirac estimators, is the trace
+polynomial of ``closedform.dirac_trace_polynomial``, evaluated in one batch
+with each word's trace taken once; ``dirac_operator`` is the dense reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CouplingPoint
-from .closedform import Signature
+from .algebra import CouplingPoint, exact_int
+from .closedform import Signature, _check_ell, dirac_trace_polynomial
 from .words import Word
 
 HERMITICITY_TOL = 1e-12
@@ -41,6 +46,8 @@ class SamplerConfig:
     update_targets: str = "AB"   # which matrices the walk updates ("AB" or "A")
 
     def __post_init__(self):
+        for name in ("n", "steps", "burn_in", "thinning", "chains", "seed"):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name))
         if self.n < 1:
             raise ValueError("matrix size must be >= 1")
         if not (self.steps > self.burn_in >= 0):
@@ -82,35 +89,44 @@ def _check_hermitian(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
-def _batched_action(A, B, sig: Signature, t2: float, t4: float, n: int):
+def _plan(words) -> tuple:
+    """The two halves of each nonempty word, and the products they need, shortest first."""
+    halves = tuple((w[: len(w) // 2], w[len(w) // 2 :]) for w in words)
+    return halves, sorted({h[:k] for pair in halves for h in pair for k in range(2, len(h) + 1)}, key=len)
+
+
+def _word_traces(A, B, plan) -> list:
+    """Re tr of each planned word, (..., N, N) -> (words, ...), as one einsum of its two halves."""
+    halves, products = plan
+    P = {"A": A, "B": B}
+    for h in products:
+        P[h] = P[h[:-1]] @ P[h[-1]]
+    trace = lambda u, v: np.einsum("...ij,...ji->...", P[u], P[v]) if u else np.einsum("...ii->...", P[v])
+    return [trace(u, v).real for u, v in halves]
+
+
+@lru_cache(maxsize=None)
+def _trace_plan(ells: tuple, sig: Signature) -> tuple:
+    """Word plan, pair rows (row 0: the empty word) and coefficients of each tr D^ell."""
+    polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in ells]
+    pairs = sorted(set().union(*polys))
+    words = sorted({w for pair in pairs for w in pair} - {""})
+    row = {w: i for i, w in enumerate(["", *words])}
+    rows = np.array([[row[u] for u, _v in pairs], [row[v] for _u, v in pairs]])
+    return _plan(words), rows, np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+
+
+def _dirac_traces(A, B, sig: Signature, ells: tuple) -> np.ndarray:
+    """tr D^ell of each pair in a batch: (..., N, N) -> (len(ells), ...)."""
+    plan, (iu, iv), coef = _trace_plan(ells, sig)
+    traces = np.array([np.full(A.shape[:-2], float(A.shape[-1])), *_word_traces(A, B, plan)])
+    return np.einsum("lp,p...->l...", coef, traces[iu] * traces[iv])
+
+
+def _batched_action(A, B, sig: Signature, t2: float, t4: float):
     """Action of each chain's (A, B); shapes (C, N, N) -> (C,)."""
-    e1, e2 = sig.eps1, sig.eps2
-    tr = lambda M: np.einsum("...ii->...", M).real
-    pair = lambda X, Y: np.einsum("...ij,...ji->...", X, Y).real
-    A2 = A @ A
-    B2 = B @ B
-    trA = tr(A)
-    trB = tr(B)
-    trA2 = pair(A, A)
-    trB2 = pair(B, B)
-    trA4 = pair(A2, A2)
-    trB4 = pair(B2, B2)
-    trA2B2 = pair(A2, B2)
-    AB = A @ B
-    trABAB = pair(AB, AB)
-    trA3A = pair(A2, A) * trA
-    trB3B = pair(B2, B) * trB
-    trAB2 = pair(A, B2)
-    trBA2 = pair(B, A2)
-    trAB = pair(A, B)
-    trD2 = 4.0 * (n * (trA2 + trB2) + e1 * trA**2 + e2 * trB**2)
-    trD4 = (
-        4.0 * n * (trA4 + trB4 + 4.0 * trA2B2 - 2.0 * trABAB)
-        + 4.0 * (4.0 * e1 * trA3A + 4.0 * e2 * trB3B + 3.0 * trA2**2 + 3.0 * trB2**2)
-        + 16.0 * (e1 * trAB2 * trA + e2 * trBA2 * trB)
-        + 8.0 * (trA2 * trB2 + 2.0 * e1 * e2 * trAB**2)
-    )
-    return t2 * trD2 + t4 * trD4
+    d2, d4 = _dirac_traces(A, B, sig, (2, 4))
+    return t2 * d2 + t4 * d4
 
 
 def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoint) -> float:
@@ -121,17 +137,15 @@ def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoi
         raise ValueError("A and B must be square matrices of equal size")
     _check_hermitian(A, "A")
     _check_hermitian(B, "B")
-    n = A.shape[0]
-    return float(
-        _batched_action(A[None], B[None], sig, float(point.t2), float(point.t4), n)[0]
-    )
+    return float(_batched_action(A[None], B[None], sig, float(point.t2), float(point.t4))[0])
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
     """Dense Dirac operator: sigma3 x Phi_A + sigma1 x Phi_B, size 2 N^2.
 
     Each letter acts by anticommutator when its sign is +1 and commutator
-    when it is -1.
+    when it is -1.  O(N^6) to use; the tests' reference for the trace
+    polynomial.
     """
     A = np.asarray(A, dtype=complex)
     B = np.asarray(B, dtype=complex)
@@ -162,10 +176,6 @@ class ChainResult:
     def __post_init__(self):
         self.healthy = bool(np.all((self.acceptance > 0.2) & (self.acceptance < 0.7)))
 
-    @property
-    def n_samples(self) -> int:
-        return self.samples_a.shape[0] * self.samples_a.shape[1]
-
 
 def _hermitian_step(gen: np.random.Generator, n: int, traceless: bool) -> np.ndarray:
     g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
@@ -192,7 +202,7 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     traceless = {"A": sig.eps1 == -1, "B": sig.eps2 == -1}
     A = np.zeros((C, n, n), dtype=complex)
     B = np.zeros((C, n, n), dtype=complex)
-    S = _batched_action(A, B, sig, t2, t4, n)
+    S = _batched_action(A, B, sig, t2, t4)
     scales = np.full(C, cfg.step_scale)
 
     kept_a, kept_b = [], []
@@ -206,10 +216,10 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
         steps_h = np.stack([_hermitian_step(g, n, traceless[target]) for g in gens])
         if target == "A":
             prop_A = A + scales[:, None, None] * steps_h
-            S_new = _batched_action(prop_A, B, sig, t2, t4, n)
+            S_new = _batched_action(prop_A, B, sig, t2, t4)
         else:
             prop_B = B + scales[:, None, None] * steps_h
-            S_new = _batched_action(A, prop_B, sig, t2, t4, n)
+            S_new = _batched_action(A, prop_B, sig, t2, t4)
         log_u = np.log(np.stack([g.random() for g in gens]))
         accept = log_u < (S - S_new)
         if target == "A":
@@ -265,18 +275,9 @@ def _batch_mean_error(values: np.ndarray, min_batches: int = 16) -> EstimateWith
 def word_trace_series(result: ChainResult, w: Word | str) -> np.ndarray:
     """(T, C) series of (1/N) Re tr of the word evaluated on each sample."""
     w = Word(w)
-    Aset, Bset = result.samples_a, result.samples_b
-    T, C, n, _ = Aset.shape
     if w.degree == 0:
-        return np.ones((T, C))
-    flatA = Aset.reshape(T * C, n, n)
-    flatB = Bset.reshape(T * C, n, n)
-    prod = None
-    for letter in w.letters:
-        m = flatA if letter == "A" else flatB
-        prod = m.copy() if prod is None else prod @ m
-    tr = np.einsum("sii->s", prod).real / n
-    return tr.reshape(T, C)
+        return np.ones(result.samples_a.shape[:2])
+    return _word_traces(result.samples_a, result.samples_b, _plan([w.letters]))[0] / result.config.n
 
 
 def estimate_moment(result: ChainResult, w: Word | str) -> EstimateWithError:
@@ -286,28 +287,12 @@ def estimate_moment(result: ChainResult, w: Word | str) -> EstimateWithError:
 
 def dirac_trace_series(result: ChainResult, ell: int, max_samples: int = 2000) -> np.ndarray:
     """(T', C) series of (1/N^2) tr D^ell on an evenly spaced sample subset."""
-    ell = int(ell)
-    if ell % 2 != 0 or ell < 2 or ell > 6:
-        raise ValueError("ell must be one of 2, 4, 6")
-    Aset, Bset = result.samples_a, result.samples_b
-    T, C, n, _ = Aset.shape
-    per_chain_target = max(1, max_samples // C)
-    keep_t = list(range(0, T, max(1, T // per_chain_target)))
-    sig = result.config.signature
-    out = np.empty((len(keep_t), C))
-    for i, t in enumerate(keep_t):
-        for c in range(C):
-            D = dirac_operator(Aset[t, c], Bset[t, c], sig)
-            D2 = D @ D
-            if ell == 2:
-                val = np.trace(D2).real
-            elif ell == 4:
-                val = np.einsum("ij,ji->", D2, D2).real
-            else:
-                D4 = D2 @ D2
-                val = np.einsum("ij,ji->", D4, D2).real
-            out[i, c] = val / n**2
-    return out
+    if exact_int(max_samples, "max_samples") < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    T, C, n, _ = result.samples_a.shape
+    stride = max(1, T // max(1, max_samples // C))
+    A, B = result.samples_a[::stride], result.samples_b[::stride]
+    return _dirac_traces(A, B, result.config.signature, (_check_ell(ell),))[0] / n**2
 
 
 def estimate_dirac(result: ChainResult, ell: int, max_samples: int = 2000) -> EstimateWithError:
@@ -318,20 +303,12 @@ def estimate_dirac(result: ChainResult, ell: int, max_samples: int = 2000) -> Es
 def trace_rows(result: ChainResult):
     """CSV-ready diagnostic rows: one per kept sample of chain 0."""
     yield ("sample", "tr_A2", "tr_D2", "tr_D4", "acceptance")
-    sig = result.config.signature
-    n = result.config.n
+    A0, B0 = result.samples_a[:, 0], result.samples_b[:, 0]
+    (tr_a2,) = _word_traces(A0, B0, _plan(["AA"]))
+    tr_d2, tr_d4 = _dirac_traces(A0, B0, result.config.signature, (2, 4))
     acc = float(result.acceptance.mean())
-    for t in range(result.samples_a.shape[0]):
-        Amat, Bmat = result.samples_a[t, 0], result.samples_b[t, 0]
-        D = dirac_operator(Amat, Bmat, sig)
-        D2 = D @ D
-        yield (
-            t,
-            float(np.trace(Amat @ Amat).real),
-            float(np.trace(D2).real),
-            float(np.einsum("ij,ji->", D2, D2).real),
-            acc,
-        )
+    for t, row in enumerate(zip(tr_a2, tr_d2, tr_d4)):
+        yield (t, *map(float, row), acc)
 
 
 # -- detailed-balance check against quadrature ---------------------------------

@@ -60,6 +60,12 @@ class TestDirac:
         assert "d_4 = 1/4" in out
         assert "from word moments" in out
 
+    def test_sixth_moment_from_words(self, capsys):
+        code, out, _ = run(capsys, "dirac", "--ell", "6", "--t2", "1", "--t4", "1")
+        assert code == 0
+        assert "d_6 = 19/128" in out
+        assert "d_6 (from word moments) = 19/128" in out
+
     @pytest.mark.parametrize("t2", ["-1", "0"])
     def test_nonpositive_t2_exit_code(self, capsys, t2):
         code, out, err = run(capsys, "dirac", "--ell", "6", "--t2", t2, "--t4", "1")

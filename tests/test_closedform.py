@@ -112,12 +112,37 @@ class TestDirac:
 
     def test_from_words_equals_closed_form(self):
         for p in random_points(10, seed=3):
-            for ell in (2, 4):
+            for ell in (2, 4, 6):
                 assert cf.dirac_from_words(ell, p) == cf.dirac_moment(ell, p)
 
-    def test_from_words_rejects_six(self):
-        with pytest.raises(ValueError):
-            cf.dirac_from_words(6, P11)
+    def test_from_words_rejects_invalid_index(self):
+        for ell in (3, 8, 2.5):
+            with pytest.raises(ValueError, match="ell"):
+                cf.dirac_from_words(ell, P11)
+
+    @pytest.mark.parametrize("ell", [2.5, True])
+    def test_non_integer_index_is_refused(self, ell):
+        for evaluate in (cf.dirac_moment, cf.dirac_from_words, cf.rescale_dirac):
+            with pytest.raises(ValueError, match="ell must be an integer"):
+                evaluate(ell, P11)
+        with pytest.raises(ValueError, match="ell must be an integer"):
+            cf.dirac_trace_polynomial(ell, cf.Signature.S20)
+
+    def test_trace_polynomial_of_fourth_power(self):
+        # tr D^4 as hand-derived: 4N(tr A^4 + tr B^4 + 4 tr A^2B^2 - 2 tr ABAB)
+        # + 16 e1 trA^3 trA + 16 e2 trB^3 trB + 12 (trA^2)^2 + 12 (trB^2)^2
+        # + 16 e1 trAB^2 trA + 16 e2 trBA^2 trB + 8 trA^2 trB^2 + 16 e1 e2 (trAB)^2
+        for sig in cf.Signature:
+            e1, e2 = sig.eps1, sig.eps2
+            want = {
+                ("", "AAAA"): 4, ("", "BBBB"): 4, ("", "AABB"): 16, ("", "ABAB"): -8,
+                ("A", "AAA"): 16 * e1, ("B", "BBB"): 16 * e2, ("AA", "AA"): 12, ("BB", "BB"): 12,
+                ("A", "ABB"): 16 * e1, ("AAB", "B"): 16 * e2, ("AA", "BB"): 8, ("AB", "AB"): 16 * e1 * e2,
+            }
+            assert dict(cf.dirac_trace_polynomial(4, sig)) == want
+            assert dict(cf.dirac_trace_polynomial(2, sig)) == {
+                ("", "AA"): 4, ("", "BB"): 4, ("A", "A"): 4 * e1, ("B", "B"): 4 * e2,
+            }
 
     @pytest.mark.parametrize("t2", [0, -1])
     def test_nonpositive_t2_raises(self, t2):

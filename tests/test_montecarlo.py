@@ -65,6 +65,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="update_targets"):
             mc.SamplerConfig(n=4, point=P11, update_targets="B")
 
+    @pytest.mark.parametrize("field", ["n", "steps", "burn_in", "thinning", "chains", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_integer_fields_refuse_non_integers(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            mc.SamplerConfig(**{"n": 4, "point": P11, "steps": 1000, "burn_in": 1, field: bad})
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = mc.SamplerConfig(n=np.int64(4), point=P11, steps=np.int32(1000), burn_in=100)
+        assert type(cfg.n) is int and type(cfg.steps) is int
+
     def test_default_scale_depends_on_size(self):
         small = mc.SamplerConfig(n=2, point=P11)
         large = mc.SamplerConfig(n=12, point=P11)
@@ -110,29 +120,92 @@ class TestChain:
         est = mc.estimate_dirac(short_chain, 2, max_samples=300)
         assert abs(est.mean - 0.5) < 0.1
 
+    @pytest.mark.parametrize("max_samples", [0, -5])
+    def test_dirac_series_refuses_empty_subset(self, short_chain, max_samples):
+        with pytest.raises(ValueError, match="max_samples"):
+            mc.dirac_trace_series(short_chain, 2, max_samples=max_samples)
+
+    @pytest.mark.parametrize("ell", [2.5, True, 3, 8])
+    def test_dirac_estimators_refuse_bad_index(self, short_chain, ell):
+        with pytest.raises(ValueError, match="ell"):
+            mc.estimate_dirac(short_chain, ell)
+        with pytest.raises(ValueError, match="ell"):
+            mc.dirac_trace_series(short_chain, ell)
+
     def test_trace_rows(self, short_chain):
         rows = list(mc.trace_rows(short_chain))
         assert rows[0] == ("sample", "tr_A2", "tr_D2", "tr_D4", "acceptance")
         assert len(rows) == short_chain.samples_a.shape[0] + 1
 
 
-class TestCommutatorSignatures:
-    def test_commutator_letters_stay_traceless(self):
-        cfg = mc.SamplerConfig(
-            n=4, point=P11, signature=Signature.S02, steps=1500, burn_in=500,
+@pytest.fixture(scope="module")
+def signature_chains():
+    return {
+        sig: mc.run_chain(mc.SamplerConfig(
+            n=4, point=P11, signature=sig, steps=1500, burn_in=500,
             thinning=10, seed=3, chains=2,
-        )
-        r = mc.run_chain(cfg)
+        ))
+        for sig in Signature
+    }
+
+
+# acceptance and real sums of the A and B samples of each signature chain,
+# frozen from the sampler whose action hand-coded tr D^2 and tr D^4
+CHAIN_PINS = {
+    Signature.S20: ([0.333, 0.422], 34.72535763405655, -13.583822245012989),
+    Signature.S11: ([0.347, 0.388], 53.38037488117793, -24.957685731472594),
+    Signature.S02: ([0.323, 0.423], 48.28047967438626, -0.62604976185006),
+}
+
+
+def test_chains_are_pinned(signature_chains):
+    for sig, (acceptance, sum_a, sum_b) in CHAIN_PINS.items():
+        r = signature_chains[sig]
+        assert r.acceptance.tolist() == acceptance
+        assert r.samples_a.real.sum() == pytest.approx(sum_a, rel=1e-10)
+        assert r.samples_b.real.sum() == pytest.approx(sum_b, rel=1e-10)
+
+
+def dense_traces(result, samples):
+    """{ell: tr D^ell} of the dense operator for each (t, c) sample index."""
+    sig = result.config.signature
+    out = {2: [], 4: [], 6: []}
+    for t, c in samples:
+        D = mc.dirac_operator(result.samples_a[t, c], result.samples_b[t, c], sig)
+        D2 = D @ D
+        D4 = D2 @ D2
+        for ell, (X, Y) in {2: (D, D), 4: (D2, D2), 6: (D4, D2)}.items():
+            out[ell].append(np.einsum("ij,ji->", X, Y).real)
+    return {ell: np.array(v) for ell, v in out.items()}
+
+
+def test_dirac_traces_match_dense_operator(short_chain, signature_chains):
+    for r in (short_chain, *signature_chains.values()):
+        T, C, n, _ = r.samples_a.shape
+        stride = max(1, T // 16)
+        keep = range(0, T, stride)
+        want = dense_traces(r, [(t, c) for t in keep for c in range(C)])
+        for ell in (2, 4, 6):
+            series = mc.dirac_trace_series(r, ell, max_samples=16 * C)
+            assert series.shape == (len(keep), C)
+            np.testing.assert_allclose(series.reshape(-1), want[ell] / n**2, rtol=1e-12)
+        rows = list(mc.trace_rows(r))[1:]
+        want = dense_traces(r, [(t, 0) for t in range(T)])
+        for column, ell in ((2, 2), (3, 4)):
+            np.testing.assert_allclose([row[column] for row in rows], want[ell], rtol=1e-12)
+        tr_a2 = np.einsum("tij,tji->t", r.samples_a[:, 0], r.samples_a[:, 0]).real
+        np.testing.assert_allclose([row[1] for row in rows], tr_a2, rtol=1e-12)
+
+
+class TestCommutatorSignatures:
+    def test_commutator_letters_stay_traceless(self, signature_chains):
+        r = signature_chains[Signature.S02]
         for arr in (r.samples_a, r.samples_b):
             traces = np.einsum("tcii->tc", arr)
             assert np.max(np.abs(traces)) < 1e-10
 
-    def test_anticommutator_letter_keeps_trace(self):
-        cfg = mc.SamplerConfig(
-            n=4, point=P11, signature=Signature.S11, steps=1500, burn_in=500,
-            thinning=10, seed=3, chains=2,
-        )
-        r = mc.run_chain(cfg)
+    def test_anticommutator_letter_keeps_trace(self, signature_chains):
+        r = signature_chains[Signature.S11]
         assert np.max(np.abs(np.einsum("tcii->tc", r.samples_a))) > 1e-6
         assert np.max(np.abs(np.einsum("tcii->tc", r.samples_b))) < 1e-10
 
