@@ -93,10 +93,14 @@ def cmd_enumerate(args) -> int:
             "signed_sum_cancels": rep.paired,
         }, indent=2))
         return 0
-    coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
+    if args.dump:   # one walk: the coefficient is summed from the maps it dumps
+        scale = mapenum._edge_scale(w, args.order, args.t2)
+        maps = list(mapenum._gluings(w, args.order, planar=not args.all_maps))
+        coeff = sum(m.weight for m in maps if m.planar) / scale
+    else:
+        coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
     print(f"[t4^{args.order}] {canonicalize(w).label()} = {coeff} = {float(coeff):.12g}")
     if args.dump:
-        maps = [m for m in mapenum.enumerate_gluings(w, args.order) if m.planar or args.all_maps]
         print(mapenum.dump_maps_json(maps))
     return 0
 

@@ -1,4 +1,4 @@
-"""Brute-force enumeration of 2-colored unstable map gluings.
+"""Enumeration of 2-colored unstable map gluings.
 
 A moment's expansion coefficient at order t4^k is a sum over gluings of the
 rooted word polygon with k additional 2-cells drawn from the seven kinds the
@@ -17,10 +17,25 @@ decomposition: split each cylinder into two discs joined by a branch, then
 a gluing contributes at leading order iff every graph component is planar
 and the branch graph is a tree rooted at the word polygon's component.
 
-One loop serves every entry point: ``_layouts`` yields the feasible cell
-multisets of an order, ``_matchings`` the colour-respecting matchings of
-one of them, and ``enumerate_gluings``, ``moment_coefficient`` and
-``cancellation_report`` all walk those two generators.
+One walk serves every entry point: ``_layouts`` yields the feasible cell
+multisets of an order, and ``_matchings`` glues the darts of one of them
+dart by dart, keeping the partial surface S' (the polygons glued along the
+edges matched so far, each cylinder one annulus), its components and the
+boundary cycles of their open darts.  A gluing is planar exactly when the
+finished surface is one sphere: with n components of Euler characteristic
+chi_i joined by c cylinders into one piece, chi = sum chi_i - 2c <= 2n -
+2(n - 1) = 2, with equality iff every chi_i = 2 and the branch graph is a
+tree (Guionnet & Maurel-Segala, ALEA 1, 2006).  So the planar walk, which
+``moment_coefficient`` and ``cancellation_report`` use, skips two moves:
+
+- a handle: gluing two darts of one component that lie on different
+  boundary cycles raises its genus, and genus never falls again;
+- a closed piece: a component left with no open dart while another exists,
+  or with no word polygon to root it, can never join the rest.
+
+Every other move keeps each component planar, so every leaf it reaches is
+planar.  ``enumerate_gluings`` walks without the cuts and yields every
+matching, in the same order.
 """
 
 from __future__ import annotations
@@ -28,9 +43,10 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .algebra import exact_int, rat
 from .words import Word
@@ -123,47 +139,25 @@ class _Layout:
     """Dart numbering for a word polygon plus a sequence of cells."""
 
     def __init__(self, word: Word, kinds: tuple):
-        colors: list[str] = [RED if c == "A" else BLUE for c in word.letters]
-        nxt: list[int] = []
-        polygon_of: list[int] = []
-        n = len(colors)
-        if n:
-            nxt.extend([(i + 1) % n for i in range(n)])
-            polygon_of.extend([0] * n)
-        n_poly = 1 if n else 0
-        branches: list[tuple[int, int]] = []
-        for kind in kinds:
-            cell = CELLS[kind]
-            polys_here = []
-            for boundary in cell.boundaries:
-                start = len(colors)
-                m = len(boundary)
-                colors.extend(boundary)
-                nxt.extend([start + (i + 1) % m for i in range(m)])
-                polygon_of.extend([n_poly] * m)
-                polys_here.append(n_poly)
+        word_polygon = tuple(RED if c == "A" else BLUE for c in word.letters)
+        cells = [CELLS[kind].boundaries for kind in kinds]
+        self.word, self.kinds = word, kinds
+        self.colors, self.nxt, self.polygon_of, self.branches = [], [], [], []
+        n_poly = 0
+        for boundaries in ([(word_polygon,)] if word_polygon else []) + cells:
+            if len(boundaries) == 2:          # a cylinder: its two discs joined by a branch
+                self.branches.append((n_poly, n_poly + 1))
+            for boundary in boundaries:
+                start, m = len(self.colors), len(boundary)
+                self.colors.extend(boundary)
+                self.nxt.extend(start + (i + 1) % m for i in range(m))
+                self.polygon_of.extend([n_poly] * m)
                 n_poly += 1
-            if cell.is_cylinder:
-                branches.append((polys_here[0], polys_here[1]))
-        self.word = word
-        self.kinds = kinds
-        self.colors = colors
-        self.nxt = nxt
-        self.polygon_of = polygon_of
         self.n_polygons = n_poly
-        self.branches = branches
-        self.reds = [i for i, c in enumerate(colors) if c == RED]
-        self.blues = [i for i, c in enumerate(colors) if c == BLUE]
-        counts: dict[CellKind, int] = {}
-        for kind in kinds:
-            counts[kind] = counts.get(kind, 0) + 1
-        sym = 1
-        for c in counts.values():
-            sym *= factorial(c)
-        factor = Fraction(1, sym)
-        for kind in kinds:
-            factor *= CELLS[kind].factor
-        self.weight = factor
+        self.reds = [i for i, c in enumerate(self.colors) if c == RED]
+        self.blues = [i for i, c in enumerate(self.colors) if c == BLUE]
+        sym = prod(factorial(kinds.count(kind)) for kind in set(kinds))
+        self.weight = prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
 
 
 def _layouts(w: Word, k: int):
@@ -177,28 +171,72 @@ def _layouts(w: Word, k: int):
             yield layout
 
 
-def _pairings(items: list[int]):
-    """All perfect matchings of ``items`` as tuples of (lo, hi) pairs."""
-    if not items:
-        yield ()
-        return
-    first, rest = items[0], items[1:]
-    for i, other in enumerate(rest):
-        head = (first, other)
-        for tail in _pairings(rest[:i] + rest[i + 1 :]):
-            yield (head,) + tail
+def _matchings(layout: _Layout, planar: bool):
+    """One partner array per colour-respecting perfect matching of the darts.
 
+    The lowest open red dart, or the lowest open blue one once every red is
+    matched, is glued to each open dart of its colour above it in turn.
+    With ``planar`` a gluing that adds a handle or closes off a piece is
+    skipped, so only the planar matchings are reached.
+    """
+    nxt, poly_of, n_red = layout.nxt, layout.polygon_of, len(layout.reds)
+    darts = layout.reds + layout.blues
+    n = len(darts)
+    partner = [-1] * n
+    succ, pred = nxt[:], [0] * n            # boundary cycles of S' over its open darts
+    for h in range(n):
+        pred[nxt[h]] = h
+    comp = list(range(layout.n_polygons))   # component of each polygon in S'
+    for pa, pb in layout.branches:
+        comp[pb] = pa                       # a cylinder is one annulus face
+    open_in = [sum(comp[p] == c for p in poly_of) for c in range(layout.n_polygons)]
+    pieces = layout.n_polygons - len(layout.branches)
+    rooted = bool(layout.word.letters)
 
-def _matchings(layout: _Layout):
-    """One partner array per colour-respecting perfect matching of the darts."""
-    for red_part in _pairings(layout.reds):
-        for blue_part in _pairings(layout.blues):
-            partner = [0] * len(layout.colors)
-            for a, b in red_part:
-                partner[a], partner[b] = b, a
-            for a, b in blue_part:
-                partner[a], partner[b] = b, a
-            yield partner
+    def cut(a, b):
+        ca, cb = comp[poly_of[a]], comp[poly_of[b]]
+        if ca == cb:
+            u = succ[a]
+            while u != a and u != b:
+                u = succ[u]
+            if u == a:                      # b lies on another boundary cycle: a handle
+                return True
+        left = open_in[ca] + (open_in[cb] if ca != cb else 0) - 2
+        return left == 0 and (pieces - (ca != cb) > 1 or not rooted)   # a closed piece
+
+    def glue(a, b):
+        nonlocal pieces
+        saved = succ[:], pred[:], comp[:], open_in[:], pieces
+        for x, y in ((a, b), (b, a)):       # the boundary that reached x leaves after y
+            p, s = pred[x], succ[y]
+            succ[p], pred[s] = s, p
+        ca, cb = comp[poly_of[a]], comp[poly_of[b]]
+        if ca != cb:
+            comp[:] = [ca if c == cb else c for c in comp]
+            open_in[ca] += open_in[cb]
+            pieces -= 1
+        open_in[ca] -= 2
+        return saved
+
+    def walk(i):
+        nonlocal pieces
+        while i < n and partner[darts[i]] >= 0:
+            i += 1
+        if i == n:
+            yield partner[:]
+            return
+        a = darts[i]
+        for b in darts[i + 1 : n_red if i < n_red else n]:
+            if partner[b] >= 0 or (planar and cut(a, b)):
+                continue
+            partner[a], partner[b] = b, a
+            saved = glue(a, b) if planar else None   # only the cuts read S'
+            yield from walk(i + 1)
+            partner[a] = partner[b] = -1
+            if saved:
+                succ[:], pred[:], comp[:], open_in[:], pieces = saved
+
+    return walk(0)
 
 
 def _components(layout: _Layout, partner: list[int]) -> list[int]:
@@ -224,25 +262,18 @@ def _analyze(layout: _Layout, partner: list[int]):
     n_darts = len(layout.colors)
     nxt = layout.nxt
     polygon_of = layout.polygon_of
-    n_poly = layout.n_polygons
 
     comp_of = _components(layout, partner)
-    faces: dict[int, int] = {}
-    edges: dict[int, int] = {}
-    verts: dict[int, int] = {}
-    for p in range(n_poly):
-        faces[comp_of[p]] = faces.get(comp_of[p], 0) + 1
-    for h in range(n_darts):
-        if h < partner[h]:
-            c = comp_of[polygon_of[h]]
-            edges[c] = edges.get(c, 0) + 1
+    faces = Counter(comp_of)
+    edges = Counter(comp_of[polygon_of[h]] for h in range(n_darts) if h < partner[h])
+    verts = Counter()
 
     visited = bytearray(n_darts)
     for h0 in range(n_darts):
         if visited[h0]:
             continue
         c = comp_of[polygon_of[h0]]
-        verts[c] = verts.get(c, 0) + 1
+        verts[c] += 1
         h = h0
         while not visited[h]:
             visited[h] = 1
@@ -251,7 +282,7 @@ def _analyze(layout: _Layout, partner: list[int]):
     genus_sum = 0
     all_planar_components = True
     for c in faces:
-        chi = verts.get(c, 0) - edges.get(c, 0) + faces[c]
+        chi = verts[c] - edges[c] + faces[c]
         if chi % 2 != 0:
             raise AssertionError("odd Euler characteristic: gluing bookkeeping broken")
         genus_sum += (2 - chi) // 2
@@ -274,11 +305,29 @@ def _analyze(layout: _Layout, partner: list[int]):
             bparent[a] = b
     pieces = len({bfind(c) for c in comps})
     cycle_rank = len(layout.branches) - len(comps) + pieces
-    connected = pieces == 1
+    # with no word polygon nothing is rooted: only the empty gluing counts
+    connected = pieces == 1 if layout.word.letters else not comps
     tree_ok = connected and cycle_rank == 0
     genus = genus_sum + cycle_rank
     planar = tree_ok and all_planar_components
     return genus, planar, connected, tree_ok
+
+
+def _gluings(w: Word, k: int, planar: bool):
+    """The labelled gluings of (w, k); with ``planar`` only the planar ones."""
+    for layout in _layouts(w, k):
+        for partner in _matchings(layout, planar):
+            genus, is_planar, connected, tree_ok = _analyze(layout, partner)
+            yield UnstableMap(
+                word=w,
+                cells=layout.kinds,
+                pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
+                genus=genus,
+                planar=is_planar,
+                connected=connected,
+                component_tree_ok=tree_ok,
+                weight=layout.weight,
+            )
 
 
 def enumerate_gluings(w: Word | str, k: int):
@@ -289,38 +338,29 @@ def enumerate_gluings(w: Word | str, k: int):
     with repeated kinds appear once per distinct matching of the labelled
     half-edges, with the 1/n! absorbed into the weight.
     """
-    w = Word(w)
-    for layout in _layouts(w, k):
-        for partner in _matchings(layout):
-            genus, planar, connected, tree_ok = _analyze(layout, partner)
-            yield UnstableMap(
-                word=w,
-                cells=layout.kinds,
-                pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
-                genus=genus,
-                planar=planar,
-                connected=connected,
-                component_tree_ok=tree_ok,
-                weight=layout.weight,
-            )
+    yield from _gluings(Word(w), k, planar=False)
 
 
-def moment_coefficient(w: Word | str, k: int, t2) -> Fraction:
-    """Coefficient of t4^k in the genus-0 moment of w, by exhaustive gluing.
-
-    Planar connected gluings only; each contributes its signed cell weight
-    times the propagator factor (8 t2)^(-edges).  Every cell has four
-    half-edges, so all gluings at one (w, k) share the edge count.
-    """
-    w = Word(w)
+def _edge_scale(w: Word, k: int, t2) -> Fraction:
+    """(8 t2)^edges: every gluing of (w, k) has (deg w + 4k) / 2 edges."""
     t2 = rat(t2)
     if t2 <= 0:
         raise ValueError("moment_coefficient needs t2 > 0")
+    return (8 * t2) ** ((w.degree + 4 * exact_int(k, "order k")) // 2)
+
+
+def moment_coefficient(w: Word | str, k: int, t2) -> Fraction:
+    """Coefficient of t4^k in the genus-0 moment of w, by the planar walk.
+
+    Planar connected gluings only; each contributes its signed cell weight
+    times the propagator factor (8 t2)^(-edges).
+    """
+    w = Word(w)
+    scale = _edge_scale(w, k, t2)
     total = Fraction(0)
     for layout in _layouts(w, k):
-        planar_count = sum(1 for partner in _matchings(layout) if _analyze(layout, partner)[1])
-        total += layout.weight * planar_count
-    return total / (8 * t2) ** ((w.degree + 4 * k) // 2)
+        total += layout.weight * sum(1 for _ in _matchings(layout, True))
+    return total / scale
 
 
 def moment_series_by_maps(w: Word | str, max_order: int, t2) -> list[Fraction]:
@@ -356,9 +396,7 @@ def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
     signed = Fraction(0)
     distinguished_ok = True
     witnesses = []
-    for m in enumerate_gluings(Word("ABAB"), k):
-        if not m.planar:
-            continue
+    for m in _gluings(Word("ABAB"), k, planar=True):
         if m.weight > 0:
             pos += 1
         elif m.weight < 0:

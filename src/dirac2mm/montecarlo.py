@@ -52,6 +52,8 @@ class SamplerConfig:
             raise ValueError("matrix size must be >= 1")
         if not (self.steps > self.burn_in >= 0):
             raise ValueError("need steps > burn_in >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.thinning < 1 or self.chains < 1:
             raise ValueError("thinning and chains must be >= 1")
         if self.step_scale is None:
@@ -286,11 +288,11 @@ def estimate_moment(result: ChainResult, w: Word | str) -> EstimateWithError:
 
 
 def dirac_trace_series(result: ChainResult, ell: int, max_samples: int = 2000) -> np.ndarray:
-    """(T', C) series of (1/N^2) tr D^ell on an evenly spaced sample subset."""
-    if exact_int(max_samples, "max_samples") < 1:
-        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+    """(T', C) series of (1/N^2) tr D^ell on at most ``max_samples`` evenly spaced samples."""
     T, C, n, _ = result.samples_a.shape
-    stride = max(1, T // max(1, max_samples // C))
+    if exact_int(max_samples, "max_samples") < C:
+        raise ValueError(f"max_samples must be >= chains = {C}, got {max_samples}")
+    stride = -(-T // (max_samples // C))     # ceiling: at most max_samples // C rows
     A, B = result.samples_a[::stride], result.samples_b[::stride]
     return _dirac_traces(A, B, result.config.signature, (_check_ell(ell),))[0] / n**2
 

@@ -8,6 +8,9 @@ import pytest
 from dirac2mm.mapenum import (
     CELLS,
     CellKind,
+    _analyze,
+    _layouts,
+    _matchings,
     branch_graph_dot,
     cancellation_report,
     dump_maps_json,
@@ -15,7 +18,7 @@ from dirac2mm.mapenum import (
     moment_coefficient,
 )
 from dirac2mm.solver import gaussian_moment, solve_series
-from dirac2mm.words import Word, canonicalize
+from dirac2mm.words import Word, canonicalize, iter_canonical_moments
 
 
 class TestCells:
@@ -112,6 +115,48 @@ class TestMomentCoefficient:
         assert moment_coefficient("AA", 1, F(5, 2)) == table.series("AA").coefficient(1)
 
 
+def _assert_walk_is_planar_subsequence(degree, k):
+    for c in iter_canonical_moments(degree):
+        for layout in _layouts(c.rep_word(), k):
+            every = list(_matchings(layout, False))
+            planar = [p for p in every if _analyze(layout, p)[1]]
+            assert list(_matchings(layout, True)) == planar, (c.label(), layout.kinds)
+
+
+class TestPlanarWalk:
+    @pytest.mark.parametrize("degree, k", [(d, k) for d in (0, 2, 4) for k in range(3)] + [(6, 0), (6, 1)])
+    def test_cuts_keep_exactly_the_planar_matchings(self, degree, k):
+        _assert_walk_is_planar_subsequence(degree, k)
+
+    @pytest.mark.slow
+    def test_cuts_keep_exactly_the_planar_matchings_degree_six_order_two(self):
+        _assert_walk_is_planar_subsequence(6, 2)
+
+    def test_alternating_moment_at_order_three(self):
+        assert moment_coefficient("ABAB", 3, 1) == F(141, 512)
+
+    @pytest.mark.slow
+    def test_agreement_with_recursion_at_order_three(self):
+        table = solve_series(D=4, K=3, t2=1)
+        for degree in (2, 4):
+            for c in iter_canonical_moments(degree):
+                assert moment_coefficient(c.rep_word(), 3, 1) == table.series(c).coefficient(3)
+
+
+class TestEmptyWord:
+    def test_moment_is_one(self):
+        assert moment_coefficient("", 0, F(3, 2)) == 1
+        assert [moment_coefficient("", k, 1) for k in (1, 2)] == [0, 0]
+
+    def test_empty_gluing_is_planar_and_connected(self):
+        (m,) = enumerate_gluings("", 0)
+        assert m.planar and m.connected and m.genus == 0 and m.pairing == ()
+
+    def test_cell_only_gluings_are_vacuum_pieces(self):
+        maps = list(enumerate_gluings("", 1))
+        assert maps and not any(m.planar or m.connected for m in maps)
+
+
 class TestDomain:
     @pytest.mark.parametrize("k", [-1, True, 1.0, F(1)])
     def test_every_entry_point_rejects_a_bad_order(self, k):
@@ -168,7 +213,7 @@ class TestExports:
 
 
 def _pinned_cases():
-    for degree in range(5):
+    for degree in range(1, 5):
         for letters in itertools.product("AB", repeat=degree):
             for k in (0, 1):
                 yield "".join(letters), k
@@ -178,8 +223,9 @@ def _pinned_cases():
 
 def test_gluings_are_pinned():
     # SHA-256 of the JSON of every gluing, the DOT of every planar one and
-    # the coefficient at t2 = 3/2, for every word of degree <= 4 at k <= 1
-    # and three words at k = 2, frozen before the gluing loops were merged
+    # the coefficient at t2 = 3/2, for every non-empty word of degree <= 4
+    # at k <= 1 and three words at k = 2, frozen from the brute-force
+    # matching loop before the planar cuts (the empty word is TestEmptyWord's)
     digest = hashlib.sha256()
     count = 0
     for letters, k in _pinned_cases():
@@ -190,5 +236,5 @@ def test_gluings_are_pinned():
             if m.planar:
                 digest.update(branch_graph_dot(m).encode() + b"\n")
         digest.update(f"{moment_coefficient(letters, k, F(3, 2))}\n".encode())
-    assert count == 29_088
-    assert digest.hexdigest() == "a18a776ece222fc6dc1620f54a2f8bb25e36841d9c37236f44cb18a83f74d0b3"
+    assert count == 29_072
+    assert digest.hexdigest() == "8768c5cda101e22230f5098adbf9ef8aa58228da0b673be11a2997483ddebe94"

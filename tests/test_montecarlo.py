@@ -64,6 +64,8 @@ class TestConfig:
             mc.SamplerConfig(n=4, point=CouplingPoint(1, F(-1, 2)))
         with pytest.raises(ValueError, match="update_targets"):
             mc.SamplerConfig(n=4, point=P11, update_targets="B")
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            mc.SamplerConfig(n=4, point=P11, seed=-1)
 
     @pytest.mark.parametrize("field", ["n", "steps", "burn_in", "thinning", "chains", "seed"])
     @pytest.mark.parametrize("bad", [2.5, True])
@@ -120,10 +122,19 @@ class TestChain:
         est = mc.estimate_dirac(short_chain, 2, max_samples=300)
         assert abs(est.mean - 0.5) < 0.1
 
-    @pytest.mark.parametrize("max_samples", [0, -5])
+    @pytest.mark.parametrize("max_samples", [0, -5, 3])
     def test_dirac_series_refuses_empty_subset(self, short_chain, max_samples):
-        with pytest.raises(ValueError, match="max_samples"):
+        with pytest.raises(ValueError, match=f"max_samples must be >= chains = 4, got {max_samples}"):
             mc.dirac_trace_series(short_chain, 2, max_samples=max_samples)
+
+    def test_dirac_series_keeps_at_most_max_samples(self):
+        # 900 kept states of 8 chains: a rounded-down stride would keep 2400
+        cfg = mc.SamplerConfig(n=2, point=P11, chains=8)
+        zeros = np.zeros((900, 8, 2, 2), dtype=complex)
+        r = mc.ChainResult(cfg, zeros, zeros, np.full(8, 0.5), np.ones(8))
+        for max_samples in (2000, 96, 8):
+            assert mc.dirac_trace_series(r, 2, max_samples=max_samples).size <= max_samples
+        assert mc.dirac_trace_series(r, 2, max_samples=96).shape == (12, 8)
 
     @pytest.mark.parametrize("ell", [2.5, True, 3, 8])
     def test_dirac_estimators_refuse_bad_index(self, short_chain, ell):
@@ -182,8 +193,7 @@ def dense_traces(result, samples):
 def test_dirac_traces_match_dense_operator(short_chain, signature_chains):
     for r in (short_chain, *signature_chains.values()):
         T, C, n, _ = r.samples_a.shape
-        stride = max(1, T // 16)
-        keep = range(0, T, stride)
+        keep = range(0, T, -(-T // 16))   # ceiling stride: at most 16 rows
         want = dense_traces(r, [(t, c) for t in keep for c in range(C)])
         for ell in (2, 4, 6):
             series = mc.dirac_trace_series(r, ell, max_samples=16 * C)
