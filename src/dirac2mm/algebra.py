@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
 
-Rat = Fraction
-
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4', floats-free input to Fraction."""
@@ -27,8 +25,6 @@ def rat(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

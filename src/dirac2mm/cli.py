@@ -156,9 +156,7 @@ def cmd_critical(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verification.run_all(
-        include_monte_carlo=args.with_monte_carlo, strict=args.strict
-    )
+    report = verification.run_all(include_monte_carlo=args.with_monte_carlo)
     print(verification.format_report(report))
     return 0 if verification.report_passed(report, strict=args.strict) else 2
 

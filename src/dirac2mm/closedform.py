@@ -217,9 +217,11 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     Raises PoleAtGaussianPoint for entries whose numerator does not vanish
     to order t4^q (all degree-8 branch values have a simple pole).
     """
+    t2 = rat(t2)
+    if t2 <= 0:
+        raise ValueError("moment_series needs t2 > 0")
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
-    t2 = rat(t2)
     if c.is_empty():
         return MomentSeries.constant(1, t2, order)
     if vanishes_by_parity(c) or c.runs == (1, 1, 1, 1):
@@ -405,11 +407,6 @@ def gaussian_free_energy(t2) -> float:
     return -5 * math.log(2) + 2 * math.log(math.pi) - 2 * math.log(float(t2))
 
 
-def _surd_float(point: CouplingPoint) -> float:
-    point.require_real_surd()
-    return math.sqrt(float(point.ssq))
-
-
 def free_energy(point: CouplingPoint) -> float:
     """The published planar free-energy formula, evaluated as printed.
 
@@ -423,7 +420,7 @@ def free_energy(point: CouplingPoint) -> float:
     t2 = float(point.t2)
     if t2 <= 0:
         raise ValueError("free_energy needs t2 > 0")
-    s = _surd_float(point)
+    s = point.s_float()
     arg = math.pi**2 * (t2 + s) / (64 * t2 * t2)
     if arg <= 0:
         raise ValueError("log argument must be positive")
@@ -441,7 +438,7 @@ def free_energy_consistent(point: CouplingPoint) -> float:
     t2 = float(point.t2)
     if t2 <= 0:
         raise ValueError("free_energy_consistent needs t2 > 0")
-    s = _surd_float(point)
+    s = point.s_float()
     arg = math.pi**2 / (16 * t2 * (t2 + s))
     if arg <= 0:
         raise ValueError("log argument must be positive")

@@ -158,8 +158,8 @@ def _odd(letters: str) -> bool:
     return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
 
 
-def _equation_terms(w: str):
-    """(lhs, rhs, rhs in insertion order) of the loop equation of a letter string."""
+def _lhs_pairs(w: str) -> list:
+    """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped."""
     lhs = []
     p = w.find(A)
     while p >= 0:
@@ -167,6 +167,17 @@ def _equation_terms(w: str):
         if not (_odd(left) or _odd(right)):
             lhs.append(_sorted_pair(canonicalize(left), canonicalize(right)))
         p = w.find(A, p + 1)
+    return lhs
+
+
+def _insertions(w: str) -> list:
+    """(m_[w insertion], tag) of the quartic insertions of w, in rendering order."""
+    return [(canonicalize(w + insertion), tag) for insertion, tag in _INSERTIONS]
+
+
+def _equation_terms(w: str):
+    """(lhs, rhs, rhs in insertion order) of the loop equation of a letter string."""
+    lhs = _lhs_pairs(w)
     lhs.sort(key=lambda pair: (pair[0].runs, pair[1].runs))
 
     rhs = []
@@ -174,10 +185,7 @@ def _equation_terms(w: str):
     # right side vanishes together with m_[wA]
     if not _odd(w + A):
         wa = canonicalize(w + A)
-        rhs.append((wa, CoefTag.C2))
-        for insertion, tag in _INSERTIONS:
-            rhs.append((canonicalize(w + insertion), tag))
-        rhs.append((wa, CoefTag.BT))
+        rhs = [(wa, CoefTag.C2), *_insertions(w), (wa, CoefTag.BT)]
     display = tuple(rhs)
     rhs.sort(key=lambda e: (e[0].runs, e[1]))
     return tuple(lhs), tuple(rhs), display

@@ -1,14 +1,14 @@
 """Constructive perturbative solution of the loop equations.
 
-The order-zero moments are Gaussian: non-crossing colour-respecting pairing
-counts times the propagator weight 1/(8 t2) per glued edge.  For every
-canonical moment c and every word w with [wA] = c, the loop equation of w
-isolates 8 t2 * m_c, so each order-k coefficient follows from strictly
-earlier data: lower-degree series at order k (the factorized left side) and
-higher-degree series at order k-1 (the quartic insertions).  When several
-words determine the same moment, all determinations must agree exactly;
-that agreement is checked at every order and is the module's strongest
-internal invariant.
+For every canonical moment c and every word w with [wA] = c, the loop
+equation of w isolates 8 t2 * m_c, so each order-k coefficient follows from
+strictly earlier data: lower-degree series at order k (the factorized left
+side) and higher-degree series at order k-1 (the quartic insertions).  At
+order 0 only the left side remains, so the Gaussian moments follow from
+m_[] = 1 alone; ``gaussian_moment`` (non-crossing pairing counts) is kept as
+the independent reference for them.  When several words determine the same
+moment, all determinations must agree exactly; that agreement is checked at
+every order and is the module's strongest internal invariant.
 
 The recursion runs once, at t2 = 1 and in integers: M[c][k] =
 8^(deg c / 2 + 2k) * m_c,k is an integer, and every term of the loop
@@ -19,7 +19,9 @@ fractions are built from the finished table.
 
 The recursion needs moments of degree up to D + 2K at order 0, one degree
 band less per order; the working table is extended internally so any
-(D, K) request is closed automatically.
+(D, K) request is closed automatically.  The top band is read only at
+order 0, so its insertions are never built and its left sides are dropped
+once used.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .words import (
     iter_canonical_moments,
     vanishes_by_parity,
 )
-from .sde import M2, CoefTag, _equation_terms
+from .sde import M2, CoefTag, _insertions, _lhs_pairs
 
 ZERO = Fraction(0)
 
@@ -60,13 +62,15 @@ def _noncrossing_pairings(letters: str) -> int:
 
 def gaussian_moment(c: CanonicalMoment | Word | str, t2) -> Fraction:
     """Gaussian (order-zero) moment: pairing count times (8 t2)^(-deg/2)."""
+    t2 = rat(t2)
+    if t2 <= 0:
+        raise ValueError("gaussian_moment needs t2 > 0")
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     if c.is_empty():
         return Fraction(1)
     if vanishes_by_parity(c):
         return ZERO
-    t2 = rat(t2)
     count = _noncrossing_pairings(c.rep_word().letters)
     return Fraction(count) / (8 * t2) ** (c.degree // 2)
 
@@ -86,18 +90,19 @@ def _recipe_words(c: CanonicalMoment):
             yield w
 
 
-def _recipes_for(c: CanonicalMoment, index: dict) -> list[tuple]:
+def _recipes_for(c: CanonicalMoment, index: dict, insertions: bool) -> list[tuple]:
     """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
 
-    Every entry is a row index into the integer table; insertions of the top
-    degree band are absent from ``index`` and point past the table.
+    Every entry is a row index into the integer table.  Without
+    ``insertions`` both insertion tuples are empty: the top degree band is
+    read only at order 0, where the insertions do not enter.
     """
     out = []
     for w in _recipe_words(c):
-        lhs, rhs, _display = _equation_terms(w)
-        pairs = tuple((index[x], index[y]) for x, y in lhs)
-        plus = tuple(index.get(m, len(index)) for m, tag in rhs if tag is CoefTag.Q)
-        minus = tuple(index.get(m, len(index)) for m, tag in rhs if tag is CoefTag.QNEG)
+        pairs = tuple((index[x], index[y]) for x, y in _lhs_pairs(w))
+        terms = _insertions(w) if insertions else ()
+        plus = tuple(index[m] for m, tag in terms if tag is CoefTag.Q)
+        minus = tuple(index[m] for m, tag in terms if tag is CoefTag.QNEG)
         out.append((pairs, plus, minus))
     return out
 
@@ -178,45 +183,31 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
         """Integer table entry v of c at order k, as the coefficient at t2."""
         return v / (8 * t2) ** (c.degree // 2 + 2 * k)
 
-    # order 0: the Gaussian seed M[c][0] = 8^(deg c / 2) m_c,0 at t2 = 1, checked
-    # against every equation of c; the top band's recipes serve only this check
-    rows, recipes, conflicts = [[1] + [0] * K], [[]], []
-    for i, c in enumerate(all_moments[1:], 1):
-        seed = gaussian_moment(c, 1) * 8 ** (c.degree // 2)
-        if seed.denominator != 1:
-            raise InconsistentSystem(f"Gaussian seed of {c.label()} is not an integer: {seed}")
-        rows.append([0 if i == pinned else seed.numerator])
-        own = _recipes_for(c, index)
-        recipes.append(own if c.degree < degree_cap[0] else None)
-        if i == pinned:
-            continue
-        for r, (pairs, _plus, _minus) in enumerate(own):
-            det = sum(rows[x][0] * rows[y][0] for x, y in pairs)
-            if det != rows[i][0]:
-                want, got = value(c, 0, rows[i][0]), value(c, 0, det)
-                if pinned is not None:
-                    conflicts.append((c, 0, (want, got)))
-                    break
-                word = list(_recipe_words(c))[r]
-                raise InconsistentSystem(
-                    f"order 0 of {c.label()} from word {word}: {got} != Gaussian {want}"
-                )
-
-    # order k: M = Lhs - 16 Q - 64 Bt, every term carrying the same power of 8
-    for k in range(1, K + 1):
+    # M = Lhs - 16 Q - 64 Bt, every term carrying the same power of 8; at
+    # order 0 only Lhs remains, built from lower degrees down to m_[] = 1
+    rows, recipes, conflicts = [[1] + [0] * K], [None], []
+    for k in range(K + 1):
         for i, c in enumerate(all_moments[1:], 1):
             if c.degree > degree_cap[k]:
                 break
+            if k == 0:
+                below_top = c.degree < degree_cap[0]
+                own = _recipes_for(c, index, below_top)
+                rows.append([])
+                recipes.append(own if below_top else None)
+            else:
+                own = recipes[i]
             row = rows[i]
             if i == pinned:
                 row.append(0)
                 continue
             bitrace = 64 * sum(rows[m2][j] * row[k - 1 - j] for j in range(k))
             values = []
-            for pairs, plus, minus in recipes[i]:
-                lhs = sum(rows[x][j] * rows[y][k - j] for x, y in pairs for j in range(k + 1))
-                quartic = sum(rows[m][k - 1] for m in plus) - sum(rows[m][k - 1] for m in minus)
-                values.append(lhs - 16 * quartic - bitrace)
+            for pairs, plus, minus in own:
+                det = sum(rows[x][j] * rows[y][k - j] for x, y in pairs for j in range(k + 1))
+                if k:
+                    det -= 16 * (sum(rows[m][k - 1] for m in plus) - sum(rows[m][k - 1] for m in minus))
+                values.append(det - bitrace)
             if any(v != values[0] for v in values[1:]):
                 at_t2 = tuple(value(c, k, v) for v in values)
                 if pinned is None:

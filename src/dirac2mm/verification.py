@@ -397,7 +397,7 @@ def check_monte_carlo(steps: int = 250_000, seed: int = 11) -> CheckResult:
     )
 
 
-def run_all(include_monte_carlo: bool = False, strict: bool = False) -> list[CheckResult]:
+def run_all(include_monte_carlo: bool = False) -> list[CheckResult]:
     checks = [
         check_exact_moments(),
         check_system_structure(),

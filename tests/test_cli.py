@@ -172,7 +172,7 @@ class TestVerifyDispatch:
     def canned_report(self, monkeypatch):
         from dirac2mm import verification
 
-        def fake_run_all(include_monte_carlo=False, strict=False):
+        def fake_run_all(include_monte_carlo=False):
             return [
                 verification.CheckResult("alpha", passed=True),
                 verification.CheckResult("beta", passed=True, discrepancy=True, detail="documented"),

@@ -95,6 +95,11 @@ class TestMomentSeries:
         with pytest.raises(cf.PoleAtGaussianPoint):
             cf.moment_series("AAAAAAAA", 1, 2)
 
+    @pytest.mark.parametrize("word, t2", [("AA", -1), ("AB", -1), ("", 0), ("AAB", F(-1, 2))])
+    def test_nonpositive_t2_refused_before_shortcuts(self, word, t2):
+        with pytest.raises(ValueError, match="moment_series needs t2 > 0"):
+            cf.moment_series(word, t2, 2)
+
 
 class TestDirac:
     def test_values(self):

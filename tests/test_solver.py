@@ -36,6 +36,11 @@ class TestGaussianMoment:
     def test_t2_scaling(self):
         assert gaussian_moment("AAAA", F(1, 2)) == F(2) / 16
 
+    @pytest.mark.parametrize("word, t2", [("AA", -1), ("AA", 0), ("", 0), ("AAB", -1)])
+    def test_nonpositive_t2_refused(self, word, t2):
+        with pytest.raises(ValueError, match=r"gaussian_moment needs t2 > 0"):
+            gaussian_moment(word, t2)
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -114,51 +119,47 @@ class TestDeterminationConsistency:
         table = solve_series(D=8, K=2, t2=F(3, 2))
         assert table.series("AAAAAAAA").coefficient(0) == F(14) / (8 * F(3, 2)) ** 4
 
-    def test_tampered_base_is_caught(self, monkeypatch):
+    def test_order_zero_is_gaussian(self):
+        # order 0 is the loop equation's left side alone; its 2,869 moments of
+        # degree <= 18 (D + 2K of the (8, 5) digest) are the non-crossing counts
+        table = solve_series(D=18, K=0, t2=1)
+        assert len(table.moments) == 2869
+        for c, series in table.moments.items():
+            assert series.coefficient(0) == gaussian_moment(c, 1), c.label()
+
+    def test_disagreement_at_order_zero_is_caught(self, monkeypatch):
+        # dropping the (m_0, m_{2}) pair of the word ABB makes its order-0
+        # determination of m_{2,2} differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_gauss = solver_mod.gaussian_moment
+        true_pairs = solver_mod._lhs_pairs
 
-        def corrupted(c, t2):
-            c = canonicalize(c) if not isinstance(c, CanonicalMoment) else c
-            value = true_gauss(c, t2)
-            if c.runs == (2, 2):
-                return value + 1
-            return value
+        def tampered(w):
+            pairs = true_pairs(w)
+            if w == "ABB":
+                pairs = [p for p in pairs if p != (CanonicalMoment(()), canonicalize("BB"))]
+            return pairs
 
-        monkeypatch.setattr(solver_mod, "gaussian_moment", corrupted)
-        with pytest.raises(InconsistentSystem):
-            solver_mod.solve_series(D=4, K=1, t2=1)
-
-    def test_fractional_seed_is_refused(self, monkeypatch):
-        # 64 (1/64 + 1/1000) is not an integer; truncating it would restore the
-        # true seed of m_{2,2} and let the tampering through
-        import dirac2mm.solver as solver_mod
-
-        true_gauss = solver_mod.gaussian_moment
-
-        def corrupted(c, t2):
-            value = true_gauss(c, t2)
-            return value + F(1, 1000) if c.runs == (2, 2) else value
-
-        monkeypatch.setattr(solver_mod, "gaussian_moment", corrupted)
-        with pytest.raises(InconsistentSystem, match=r"m_\{2,2\} is not an integer: 133/125"):
-            solver_mod.solve_series(D=4, K=1, t2=1)
+        monkeypatch.setattr(solver_mod, "_lhs_pairs", tampered)
+        message = "order 0 of m_{2,2}: determinations disagree: [Fraction(0, 1), Fraction(1, 64)]"
+        with pytest.raises(InconsistentSystem) as caught:
+            solver_mod.solve_series(D=4, K=0, t2=1)
+        assert str(caught.value) == message
 
     def test_disagreement_at_order_k_is_caught(self, monkeypatch):
         # dropping the +16 t4 insertions of the word ABB leaves order 0 intact
         # and makes its determination of m_{2,2} at order 1 differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_terms = solver_mod._equation_terms
+        true_insertions = solver_mod._insertions
 
         def tampered(w):
-            lhs, rhs, display = true_terms(w)
+            insertions = true_insertions(w)
             if w == "ABB":
-                rhs = tuple(entry for entry in rhs if entry[1] is not CoefTag.Q)
-            return lhs, rhs, display
+                insertions = [entry for entry in insertions if entry[1] is not CoefTag.Q]
+            return insertions
 
-        monkeypatch.setattr(solver_mod, "_equation_terms", tampered)
+        monkeypatch.setattr(solver_mod, "_insertions", tampered)
         message = "order 1 of m_{2,2}: determinations disagree: [Fraction(-1, 108), Fraction(-17, 1296)]"
         with pytest.raises(InconsistentSystem) as caught:
             solver_mod.solve_series(D=4, K=1, t2=F(3, 2))
