@@ -20,7 +20,7 @@ print("  ", generate_equation("BAB").render_text())
 system = generate_system(7)
 print(f"\nfull deduplicated system ({len(system)} equations):")
 for eq in system:
-    print(f"  {str(eq.source_word):>9}:  {eq.render_text()}")
+    print(f"  {eq.source_word:>9}:  {eq.render_text()}")
 
 print("\nexact residuals of the closed-form values at random rational points:")
 rng = random.Random(42)

@@ -16,7 +16,6 @@ from .algebra import (
 )
 from .words import (
     CanonicalMoment,
-    Word,
     canonicalize,
     parse_moment_label,
     splits_at,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CouplingPoint", "MomentSeries", "SurdScalar", "rat", "surd_expansion",
-    "CanonicalMoment", "Word", "canonicalize", "parse_moment_label",
+    "CanonicalMoment", "canonicalize", "parse_moment_label",
     "splits_at", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",
     "MomentTable", "gaussian_moment", "solve_series", "verify_closed_forms",

@@ -126,9 +126,6 @@ class SurdScalar:
             return self
         return SurdScalar(self.a + self.b * r, 0, self.ssq)
 
-    def is_rational(self) -> bool:
-        return self.reduced().b == 0
-
     def rational_value(self) -> Fraction:
         red = self.reduced()
         if red.b != 0:
@@ -340,11 +337,6 @@ class MomentSeries:
                 )
         tail = list(self.coeffs[power:]) or [Fraction(0)]
         return MomentSeries(self.t2, tail)
-
-    def truncate(self, order: int) -> "MomentSeries":
-        if order > self.order:
-            raise TruncationError(f"cannot extend truncation {self.order} to {order}")
-        return MomentSeries(self.t2, self.coeffs[: order + 1])
 
     def eval(self, t4) -> Fraction:
         """Horner evaluation of the truncated polynomial at rational t4."""

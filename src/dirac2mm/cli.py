@@ -14,7 +14,7 @@ import json
 import sys
 
 from .algebra import CouplingPoint, rat
-from .words import Word, canonicalize, parse_moment_label
+from .words import canonicalize, parse_moment_label, word_letters
 from . import closedform, mapenum, montecarlo, solver, verification
 from .sde import generate_equation, generate_system
 
@@ -56,7 +56,7 @@ def cmd_free_energy(args) -> int:
 
 def cmd_sde(args) -> int:
     if args.word:
-        eqs = [generate_equation(Word(args.word))]
+        eqs = [generate_equation(args.word)]
     else:
         eqs = generate_system(args.max_degree)
     if args.format == "json":
@@ -81,7 +81,7 @@ def cmd_series(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    w = Word(args.word)
+    w = word_letters(args.word)
     if args.report_cancellation:
         rep = mapenum.cancellation_report(args.order)
         print(json.dumps({

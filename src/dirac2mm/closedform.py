@@ -35,7 +35,7 @@ from .algebra import (
     rational_sqrt,
     surd_expansion,
 )
-from .words import CanonicalMoment, Word, canonicalize, vanishes_by_parity
+from .words import CanonicalMoment, canonicalize, vanishes_by_parity
 from .sde import M2, CoefTag, generate_system
 
 
@@ -192,7 +192,7 @@ def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     return acc / SurdScalar.rational(den * t4**q, ssq)
 
 
-def moment(c: CanonicalMoment | Word | str, point: CouplingPoint) -> SurdScalar:
+def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
     """Exact branch value of a moment of degree <= 8.
 
     All three signatures share the same leading-order moments.
@@ -294,7 +294,12 @@ def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
     referenced by the degree-7-word equations are completed by solving those
     equations exactly (the system is consistent with a small kernel; free
     coordinates are set to zero, which any residual check is insensitive to).
+    The table and that completion close the equations of words up to degree
+    7 and no further, so ``max_word_degree`` must lie in 1 ... 7.
     """
+    max_word_degree = exact_int(max_word_degree, "max_word_degree")
+    if not 1 <= max_word_degree <= 7:
+        raise ValueError(f"max_word_degree must be in 1 ... 7, got {max_word_degree}")
     ssq = point.ssq
     vals = {CanonicalMoment(runs): _as_surd(runs, point) for runs in _MOMENT_TABLE}
     if max_word_degree < 7:
@@ -303,7 +308,7 @@ def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
     t4s = SurdScalar.rational(point.t4, ssq)
     zero = SurdScalar(0, 0, ssq)
     m2v = vals[M2]
-    eqs = [eq for eq in generate_system(max_word_degree) if eq.source_word.degree == 7]
+    eqs = [eq for eq in generate_system(max_word_degree) if len(eq.source_word) == 7]
     unknowns = sorted({m for eq in eqs for m, _t in eq.rhs if m.degree == 10}, key=lambda m: m.runs)
     col = {m: i for i, m in enumerate(unknowns)}
     rows, rhs = [], []
@@ -497,6 +502,7 @@ def susceptibility_expansion(t2, num_terms: int = 4) -> SusceptibilityExpansion:
     t2 = rat(t2)
     if t2 <= 0:
         raise ValueError("susceptibility_expansion needs t2 > 0")
+    num_terms = exact_int(num_terms, "num_terms")
     if num_terms < 2:
         raise ValueError("num_terms must be >= 2")
     tc = critical_point(t2)

@@ -49,7 +49,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .algebra import exact_int, rat
-from .words import Word
+from .words import word_letters
 
 RED = "R"     # colour of A half-edges
 BLUE = "B"    # colour of B half-edges
@@ -72,10 +72,6 @@ class TwoCell:
     kind: CellKind
     boundaries: tuple
     factor: Fraction   # coefficient of t4 contributed by one such cell
-
-    @property
-    def is_cylinder(self) -> bool:
-        return len(self.boundaries) == 2
 
 
 # factor = -(coefficient of the trace term in the quartic potential) / t4
@@ -106,26 +102,17 @@ _DISTINGUISHED = (CellKind.CHEQUERED_QUAD, CellKind.OPPOSITE_CYLINDER)
 class UnstableMap:
     """One labelled gluing: the rooted word polygon plus ``cells``, matched."""
 
-    word: Word
+    word: str
     cells: tuple                 # CellKind multiset, in slot order
     pairing: tuple               # ((dart, dart), ...) with dart < partner
     genus: int
     planar: bool                 # leading order: components planar, branch tree
     connected: bool              # every cell reachable from the root polygon
-    component_tree_ok: bool
     weight: Fraction             # coefficient of t4^k incl. sign and 1/n_i!
-
-    @property
-    def order(self) -> int:
-        return len(self.cells)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.pairing)
 
     def as_json(self) -> dict:
         return {
-            "word": str(self.word),
+            "word": self.word or "1",
             "cells": [c.value for c in self.cells],
             "pairing": [list(p) for p in self.pairing],
             "genus": self.genus,
@@ -138,8 +125,8 @@ class UnstableMap:
 class _Layout:
     """Dart numbering for a word polygon plus a sequence of cells."""
 
-    def __init__(self, word: Word, kinds: tuple):
-        word_polygon = tuple(RED if c == "A" else BLUE for c in word.letters)
+    def __init__(self, word: str, kinds: tuple):
+        word_polygon = tuple(RED if c == "A" else BLUE for c in word)
         cells = [CELLS[kind].boundaries for kind in kinds]
         self.word, self.kinds = word, kinds
         self.colors, self.nxt, self.polygon_of, self.branches = [], [], [], []
@@ -160,7 +147,7 @@ class _Layout:
         self.weight = prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
 
 
-def _layouts(w: Word, k: int):
+def _layouts(w: str, k: int):
     """The layout of each k-cell multiset whose colour counts are both even."""
     k = exact_int(k, "order k")
     if k < 0:
@@ -191,7 +178,7 @@ def _matchings(layout: _Layout, planar: bool):
         comp[pb] = pa                       # a cylinder is one annulus face
     open_in = [sum(comp[p] == c for p in poly_of) for c in range(layout.n_polygons)]
     pieces = layout.n_polygons - len(layout.branches)
-    rooted = bool(layout.word.letters)
+    rooted = bool(layout.word)
 
     def cut(a, b):
         ca, cb = comp[poly_of[a]], comp[poly_of[b]]
@@ -258,7 +245,7 @@ def _components(layout: _Layout, partner: list[int]) -> list[int]:
 
 
 def _analyze(layout: _Layout, partner: list[int]):
-    """(genus, planar, connected, tree_ok) of one complete matching."""
+    """(genus, planar, connected) of one complete matching."""
     n_darts = len(layout.colors)
     nxt = layout.nxt
     polygon_of = layout.polygon_of
@@ -306,18 +293,17 @@ def _analyze(layout: _Layout, partner: list[int]):
     pieces = len({bfind(c) for c in comps})
     cycle_rank = len(layout.branches) - len(comps) + pieces
     # with no word polygon nothing is rooted: only the empty gluing counts
-    connected = pieces == 1 if layout.word.letters else not comps
-    tree_ok = connected and cycle_rank == 0
+    connected = pieces == 1 if layout.word else not comps
     genus = genus_sum + cycle_rank
-    planar = tree_ok and all_planar_components
-    return genus, planar, connected, tree_ok
+    planar = connected and cycle_rank == 0 and all_planar_components
+    return genus, planar, connected
 
 
-def _gluings(w: Word, k: int, planar: bool):
+def _gluings(w: str, k: int, planar: bool):
     """The labelled gluings of (w, k); with ``planar`` only the planar ones."""
     for layout in _layouts(w, k):
         for partner in _matchings(layout, planar):
-            genus, is_planar, connected, tree_ok = _analyze(layout, partner)
+            genus, is_planar, connected = _analyze(layout, partner)
             yield UnstableMap(
                 word=w,
                 cells=layout.kinds,
@@ -325,12 +311,11 @@ def _gluings(w: Word, k: int, planar: bool):
                 genus=genus,
                 planar=is_planar,
                 connected=connected,
-                component_tree_ok=tree_ok,
                 weight=layout.weight,
             )
 
 
-def enumerate_gluings(w: Word | str, k: int):
+def enumerate_gluings(w: str, k: int):
     """Every colour-respecting gluing of the rooted w-polygon with k cells.
 
     Yields all matchings, planar or not, connected or not, each labelled;
@@ -338,34 +323,29 @@ def enumerate_gluings(w: Word | str, k: int):
     with repeated kinds appear once per distinct matching of the labelled
     half-edges, with the 1/n! absorbed into the weight.
     """
-    yield from _gluings(Word(w), k, planar=False)
+    yield from _gluings(word_letters(w), k, planar=False)
 
 
-def _edge_scale(w: Word, k: int, t2) -> Fraction:
+def _edge_scale(w: str, k: int, t2) -> Fraction:
     """(8 t2)^edges: every gluing of (w, k) has (deg w + 4k) / 2 edges."""
     t2 = rat(t2)
     if t2 <= 0:
         raise ValueError("moment_coefficient needs t2 > 0")
-    return (8 * t2) ** ((w.degree + 4 * exact_int(k, "order k")) // 2)
+    return (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k")) // 2)
 
 
-def moment_coefficient(w: Word | str, k: int, t2) -> Fraction:
+def moment_coefficient(w: str, k: int, t2) -> Fraction:
     """Coefficient of t4^k in the genus-0 moment of w, by the planar walk.
 
     Planar connected gluings only; each contributes its signed cell weight
     times the propagator factor (8 t2)^(-edges).
     """
-    w = Word(w)
+    w = word_letters(w)
     scale = _edge_scale(w, k, t2)
     total = Fraction(0)
     for layout in _layouts(w, k):
         total += layout.weight * sum(1 for _ in _matchings(layout, True))
     return total / scale
-
-
-def moment_series_by_maps(w: Word | str, max_order: int, t2) -> list[Fraction]:
-    """Coefficients [t4^0 ... t4^max_order] of the moment of w by gluings."""
-    return [moment_coefficient(w, k, t2) for k in range(max_order + 1)]
 
 
 @dataclass(frozen=True)
@@ -396,7 +376,7 @@ def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
     signed = Fraction(0)
     distinguished_ok = True
     witnesses = []
-    for m in _gluings(Word("ABAB"), k, planar=True):
+    for m in _gluings("ABAB", k, planar=True):
         if m.weight > 0:
             pos += 1
         elif m.weight < 0:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import CouplingPoint, exact_int
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
-from .words import Word
+from .words import word_letters
 
 HERMITICITY_TOL = 1e-12
 
@@ -274,15 +274,15 @@ def _batch_mean_error(values: np.ndarray, min_batches: int = 16) -> EstimateWith
     return EstimateWithError(mean, se, n_eff)
 
 
-def word_trace_series(result: ChainResult, w: Word | str) -> np.ndarray:
+def word_trace_series(result: ChainResult, w: str) -> np.ndarray:
     """(T, C) series of (1/N) Re tr of the word evaluated on each sample."""
-    w = Word(w)
-    if w.degree == 0:
+    w = word_letters(w)
+    if not w:
         return np.ones(result.samples_a.shape[:2])
-    return _word_traces(result.samples_a, result.samples_b, _plan([w.letters]))[0] / result.config.n
+    return _word_traces(result.samples_a, result.samples_b, _plan([w]))[0] / result.config.n
 
 
-def estimate_moment(result: ChainResult, w: Word | str) -> EstimateWithError:
+def estimate_moment(result: ChainResult, w: str) -> EstimateWithError:
     """Finite-N estimate of the normalized word moment with batch-mean error."""
     return _batch_mean_error(word_trace_series(result, w))
 

@@ -21,8 +21,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .algebra import CouplingPoint, SurdScalar
-from .words import A, B, CanonicalMoment, Word, canonicalize, vanishes_by_parity
+from .algebra import CouplingPoint, SurdScalar, exact_int
+from .words import A, B, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 M2 = CanonicalMoment((2,))
 
@@ -57,7 +57,7 @@ class SdeEquation:
 
     lhs: tuple
     rhs: tuple
-    source_word: Word = field(compare=False, default=Word(""))
+    source_word: str = field(compare=False, default="")
     rhs_display: tuple = field(compare=False, default=())   # insertion order, for rendering
 
     def is_trivial(self) -> bool:
@@ -75,11 +75,6 @@ class SdeEquation:
                 out.add(M2)
         out.discard(CanonicalMoment(()))
         return out
-
-    # -- evaluation ----------------------------------------------------
-
-    def residual(self, assignment: Mapping[CanonicalMoment, SurdScalar], point: CouplingPoint) -> SurdScalar:
-        return residual(self, assignment, point)
 
     # -- rendering -------------------------------------------------------
 
@@ -133,7 +128,7 @@ class SdeEquation:
 
     def as_json(self) -> dict:
         return {
-            "word": str(self.source_word),
+            "word": self.source_word or "1",
             "lhs": [[list(x.runs), list(y.runs)] for x, y in self.lhs],
             "rhs": [{"moment": list(m.runs), "coeff": tag.name} for m, tag in self.rhs],
         }
@@ -158,7 +153,7 @@ def _odd(letters: str) -> bool:
     return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
 
 
-def _lhs_pairs(w: str) -> list:
+def lhs_pairs(w: str) -> list:
     """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped."""
     lhs = []
     p = w.find(A)
@@ -170,14 +165,14 @@ def _lhs_pairs(w: str) -> list:
     return lhs
 
 
-def _insertions(w: str) -> list:
+def insertions(w: str) -> list:
     """(m_[w insertion], tag) of the quartic insertions of w, in rendering order."""
     return [(canonicalize(w + insertion), tag) for insertion, tag in _INSERTIONS]
 
 
 def _equation_terms(w: str):
     """(lhs, rhs, rhs in insertion order) of the loop equation of a letter string."""
-    lhs = _lhs_pairs(w)
+    lhs = lhs_pairs(w)
     lhs.sort(key=lambda pair: (pair[0].runs, pair[1].runs))
 
     rhs = []
@@ -185,16 +180,16 @@ def _equation_terms(w: str):
     # right side vanishes together with m_[wA]
     if not _odd(w + A):
         wa = canonicalize(w + A)
-        rhs = [(wa, CoefTag.C2), *_insertions(w), (wa, CoefTag.BT)]
+        rhs = [(wa, CoefTag.C2), *insertions(w), (wa, CoefTag.BT)]
     display = tuple(rhs)
     rhs.sort(key=lambda e: (e[0].runs, e[1]))
     return tuple(lhs), tuple(rhs), display
 
 
-def generate_equation(w: Word | str) -> SdeEquation:
+def generate_equation(w: str) -> SdeEquation:
     """The large-N loop equation obtained from the word w."""
-    w = Word(w)
-    lhs, rhs, display = _equation_terms(w.letters)
+    w = word_letters(w)
+    lhs, rhs, display = _equation_terms(w)
     return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=display)
 
 
@@ -212,7 +207,7 @@ def single_block_words(max_degree: int):
             if rest % 2 != 0:
                 continue
             for a in range(rest + 1):
-                yield Word(B * a + A * b + B * (rest - a))
+                yield B * a + A * b + B * (rest - a)
 
 
 def generate_system(max_word_degree: int) -> list[SdeEquation]:
@@ -222,6 +217,7 @@ def generate_system(max_word_degree: int) -> list[SdeEquation]:
     structurally identical equations; those duplicates are merged.  Ordered
     by source-word degree, then by canonical content.
     """
+    max_word_degree = exact_int(max_word_degree, "max_word_degree")
     if max_word_degree < 1:
         raise ValueError("max_word_degree must be >= 1")
     seen = {}
@@ -232,7 +228,7 @@ def generate_system(max_word_degree: int) -> list[SdeEquation]:
         key = eq.normalized_key()
         if key not in seen:
             seen[key] = eq
-    return sorted(seen.values(), key=lambda e: (e.source_word.degree, e.normalized_key()))
+    return sorted(seen.values(), key=lambda e: (len(e.source_word), e.normalized_key()))
 
 
 class MissingMoment(KeyError):

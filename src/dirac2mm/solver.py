@@ -34,12 +34,11 @@ from .algebra import MomentSeries, exact_int, rat
 from .words import (
     A,
     CanonicalMoment,
-    Word,
     canonicalize,
     iter_canonical_moments,
     vanishes_by_parity,
 )
-from .sde import M2, CoefTag, _insertions, _lhs_pairs
+from .sde import M2, CoefTag, insertions, lhs_pairs
 
 ZERO = Fraction(0)
 
@@ -60,7 +59,7 @@ def _noncrossing_pairings(letters: str) -> int:
     return total
 
 
-def gaussian_moment(c: CanonicalMoment | Word | str, t2) -> Fraction:
+def gaussian_moment(c: CanonicalMoment | str, t2) -> Fraction:
     """Gaussian (order-zero) moment: pairing count times (8 t2)^(-deg/2)."""
     t2 = rat(t2)
     if t2 <= 0:
@@ -71,7 +70,7 @@ def gaussian_moment(c: CanonicalMoment | Word | str, t2) -> Fraction:
         return Fraction(1)
     if vanishes_by_parity(c):
         return ZERO
-    count = _noncrossing_pairings(c.rep_word().letters)
+    count = _noncrossing_pairings(c.rep_word())
     return Fraction(count) / (8 * t2) ** (c.degree // 2)
 
 
@@ -81,7 +80,7 @@ class InconsistentSystem(ArithmeticError):
 
 def _recipe_words(c: CanonicalMoment):
     """The distinct words w with [wA] = c, each giving one determination."""
-    rep = c.rep_word().letters
+    rep = c.rep_word()
     seen = set()
     for p, letter in enumerate(rep):
         w = rep[p + 1 :] + rep[:p]
@@ -90,17 +89,17 @@ def _recipe_words(c: CanonicalMoment):
             yield w
 
 
-def _recipes_for(c: CanonicalMoment, index: dict, insertions: bool) -> list[tuple]:
+def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list[tuple]:
     """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
 
     Every entry is a row index into the integer table.  Without
-    ``insertions`` both insertion tuples are empty: the top degree band is
-    read only at order 0, where the insertions do not enter.
+    ``with_insertions`` both insertion tuples are empty: the top degree
+    band is read only at order 0, where the insertions do not enter.
     """
     out = []
     for w in _recipe_words(c):
-        pairs = tuple((index[x], index[y]) for x, y in _lhs_pairs(w))
-        terms = _insertions(w) if insertions else ()
+        pairs = tuple((index[x], index[y]) for x, y in lhs_pairs(w))
+        terms = insertions(w) if with_insertions else ()
         plus = tuple(index[m] for m, tag in terms if tag is CoefTag.Q)
         minus = tuple(index[m] for m, tag in terms if tag is CoefTag.QNEG)
         out.append((pairs, plus, minus))
@@ -247,11 +246,17 @@ def verify_closed_forms(D: int, K: int, t2, table: MomentTable | None = None) ->
     solver output.  Mismatches are reported as data, including the first
     diverging order; closed forms that are not power series at t4 = 0
     (the degree-8 branch values have a simple pole) are flagged as such.
+    A given ``table`` must be the solution for exactly this (D, K, t2).
     """
     from . import closedform
 
     if table is None:
         table = solve_series(D, K, t2)
+    elif (table.max_degree, table.order, table.t2) != (D, K, rat(t2)):
+        raise ValueError(
+            f"table solves D = {table.max_degree}, K = {table.order}, t2 = {table.t2}, "
+            f"not the requested D = {D}, K = {K}, t2 = {rat(t2)}"
+        )
     records = []
     for d in range(2, D + 1, 2):
         for c in iter_canonical_moments(d):

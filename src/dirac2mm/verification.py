@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import CouplingPoint, SurdScalar
-from .words import CanonicalMoment, Word, iter_canonical_moments, parse_moment_label
+from .words import CanonicalMoment, iter_canonical_moments, parse_moment_label
 from .sde import CoefTag, SdeEquation, generate_system, residual
 from . import closedform, mapenum, solver
 
@@ -94,7 +94,7 @@ def _reference_equation(entry) -> SdeEquation:
     rhs.append((parse_moment_label(bt), CoefTag.BT))
     display = tuple(rhs)
     rhs.sort(key=lambda e: (e[0].runs, e[1]))
-    return SdeEquation(lhs=tuple(lhs), rhs=tuple(rhs), source_word=Word(word), rhs_display=display)
+    return SdeEquation(lhs=tuple(lhs), rhs=tuple(rhs), source_word=word, rhs_display=display)
 
 
 def reference_equations() -> list[SdeEquation]:
@@ -161,7 +161,7 @@ def check_exact_residuals(points: int = 10, seed: int = 20240817) -> CheckResult
     for p in _random_points(points, seed):
         vals = closedform.branch_assignment(p)
         bad = [
-            str(eq.source_word)
+            eq.source_word
             for eq in generate_system(7)
             if not residual(eq, vals, p).is_zero()
         ]

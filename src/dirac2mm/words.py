@@ -20,9 +20,10 @@ Wang 1992) lists the binary necklaces, the strings that are their own least
 rotation, and a necklace is kept when neither reversal nor the swap gives a
 smaller string, as in Sawada's bracelet generation (SIAM J. Comput. 2001).
 
-The loop-equation and solver modules work on plain letter strings; ``Word``
-validates input at the public entry points, and ``canonicalize`` validates
-a string the first time it sees it.
+A word is a plain ``str`` of the letters A and B, the empty string being
+the empty word; there is no other word type.  ``word_letters`` validates
+and upper-cases a word at each public entry point, and ``canonicalize``
+validates a string the first time it sees it.
 """
 
 from __future__ import annotations
@@ -37,62 +38,20 @@ B = "B"
 _SWAP = str.maketrans("AB", "BA")
 
 
-@dataclass(frozen=True)
-class Word:
-    """A finite word over {A, B}; possibly empty."""
-
-    letters: str
-
-    def __init__(self, letters=""):
-        if isinstance(letters, Word):
-            letters = letters.letters
-        s = str(letters).upper()
-        if not set(s) <= {A, B}:
-            raise ValueError(f"word must use letters A/B only, got {letters!r}")
-        object.__setattr__(self, "letters", s)
-
-    @property
-    def degree(self) -> int:
-        return len(self.letters)
-
-    @property
-    def a_degree(self) -> int:
-        return self.letters.count(A)
-
-    @property
-    def b_degree(self) -> int:
-        return self.letters.count(B)
-
-    def rotate(self, k: int = 1) -> "Word":
-        if not self.letters:
-            return self
-        k %= len(self.letters)
-        return Word(self.letters[k:] + self.letters[:k])
-
-    def reverse(self) -> "Word":
-        return Word(self.letters[::-1])
-
-    def swap(self) -> "Word":
-        return Word(self.letters.translate(_SWAP))
-
-    def __add__(self, other) -> "Word":
-        return Word(self.letters + Word(other).letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __str__(self):
-        return self.letters or "1"
-
-    def __repr__(self):
-        return f"Word({self.letters!r})"
+def word_letters(w) -> str:
+    """The upper-cased letter string of a word; refuses any letter but A and B."""
+    letters = str(w).upper()
+    if not set(letters) <= {A, B}:
+        raise ValueError(f"word must use letters A/B only, got {w!r}")
+    return letters
 
 
 def orbit(letters: str) -> set[str]:
-    """Full rotation x reversal x swap orbit of a letter string (brute force)."""
+    """Full rotation x reversal x swap orbit of a letter string (brute force).
+
+    Nothing in the package calls it: it stays public as the tests'
+    reference for the canonical forms.
+    """
     out = set()
     for base in (letters, letters[::-1]):
         for var in (base, base.translate(_SWAP)):
@@ -170,7 +129,7 @@ def _runs_of(rep: str) -> tuple[int, ...]:
 # canonicalizes about 39k distinct strings, so its hit ratio is unchanged.
 @lru_cache(maxsize=1 << 16)
 def _canonical_from_string(letters: str) -> "CanonicalMoment":
-    letters = Word(letters).letters   # validated once per distinct string
+    letters = word_letters(letters)   # validated once per distinct string
     if not letters:
         return CanonicalMoment(())
     return CanonicalMoment(_runs_of(_canonical_rep(letters)))
@@ -211,12 +170,9 @@ class CanonicalMoment:
     def b_degree(self) -> int:
         return sum(self.runs[1::2])
 
-    def rep_word(self) -> Word:
+    def rep_word(self) -> str:
         """The canonical representative word of this class."""
-        out = []
-        for i, r in enumerate(self.runs):
-            out.append((A if i % 2 == 0 else B) * r)
-        return Word("".join(out))
+        return "".join((A if i % 2 == 0 else B) * r for i, r in enumerate(self.runs))
 
     def is_empty(self) -> bool:
         return not self.runs
@@ -233,29 +189,27 @@ class CanonicalMoment:
         return self.label()
 
 
-def canonicalize(w: Word | str) -> CanonicalMoment:
-    """Orbit-minimal moment index of a word or letter string; deterministic.
+def canonicalize(w: str) -> CanonicalMoment:
+    """Orbit-minimal moment index of a word; deterministic.
 
-    A string is validated on its first canonicalization only, so plain
-    strings are the cheap input inside the loop-equation recursion.
+    A word is validated on its first canonicalization only, so the cached
+    lookup stays cheap inside the loop-equation recursion.
     """
-    return _canonical_from_string(w if isinstance(w, str) else Word(w).letters)
+    return _canonical_from_string(w)
 
 
-def splits_at(w: Word | str, letter: str) -> list[tuple[Word, Word]]:
+def splits_at(w: str, letter: str) -> list[tuple[str, str]]:
     """(prefix, suffix) pairs around each occurrence of ``letter`` in w.
 
     These are the factorized trace pairs on the left side of the loop
-    equation of w: one pair per occurrence, in positional order.
+    equation of w: one pair per occurrence, in positional order.  The
+    loop equations split their words themselves (``sde.lhs_pairs``); this
+    stays public as the tests' brute-force reference.
     """
-    w = Word(w)
+    w = word_letters(w)
     if letter not in (A, B):
         raise ValueError(f"letter must be A or B, got {letter!r}")
-    out = []
-    for p, c in enumerate(w.letters):
-        if c == letter:
-            out.append((Word(w.letters[:p]), Word(w.letters[p + 1 :])))
-    return out
+    return [(w[:p], w[p + 1 :]) for p, c in enumerate(w) if c == letter]
 
 
 def vanishes_by_parity(c: CanonicalMoment) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -187,6 +188,18 @@ class TestVerifyDispatch:
 
     def test_strict_counts_discrepancies_as_failures(self, capsys, canned_report):
         assert run(capsys, "verify", "--strict")[0] == 2
+
+
+# SHA-256 of the whole stdout of `dirac2mm verify` (55 lines): every number
+# and every line of wording the exact checks print.
+VERIFY_STDOUT_SHA256 = "d720626068d48290d4be5c1a2e01b81f8083c3549419778bc4395408bb7b8492"
+
+
+def test_verify_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert len(out.splitlines()) == 55
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_STDOUT_SHA256
 
 
 class TestParsing:

@@ -81,7 +81,14 @@ class TestMoment:
         for p in random_points(3, seed=21):
             vals = cf.branch_assignment(p)
             for eq in generate_system(7):
-                assert residual(eq, vals, p).is_zero(), str(eq.source_word)
+                assert residual(eq, vals, p).is_zero(), eq.source_word
+
+    @pytest.mark.parametrize("max_word_degree", [9, 8, 0, 7.0, True, "7"])
+    def test_unclosed_word_degree_refused(self, max_word_degree):
+        # the table and its degree-10 completion close the equations of
+        # words up to degree 7 only; degree 9 needs degree-12 moments
+        with pytest.raises(ValueError, match="max_word_degree"):
+            cf.branch_assignment(CouplingPoint(1, 1), max_word_degree)
 
 
 class TestMomentSeries:
@@ -269,6 +276,9 @@ class TestCriticality:
     def test_validation(self):
         with pytest.raises(ValueError):
             cf.susceptibility_expansion(1, 1)
+        for num_terms in (4.0, True):
+            with pytest.raises(ValueError, match="num_terms must be an integer"):
+                cf.susceptibility_expansion(1, num_terms)
         with pytest.raises(ValueError):
             cf.critical_point(0)
 

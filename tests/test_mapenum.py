@@ -18,7 +18,7 @@ from dirac2mm.mapenum import (
     moment_coefficient,
 )
 from dirac2mm.solver import gaussian_moment, solve_series
-from dirac2mm.words import Word, canonicalize, iter_canonical_moments
+from dirac2mm.words import canonicalize, iter_canonical_moments
 
 
 class TestCells:

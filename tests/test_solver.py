@@ -132,7 +132,7 @@ class TestDeterminationConsistency:
         # determination of m_{2,2} differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_pairs = solver_mod._lhs_pairs
+        true_pairs = solver_mod.lhs_pairs
 
         def tampered(w):
             pairs = true_pairs(w)
@@ -140,7 +140,7 @@ class TestDeterminationConsistency:
                 pairs = [p for p in pairs if p != (CanonicalMoment(()), canonicalize("BB"))]
             return pairs
 
-        monkeypatch.setattr(solver_mod, "_lhs_pairs", tampered)
+        monkeypatch.setattr(solver_mod, "lhs_pairs", tampered)
         message = "order 0 of m_{2,2}: determinations disagree: [Fraction(0, 1), Fraction(1, 64)]"
         with pytest.raises(InconsistentSystem) as caught:
             solver_mod.solve_series(D=4, K=0, t2=1)
@@ -151,15 +151,15 @@ class TestDeterminationConsistency:
         # and makes its determination of m_{2,2} at order 1 differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_insertions = solver_mod._insertions
+        true_insertions = solver_mod.insertions
 
         def tampered(w):
-            insertions = true_insertions(w)
+            terms = true_insertions(w)
             if w == "ABB":
-                insertions = [entry for entry in insertions if entry[1] is not CoefTag.Q]
-            return insertions
+                terms = [entry for entry in terms if entry[1] is not CoefTag.Q]
+            return terms
 
-        monkeypatch.setattr(solver_mod, "_insertions", tampered)
+        monkeypatch.setattr(solver_mod, "insertions", tampered)
         message = "order 1 of m_{2,2}: determinations disagree: [Fraction(-1, 108), Fraction(-17, 1296)]"
         with pytest.raises(InconsistentSystem) as caught:
             solver_mod.solve_series(D=4, K=1, t2=F(3, 2))
@@ -178,6 +178,23 @@ class TestVerifyClosedForms:
         records = verify_closed_forms(D=4, K=0, t2=1)
         for r in records:
             assert r.ok, r.moment.label()
+
+    @pytest.mark.parametrize(
+        "asked, solved, message",
+        [
+            # order 0 only: zip would compare order 0 and call every moment ok
+            ((4, 3, 1), (4, 0, 1), "table solves D = 4, K = 0, t2 = 1, not the requested D = 4, K = 3, t2 = 1"),
+            # t2 = 1 coefficients against t2 = 2 closed forms
+            ((4, 2, 2), (4, 2, 1), "table solves D = 4, K = 2, t2 = 1, not the requested D = 4, K = 2, t2 = 2"),
+            # degree 6 moments are missing from the table
+            ((6, 0, 1), (4, 0, 1), "table solves D = 4, K = 0, t2 = 1, not the requested D = 6, K = 0, t2 = 1"),
+        ],
+    )
+    def test_mismatched_table_is_refused(self, asked, solved, message):
+        D, K, t2 = asked
+        with pytest.raises(ValueError) as caught:
+            verify_closed_forms(D, K, t2, table=solve_series(*solved))
+        assert str(caught.value) == message
 
     def test_denominator_corruption_detected(self):
         # writing the degree-6 denominator with its doubled misprint makes

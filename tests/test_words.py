@@ -1,22 +1,56 @@
+import io
 import random
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import groupby
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dirac2mm import cli, mapenum, montecarlo, sde
 from dirac2mm.words import (
     CanonicalMoment,
-    Word,
     canonicalize,
     iter_canonical_moments,
     orbit,
     parse_moment_label,
     splits_at,
     vanishes_by_parity,
+    word_letters,
 )
 
 word_strings = st.text(alphabet="AB", min_size=0, max_size=12)
+
+
+def _cli_verb(verb, *argv):
+    """The CLI verb reading ``--word``; its error message raised as ValueError."""
+    def run(w):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main([verb, "--word", w, *argv])
+        if code:
+            raise ValueError(err.getvalue())
+        return out.getvalue()
+    return run
+
+
+_rng = np.random.default_rng(0)
+_a, _b = (x + x.swapaxes(-1, -2) for x in _rng.normal(size=(2, 3, 2, 4, 4)))
+_SAMPLES = SimpleNamespace(samples_a=_a, samples_b=_b, config=SimpleNamespace(n=4))
+
+# every public function that takes a word, each reduced to a comparable value
+WORD_ENTRY_POINTS = {
+    "canonicalize": canonicalize,
+    "splits_at": lambda w: splits_at(w, "A"),
+    "generate_equation": lambda w: sde.generate_equation(w).as_json(),
+    "enumerate_gluings": lambda w: [m.as_json() for m in mapenum.enumerate_gluings(w, 1)],
+    "moment_coefficient": lambda w: mapenum.moment_coefficient(w, 1, 1),
+    "word_trace_series": lambda w: montecarlo.word_trace_series(_SAMPLES, w).tolist(),
+    "cli sde": _cli_verb("sde"),
+    "cli enumerate": _cli_verb("enumerate", "--order", "1"),
+}
 
 
 def exhaustive_orbit_minimum(letters: str) -> str:
@@ -52,19 +86,18 @@ class TestCanonicalize:
     @settings(max_examples=300, deadline=None)
     def test_matches_exhaustive_oracle(self, letters):
         c = canonicalize(letters)
-        rep = c.rep_word().letters
-        assert rep == exhaustive_orbit_minimum(letters)
+        assert c.rep_word() == exhaustive_orbit_minimum(letters)
 
     @given(word_strings, st.integers(0, 11), st.booleans(), st.booleans())
     @settings(max_examples=300, deadline=None)
     def test_constant_on_orbits(self, letters, rot, flip, swap):
-        w = Word(letters)
-        v = w.rotate(rot)
+        k = rot % max(1, len(letters))
+        v = letters[k:] + letters[:k]
         if flip:
-            v = v.reverse()
+            v = v[::-1]
         if swap:
-            v = v.swap()
-        assert canonicalize(v) == canonicalize(w)
+            v = v.translate(str.maketrans("AB", "BA"))
+        assert canonicalize(v) == canonicalize(letters)
 
     @given(word_strings)
     @settings(max_examples=200, deadline=None)
@@ -77,7 +110,7 @@ class TestCanonicalize:
         for _ in range(100):
             letters = "".join(rng.choice("AB") for _ in range(rng.randint(0, 10)))
             c = canonicalize(letters)
-            assert c.rep_word().letters in orbit(letters) or letters == ""
+            assert c.rep_word() in orbit(letters) or letters == ""
 
     def test_degree_counts(self):
         assert [len(iter_canonical_moments(d)) for d in (2, 4, 6, 8)] == [1, 3, 4, 12]
@@ -115,12 +148,10 @@ class TestEnumeration:
 
 class TestSplits:
     def test_pure_power(self):
-        pairs = splits_at("AAA", "A")
-        assert [(str(l), str(r)) for l, r in pairs] == [("1", "AA"), ("A", "A"), ("AA", "1")]
+        assert splits_at("AAA", "A") == [("", "AA"), ("A", "A"), ("AA", "")]
 
     def test_single_occurrence(self):
-        pairs = splits_at("BAB", "A")
-        assert [(str(l), str(r)) for l, r in pairs] == [("B", "B")]
+        assert splits_at("BAB", "A") == [("B", "B")]
 
     def test_absent_letter(self):
         assert splits_at("BB", "A") == []
@@ -128,11 +159,10 @@ class TestSplits:
     @given(word_strings)
     @settings(max_examples=200, deadline=None)
     def test_count_and_reconstruction(self, letters):
-        w = Word(letters)
-        pairs = splits_at(w, "A")
-        assert len(pairs) == w.a_degree
+        pairs = splits_at(letters, "A")
+        assert len(pairs) == letters.count("A")
         for left, right in pairs:
-            assert left.letters + "A" + right.letters == w.letters
+            assert left + "A" + right == letters
 
 
 class TestParity:
@@ -144,16 +174,22 @@ class TestParity:
     @given(word_strings)
     @settings(max_examples=200, deadline=None)
     def test_definition(self, letters):
-        w = Word(letters)
-        c = canonicalize(w)
-        assert vanishes_by_parity(c) == (w.a_degree % 2 == 1 or w.b_degree % 2 == 1)
+        c = canonicalize(letters)
+        assert vanishes_by_parity(c) == (letters.count("A") % 2 == 1 or letters.count("B") % 2 == 1)
 
 
 class TestTypes:
     def test_word_validation(self):
-        with pytest.raises(ValueError):
-            Word("AXB")
-        assert Word("abA").letters == "ABA"
+        with pytest.raises(ValueError, match=re.escape("word must use letters A/B only, got 'AXB'")):
+            word_letters("AXB")
+        assert word_letters("abA") == "ABA"
+
+    @pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
+    def test_every_entry_point_validates_words(self, entry):
+        read = WORD_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape("word must use letters A/B only, got 'AXB'")):
+            read("AXB")
+        assert read("abA") == read("ABA")
 
     def test_moment_validation(self):
         with pytest.raises(ValueError):
