@@ -7,7 +7,7 @@ finite-size structure: its leading piece is the exact genus-one pairing
 term 1/(64 N^2), on top of the positive planar coefficient that the exact
 oracles of this package produce.
 
-Runtime is a couple of minutes; increase `steps` for tighter errors.
+Runtime is about 30 s on one core of a 2-CPU VM; increase `steps` for tighter errors.
 """
 
 from dirac2mm import CouplingPoint, SamplerConfig, Signature, estimate_dirac, estimate_moment, run_chain

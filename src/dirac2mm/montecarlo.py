@@ -8,13 +8,14 @@ Letters represented through commutators do not feel their trace part (the
 identity commutes with everything), so those matrices are sampled on the
 traceless slice; anticommutator letters carry full Hermitian matrices.
 
-Chains are vectorized: every chain keeps its own seeded generator, the
-matrix algebra runs batched over chains.  Estimates come with batch-mean
-standard errors.
+Chains are vectorized: one generator seeded from the config draws the
+proposals of all chains a block of steps at a time, and the matrix algebra
+runs batched over chains.  Estimates come with batch-mean standard errors.
 
 Every tr D^ell, in the action and in the Dirac estimators, is the trace
-polynomial of ``closedform.dirac_trace_polynomial``, evaluated in one batch
-with each word's trace taken once; ``dirac_operator`` is the dense reference.
+polynomial of ``closedform.dirac_trace_polynomial``, evaluated in one batch:
+the trace of each word is read off one Gram product of its halves.
+``dirac_operator`` is the dense reference.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .closedform import Signature, _check_ell, dirac_trace_polynomial
 from .words import word_letters
 
 HERMITICITY_TOL = 1e-12
+BLOCK = 100   # steps drawn at once by run_chain; also the burn-in tuning window
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,13 @@ class SamplerConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.thinning < 1 or self.chains < 1:
             raise ValueError("thinning and chains must be >= 1")
+        if (self.steps - self.burn_in) // self.thinning == 0:
+            raise ValueError("no samples kept; increase steps or reduce thinning")
         if self.step_scale is None:
             guess = 0.7 / math.sqrt(8.0 * float(self.point.t2) * self.n * max(1, self.n))
             object.__setattr__(self, "step_scale", guess)
-        if self.step_scale <= 0:
-            raise ValueError("step_scale must be positive")
+        if not math.isfinite(self.step_scale) or self.step_scale <= 0:
+            raise ValueError(f"step_scale must be a positive finite number, got {self.step_scale}")
         if self.update_targets not in ("AB", "A"):
             raise ValueError("update_targets must be 'AB' or 'A'")
         if self.point.t2 <= 0 or self.point.t4 <= 0:
@@ -91,44 +95,56 @@ def _check_hermitian(M: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
-def _plan(words) -> tuple:
-    """The two halves of each nonempty word, and the products they need, shortest first."""
-    halves = tuple((w[: len(w) // 2], w[len(w) // 2 :]) for w in words)
-    return halves, sorted({h[:k] for pair in halves for h in pair for k in range(2, len(h) + 1)}, key=len)
+@lru_cache(maxsize=256)
+def _plan(words: tuple) -> tuple:
+    """Products to build (shortest first), the halves to stack, and each word's (left, right) halves' rows."""
+    halves = [(w[: len(w) // 2], w[len(w) // 2 :]) for w in words]
+    stack = sorted({h for pair in halves for h in pair})
+    products = sorted({h[:k] for h in stack for k in range(2, len(h) + 1)}, key=len)
+    row = {h: i for i, h in enumerate(stack)}
+    return products, stack, np.array([row[u] for u, _v in halves]), np.array([row[v] for _u, v in halves])
 
 
-def _word_traces(A, B, plan) -> list:
-    """Re tr of each planned word, (..., N, N) -> (words, ...), as one einsum of its two halves."""
-    halves, products = plan
-    P = {"A": A, "B": B}
+def _word_traces(A, B, plan) -> np.ndarray:
+    """Re tr of each planned word, (..., N, N) -> (..., words), off one Gram product of the stacked halves.
+
+    With the halves X_h stacked and flattened, and their transposes conjugated,
+    gram[..., u, v] = Re sum_ij X_u[i, j] X_v[j, i] = Re tr(X_u X_v), as one
+    real matrix product; the empty half is the identity.
+    """
+    products, stack, iu, iv = plan
+    P = {"": np.broadcast_to(np.eye(A.shape[-1]), A.shape), "A": A, "B": B}
     for h in products:
         P[h] = P[h[:-1]] @ P[h[-1]]
-    trace = lambda u, v: np.einsum("...ij,...ji->...", P[u], P[v]) if u else np.einsum("...ii->...", P[v])
-    return [trace(u, v).real for u, v in halves]
+    H = np.stack([P[h] for h in stack], axis=-3)
+    left = H.reshape(*H.shape[:-2], -1)
+    right = np.conjugate(H.swapaxes(-1, -2), out=np.empty_like(H)).reshape(left.shape)
+    gram = left.view(float) @ right.view(float).swapaxes(-1, -2)
+    return gram[..., iu, iv]
 
 
 @lru_cache(maxsize=None)
 def _trace_plan(ells: tuple, sig: Signature) -> tuple:
-    """Word plan, pair rows (row 0: the empty word) and coefficients of each tr D^ell."""
+    """Word plan, pair columns and coefficients of each tr D^ell."""
     polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in ells]
     pairs = sorted(set().union(*polys))
-    words = sorted({w for pair in pairs for w in pair} - {""})
-    row = {w: i for i, w in enumerate(["", *words])}
-    rows = np.array([[row[u] for u, _v in pairs], [row[v] for _u, v in pairs]])
-    return _plan(words), rows, np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+    words = sorted({w for pair in pairs for w in pair} | {""})
+    col = {w: i for i, w in enumerate(words)}
+    cols = np.array([[col[u] for u, _v in pairs], [col[v] for _u, v in pairs]])
+    coef = np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+    return _plan(tuple(words)), cols, coef
 
 
 def _dirac_traces(A, B, sig: Signature, ells: tuple) -> np.ndarray:
-    """tr D^ell of each pair in a batch: (..., N, N) -> (len(ells), ...)."""
+    """tr D^ell of each pair in a batch: (..., N, N) -> (..., len(ells))."""
     plan, (iu, iv), coef = _trace_plan(ells, sig)
-    traces = np.array([np.full(A.shape[:-2], float(A.shape[-1])), *_word_traces(A, B, plan)])
-    return np.einsum("lp,p...->l...", coef, traces[iu] * traces[iv])
+    traces = _word_traces(A, B, plan)
+    return (traces[..., iu] * traces[..., iv]) @ coef.T
 
 
 def _batched_action(A, B, sig: Signature, t2: float, t4: float):
     """Action of each chain's (A, B); shapes (C, N, N) -> (C,)."""
-    d2, d4 = _dirac_traces(A, B, sig, (2, 4))
-    return t2 * d2 + t4 * d4
+    return _dirac_traces(A, B, sig, (2, 4)) @ np.array([t2, t4])
 
 
 def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoint) -> float:
@@ -179,12 +195,32 @@ class ChainResult:
         self.healthy = bool(np.all((self.acceptance > 0.2) & (self.acceptance < 0.7)))
 
 
-def _hermitian_step(gen: np.random.Generator, n: int, traceless: bool) -> np.ndarray:
-    g = gen.standard_normal((n, n)) + 1j * gen.standard_normal((n, n))
-    h = (g + g.conj().T) / 2.0
-    if traceless and n > 1:
-        h -= np.trace(h).real / n * np.eye(n)
-    return h
+def _draw_block(gen: np.random.Generator, size: int, cfg: SamplerConfig, scales: np.ndarray) -> tuple:
+    """Proposals of ``size`` steps of all chains, drawn at once.
+
+    Returns the letter each step moves (0: A, 1: B), the Hermitian steps
+    (size, C, N, N) at each chain's scale, traceless on commutator letters,
+    and the log-uniforms (size, C) of the acceptance tests.
+    """
+    C, n, sig = cfg.chains, cfg.n, cfg.signature
+    if cfg.update_targets == "AB":
+        targets = (gen.random(size) >= 0.5).astype(np.intp)
+    else:
+        targets = np.zeros(size, dtype=np.intp)
+    # z + z^T and z - z^T of one real Gaussian matrix z are independent; halved,
+    # they are the real and imaginary parts of a Hermitian step with variance 1/2
+    # off the diagonal and 1 on it, from N^2 draws per matrix
+    z = gen.standard_normal((size, C, n, n))
+    steps = np.empty(z.shape, dtype=complex)
+    np.add(z, z.swapaxes(-1, -2), out=steps.real)
+    np.subtract(z, z.swapaxes(-1, -2), out=steps.imag)
+    steps *= scales[:, None, None] / 2.0
+    traceless = np.array([sig.eps1 == -1, sig.eps2 == -1]) & (n > 1)
+    if traceless.any():
+        diag = np.arange(n)
+        mean = steps[..., diag, diag].real.mean(axis=-1, keepdims=True)
+        steps[..., diag, diag] -= traceless[targets, None, None] * mean
+    return targets, steps, np.log(gen.random((size, C)))
 
 
 def run_chain(cfg: SamplerConfig) -> ChainResult:
@@ -193,65 +229,49 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     One proposal per step per chain: a Gaussian Hermitian step on one
     matrix, accepted with probability min(1, exp(-dS)).  The proposal scale
     is adapted toward 40% acceptance during burn-in only, then frozen.
+    Proposals are drawn a block of ``BLOCK`` steps at a time from one
+    generator; each block is one tuning window.
     """
     n, C = cfg.n, cfg.chains
     t2, t4 = float(cfg.point.t2), float(cfg.point.t4)
     sig = cfg.signature
-    master = np.random.SeedSequence(cfg.seed)
-    scan_gen = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))
-    gens = [np.random.Generator(np.random.PCG64(s)) for s in master.spawn(C + 1)[1:]]
+    gen = np.random.default_rng(cfg.seed)
 
-    traceless = {"A": sig.eps1 == -1, "B": sig.eps2 == -1}
-    A = np.zeros((C, n, n), dtype=complex)
-    B = np.zeros((C, n, n), dtype=complex)
-    S = _batched_action(A, B, sig, t2, t4)
+    X = np.zeros((2, C, n, n), dtype=complex)    # X[0] = A, X[1] = B
+    S = _batched_action(X[0], X[1], sig, t2, t4)
     scales = np.full(C, cfg.step_scale)
-
-    kept_a, kept_b = [], []
+    kept = (cfg.steps - cfg.burn_in) // cfg.thinning
+    samples_a = np.empty((kept, C, n, n), dtype=complex)
+    samples_b = np.empty((kept, C, n, n), dtype=complex)
     accept_count = np.zeros(C)
-    tune_accept = np.zeros(C)
-    tune_window = 100
-    post_steps = 0
 
-    for step in range(cfg.steps):
-        target = cfg.update_targets if cfg.update_targets != "AB" else ("A" if scan_gen.random() < 0.5 else "B")
-        steps_h = np.stack([_hermitian_step(g, n, traceless[target]) for g in gens])
-        if target == "A":
-            prop_A = A + scales[:, None, None] * steps_h
-            S_new = _batched_action(prop_A, B, sig, t2, t4)
-        else:
-            prop_B = B + scales[:, None, None] * steps_h
-            S_new = _batched_action(A, prop_B, sig, t2, t4)
-        log_u = np.log(np.stack([g.random() for g in gens]))
-        accept = log_u < (S - S_new)
-        if target == "A":
-            A[accept] = prop_A[accept]
-        else:
-            B[accept] = prop_B[accept]
-        S[accept] = S_new[accept]
+    for start in range(0, cfg.steps, BLOCK):
+        size = min(BLOCK, cfg.steps - start)
+        targets, steps, log_u = _draw_block(gen, size, cfg, scales)
+        accepted = np.empty((size, C), dtype=bool)
+        for j, target in enumerate(targets):
+            prop = X[target] + steps[j]
+            A, B = (prop, X[1]) if target == 0 else (X[0], prop)
+            S_new = _batched_action(A, B, sig, t2, t4)
+            accept = np.less(log_u[j], S - S_new, out=accepted[j])
+            np.copyto(X[target], prop, where=accept[:, None, None])
+            np.copyto(S, S_new, where=accept)
+            post = start + j + 1 - cfg.burn_in
+            if post > 0 and post % cfg.thinning == 0:
+                samples_a[post // cfg.thinning - 1] = X[0]
+                samples_b[post // cfg.thinning - 1] = X[1]
 
-        in_burn = step < cfg.burn_in
-        if in_burn:
-            tune_accept += accept
-            if (step + 1) % tune_window == 0:
-                rate = tune_accept / tune_window
-                scales *= np.exp(1.2 * (rate - 0.4))
-                np.clip(scales, 1e-5, 1e3, out=scales)
-                tune_accept[:] = 0.0
-        else:
-            post_steps += 1
-            accept_count += accept
-            if post_steps % cfg.thinning == 0:
-                kept_a.append(A.copy())
-                kept_b.append(B.copy())
+        burn = min(max(cfg.burn_in - start, 0), size)
+        accept_count += accepted[burn:].sum(axis=0)
+        if burn == BLOCK:
+            scales *= np.exp(1.2 * (accepted.mean(axis=0) - 0.4))
+            np.clip(scales, 1e-5, 1e3, out=scales)
 
-    if not kept_a:
-        raise ValueError("no samples kept; increase steps or reduce thinning")
     return ChainResult(
         config=cfg,
-        samples_a=np.array(kept_a),
-        samples_b=np.array(kept_b),
-        acceptance=accept_count / max(post_steps, 1),
+        samples_a=samples_a,
+        samples_b=samples_b,
+        acceptance=accept_count / (cfg.steps - cfg.burn_in),
         step_scales=scales,
     )
 
@@ -279,7 +299,11 @@ def word_trace_series(result: ChainResult, w: str) -> np.ndarray:
     w = word_letters(w)
     if not w:
         return np.ones(result.samples_a.shape[:2])
-    return _word_traces(result.samples_a, result.samples_b, _plan([w]))[0] / result.config.n
+    plan = _plan((w,))
+    # chain by chain, so the stacked halves stay a 1/C slice of the samples
+    A, B = result.samples_a, result.samples_b
+    series = [_word_traces(A[:, c], B[:, c], plan)[:, 0] for c in range(A.shape[1])]
+    return np.stack(series, axis=1) / result.config.n
 
 
 def estimate_moment(result: ChainResult, w: str) -> EstimateWithError:
@@ -294,7 +318,7 @@ def dirac_trace_series(result: ChainResult, ell: int, max_samples: int = 2000) -
         raise ValueError(f"max_samples must be >= chains = {C}, got {max_samples}")
     stride = -(-T // (max_samples // C))     # ceiling: at most max_samples // C rows
     A, B = result.samples_a[::stride], result.samples_b[::stride]
-    return _dirac_traces(A, B, result.config.signature, (_check_ell(ell),))[0] / n**2
+    return _dirac_traces(A, B, result.config.signature, (_check_ell(ell),))[..., 0] / n**2
 
 
 def estimate_dirac(result: ChainResult, ell: int, max_samples: int = 2000) -> EstimateWithError:
@@ -306,8 +330,8 @@ def trace_rows(result: ChainResult):
     """CSV-ready diagnostic rows: one per kept sample of chain 0."""
     yield ("sample", "tr_A2", "tr_D2", "tr_D4", "acceptance")
     A0, B0 = result.samples_a[:, 0], result.samples_b[:, 0]
-    (tr_a2,) = _word_traces(A0, B0, _plan(["AA"]))
-    tr_d2, tr_d4 = _dirac_traces(A0, B0, result.config.signature, (2, 4))
+    tr_a2 = _word_traces(A0, B0, _plan(("AA",)))[:, 0]
+    tr_d2, tr_d4 = _dirac_traces(A0, B0, result.config.signature, (2, 4)).T
     acc = float(result.acceptance.mean())
     for t, row in enumerate(zip(tr_a2, tr_d2, tr_d4)):
         yield (t, *map(float, row), acc)

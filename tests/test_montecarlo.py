@@ -67,6 +67,17 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             mc.SamplerConfig(n=4, point=P11, seed=-1)
 
+    def test_refuses_runs_that_keep_no_sample(self):
+        # 9 post-burn-in steps at thinning 10 keep nothing: refused before any step runs
+        with pytest.raises(ValueError, match="no samples kept; increase steps or reduce thinning"):
+            mc.SamplerConfig(n=10, point=P11, steps=3009, burn_in=3000, thinning=10)
+        assert mc.SamplerConfig(n=10, point=P11, steps=3010, burn_in=3000, thinning=10)
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_refuses_bad_step_scale(self, scale):
+        with pytest.raises(ValueError, match=f"step_scale must be a positive finite number, got {scale}"):
+            mc.SamplerConfig(n=4, point=P11, step_scale=scale)
+
     @pytest.mark.parametrize("field", ["n", "steps", "burn_in", "thinning", "chains", "seed"])
     @pytest.mark.parametrize("bad", [2.5, True])
     def test_integer_fields_refuse_non_integers(self, field, bad):
@@ -95,7 +106,58 @@ def short_chain():
     return mc.run_chain(cfg)
 
 
+class TestProposal:
+    """The law of one block of batched proposals, drawn at unit scale."""
+
+    @pytest.fixture(scope="class")
+    def block(self):
+        cfg = mc.SamplerConfig(n=6, point=P11, signature=Signature.S11, seed=1, chains=8)
+        gen = np.random.default_rng(cfg.seed)
+        return mc._draw_block(gen, mc.BLOCK, cfg, np.ones(cfg.chains))
+
+    def test_shapes(self, block):
+        targets, steps, log_u = block
+        assert targets.shape == (mc.BLOCK,) and set(targets) == {0, 1}
+        assert steps.shape == (mc.BLOCK, 8, 6, 6) and log_u.shape == (mc.BLOCK, 8)
+        assert np.all(log_u < 0)
+
+    def test_steps_are_exactly_hermitian(self, block):
+        _targets, steps, _log_u = block
+        assert np.array_equal(steps, steps.conj().swapaxes(-1, -2))
+
+    def test_commutator_letter_steps_are_traceless(self, block):
+        # S11: A acts by anticommutator (full Hermitian), B by commutator (traceless)
+        targets, steps, _log_u = block
+        traces = np.abs(np.einsum("scii->sc", steps))
+        assert np.max(traces[targets == 1]) <= 1e-12
+        assert np.min(np.max(traces[targets == 0], axis=-1)) > 1e-6
+
+    def test_entry_variances(self, block):
+        targets, steps, _log_u = block
+        full = steps[targets == 0]
+        upper = np.triu_indices(6, 1)
+        for values, var in (
+            (np.einsum("scii->sci", full).real, 1.0),
+            (full[..., upper[0], upper[1]].real, 0.5),
+            (full[..., upper[0], upper[1]].imag, 0.5),
+        ):
+            m = values.size
+            assert abs(values.var() - var) < 5 * var * math.sqrt(2 / (m - 1)), (var, values.var(), m)
+
+    def test_real_and_imaginary_parts_uncorrelated(self, block):
+        targets, steps, _log_u = block
+        upper = np.triu_indices(6, 1)
+        entries = steps[targets == 0][..., upper[0], upper[1]]
+        # independent N(0, 1/2) parts: their product has mean 0 and standard deviation 1/2
+        assert abs(np.mean(entries.real * entries.imag)) < 5 * 0.5 / math.sqrt(entries.size)
+
+
 class TestChain:
+    def test_kept_sample_count(self, short_chain):
+        cfg = short_chain.config
+        assert short_chain.samples_a.shape == ((cfg.steps - cfg.burn_in) // cfg.thinning, cfg.chains, cfg.n, cfg.n)
+        assert short_chain.samples_b.shape == short_chain.samples_a.shape
+
     def test_deterministic_given_seed(self, short_chain):
         again = mc.run_chain(short_chain.config)
         assert np.array_equal(short_chain.samples_a, again.samples_a)
@@ -161,11 +223,11 @@ def signature_chains():
 
 
 # acceptance and real sums of the A and B samples of each signature chain,
-# frozen from the sampler whose action hand-coded tr D^2 and tr D^4
+# frozen from the sampler that draws each block of steps from one generator
 CHAIN_PINS = {
-    Signature.S20: ([0.333, 0.422], 34.72535763405655, -13.583822245012989),
-    Signature.S11: ([0.347, 0.388], 53.38037488117793, -24.957685731472594),
-    Signature.S02: ([0.323, 0.423], 48.28047967438626, -0.62604976185006),
+    Signature.S20: ([0.299, 0.406], -9.604966861787261, 6.920268551379057),
+    Signature.S11: ([0.321, 0.443], -28.82926842608993, 8.384820478505905),
+    Signature.S02: ([0.328, 0.382], -14.609589398708046, 20.231254275755454),
 }
 
 
