@@ -101,8 +101,8 @@ class SurdScalar:
     ssq: Fraction
 
     def __init__(self, a, b, ssq):
-        object.__setattr__(self, "a", rat(a))
-        object.__setattr__(self, "b", rat(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else rat(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else rat(b))
         object.__setattr__(self, "ssq", rat(ssq))
 
     # -- constructors -------------------------------------------------
@@ -157,6 +157,9 @@ class SurdScalar:
         return self._check(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, SurdScalar):
+            r = rat(other)
+            return SurdScalar(self.a * r, self.b * r, self.ssq)
         o = self._check(other)
         return SurdScalar(
             self.a * o.a + self.b * o.b * self.ssq,

@@ -3,13 +3,14 @@
 The moment table below is the unique solution of the loop-equation
 hierarchy inside the quadratic-surd ansatz, under the closure constraint
 m_{1,1,1,1} = 0: we call it the *algebraic branch*.  Its entries satisfy
-every generated loop equation with exactly zero residual (the degree-10
-values needed by the degree-7-word equations are completed at runtime by
-exact linear solving).  Note that the algebraic branch is a different
-object from the Gaussian-based perturbative expansion computed by
-``solver`` / ``mapenum``: the closure constraint is incompatible with the
-Gaussian initial data, so the two agree only through low orders; the
-degree-8 entries of the branch even carry a simple pole at t4 = 0.
+every generated loop equation with exactly zero residual.  The degree-10
+values needed by the degree-7-word equations are completed at runtime: that
+linear system is 16 t4 times one integer matrix, reduced over Q once
+(``completion_system``), so each point only forms and maps a right side.
+Note that the algebraic branch is a different object from the
+Gaussian-based perturbative expansion computed by ``solver`` /
+``mapenum``: the closure constraint is incompatible with the Gaussian
+initial data, so the two agree only through low orders; the degree-8 entries of the branch even carry a simple pole at t4 = 0.
 ``solver.verify_closed_forms`` quantifies the divergence order by order.
 
 Everything here is exact field arithmetic in Q(s), s = sqrt(t2^2 + 8 t4),
@@ -182,14 +183,12 @@ class PoleAtGaussianPoint(ArithmeticError):
 
 def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     q, den, monomials = _MOMENT_TABLE[runs]
-    t2, t4, ssq = point.t2, point.t4, point.ssq
-    acc = SurdScalar(0, 0, ssq)
+    t2, t4 = point.t2, point.t4
+    parts = [Fraction(0), Fraction(0)]     # plain part, surd part
     for coef, i, j, sp in monomials:
-        term = SurdScalar(coef * t2**i * t4**j, 0, ssq)
-        if sp:
-            term = term * SurdScalar.s(ssq)
-        acc = acc + term
-    return acc / SurdScalar.rational(den * t4**q, ssq)
+        parts[sp] += coef * t2**i * t4**j
+    scale = den * t4**q
+    return SurdScalar(parts[0] / scale, parts[1] / scale, point.ssq)
 
 
 def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
@@ -251,90 +250,106 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
 # -- degree-10 completion ----------------------------------------------------
 
 
-def _solve_surd_linear(rows, rhs, ncols, ssq):
-    """Pivot solution of a rectangular exact linear system over Q(s)."""
-    zero = SurdScalar(0, 0, ssq)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    n = len(aug)
+@dataclass(frozen=True)
+class CompletionSystem:
+    """The degree-10 completion 16 t4 M x = rhs, reduced once over Q.
+
+    Every degree-10 moment enters the degree-7-word loop equations with
+    coefficient +-16 t4, so M is one integer matrix (a row per equation, a
+    column per unknown) and a point changes only the right side.  Reducing
+    [M | I] gives ``solve`` (x = solve rhs / (16 t4), free coordinates 0)
+    and the left-null rows ``consistency``, which every right side must
+    satisfy.
+    """
+
+    equations: tuple      # the SdeEquations of the rows
+    unknowns: tuple       # the CanonicalMoments of the columns
+    solve: tuple          # per unknown: ((row, coefficient), ...); () if free
+    consistency: tuple    # per left-null row: ((row, coefficient), ...)
+
+    @property
+    def rank(self) -> int:
+        return sum(1 for r in self.solve if r)
+
+    @property
+    def kernel_dim(self) -> int:
+        return len(self.unknowns) - self.rank
+
+
+@lru_cache(maxsize=None)
+def completion_system() -> CompletionSystem:
+    """Gauss-Jordan on [M | I] over Q, pivoting on the first nonzero row."""
+    eqs = [eq for eq in generate_system(7) if len(eq.source_word) == 7]
+    quartic = {CoefTag.Q: 1, CoefTag.QNEG: -1}
+    unknowns = sorted({m for eq in eqs for m, t in eq.rhs if t in quartic}, key=lambda m: m.runs)
+    if any(m.degree != 10 for m in unknowns):
+        raise AssertionError("unexpected low-degree quartic term")
+    col = {m: i for i, m in enumerate(unknowns)}
+    n, ncols = len(eqs), len(unknowns)
+    aug = [[Fraction(0)] * ncols + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, eq in enumerate(eqs):
+        for m, tag in eq.rhs:
+            if tag in quartic:
+                aug[i][col[m]] += quartic[tag]
     pivots = []
-    prow = 0
     for c in range(ncols):
-        sel = next((r for r in range(prow, n) if not aug[r][c].is_zero()), None)
+        prow = len(pivots)
+        sel = next((r for r in range(prow, n) if aug[r][c]), None)
         if sel is None:
             continue
         aug[prow], aug[sel] = aug[sel], aug[prow]
-        inv = aug[prow][c].inverse()
-        aug[prow] = [v * inv for v in aug[prow]]
+        aug[prow] = [v / aug[prow][c] for v in aug[prow]]
         for r in range(n):
-            if r != prow and not aug[r][c].is_zero():
+            if r != prow and aug[r][c]:
                 f = aug[r][c]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
         pivots.append(c)
-        prow += 1
-        if prow == n:
-            break
-    for r in range(prow, n):
-        if all(aug[r][c].is_zero() for c in range(ncols)) and not aug[r][ncols].is_zero():
-            raise ArithmeticError("inconsistent completion system")
-    x = [zero] * ncols
-    for i in reversed(range(len(pivots))):
-        c = pivots[i]
-        acc = aug[i][ncols]
-        for cc in range(c + 1, ncols):
-            if not aug[i][cc].is_zero():
-                acc = acc - aug[i][cc] * x[cc]
-        x[c] = acc
-    return x
+    sparse = lambda row: tuple((j, v) for j, v in enumerate(row[ncols:]) if v)
+    solve = [()] * ncols
+    for i, c in enumerate(pivots):
+        solve[c] = sparse(aug[i])
+    return CompletionSystem(tuple(eqs), tuple(unknowns), tuple(solve),
+                            tuple(sparse(row) for row in aug[len(pivots):]))
 
 
 def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
     """Moment values satisfying every loop equation up to the given word degree.
 
-    Degrees <= 8 come from the closed-form table; the degree-10 moments
-    referenced by the degree-7-word equations are completed by solving those
-    equations exactly (the system is consistent with a small kernel; free
-    coordinates are set to zero, which any residual check is insensitive to).
-    The table and that completion close the equations of words up to degree
-    7 and no further, so ``max_word_degree`` must lie in 1 ... 7.
+    Degrees <= 8 come from the closed-form table.  The 12 degree-10 moments
+    referenced by the degree-7-word equations are completed exactly from
+    ``completion_system()``, reduced over Q once: at each point only the
+    right sides are formed, checked against its consistency row and mapped
+    to the solution.  The system has rank 9, and its 3 free coordinates are
+    set to zero, which any residual check is insensitive to.  The table and
+    that completion close the equations of words up to degree 7 and no
+    further, so ``max_word_degree`` must lie in 1 ... 7.
     """
     max_word_degree = exact_int(max_word_degree, "max_word_degree")
     if not 1 <= max_word_degree <= 7:
         raise ValueError(f"max_word_degree must be in 1 ... 7, got {max_word_degree}")
+    point.require_physical()
     ssq = point.ssq
     vals = {CanonicalMoment(runs): _as_surd(runs, point) for runs in _MOMENT_TABLE}
     if max_word_degree < 7:
         return vals
-    t2s = SurdScalar.rational(point.t2, ssq)
-    t4s = SurdScalar.rational(point.t4, ssq)
-    zero = SurdScalar(0, 0, ssq)
-    m2v = vals[M2]
-    eqs = [eq for eq in generate_system(max_word_degree) if len(eq.source_word) == 7]
-    unknowns = sorted({m for eq in eqs for m, _t in eq.rhs if m.degree == 10}, key=lambda m: m.runs)
-    col = {m: i for i, m in enumerate(unknowns)}
-    rows, rhs = [], []
-    for eq in eqs:
-        row = [zero] * len(unknowns)
-        const = zero
+    system = completion_system()
+    one, zero = SurdScalar(1, 0, ssq), SurdScalar(0, 0, ssq)
+    c2, bt = 8 * point.t2, vals[M2] * (64 * point.t4)
+    rhs = []
+    value = lambda m: one if m.is_empty() else vals[m]
+    for eq in system.equations:
+        acc = sum((value(x) * value(y) for x, y in eq.lhs), zero)
         for m, tag in eq.rhs:
-            if m in col:
-                coef = t4s * (16 if tag is CoefTag.Q else -16)
-                row[col[m]] = row[col[m]] + coef
-            elif tag is CoefTag.C2:
-                const = const + t2s * 8 * vals[m]
+            if tag is CoefTag.C2:
+                acc = acc - vals[m] * c2
             elif tag is CoefTag.BT:
-                const = const + t4s * 64 * m2v * vals[m]
-            else:
-                raise AssertionError("unexpected low-degree quartic term")
-        lhs = zero
-        for x, y in eq.lhs:
-            vx = SurdScalar(1, 0, ssq) if x.is_empty() else vals[x]
-            vy = SurdScalar(1, 0, ssq) if y.is_empty() else vals[y]
-            lhs = lhs + vx * vy
-        rows.append(row)
-        rhs.append(lhs - const)
-    solution = _solve_surd_linear(rows, rhs, len(unknowns), ssq)
-    for m, i in col.items():
-        vals[m] = solution[i]
+                acc = acc - bt * vals[m]
+        rhs.append(acc)
+    apply = lambda row: sum((rhs[j] * v for j, v in row), zero)
+    if any(not apply(row).is_zero() for row in system.consistency):
+        raise ArithmeticError("inconsistent completion system")
+    for m, row in zip(system.unknowns, system.solve):
+        vals[m] = apply(row) * (1 / (16 * point.t4))
     return vals
 
 

@@ -253,21 +253,20 @@ def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], 
     """RHS - LHS of the equation, evaluated exactly in the surd field."""
     ssq = point.ssq
     total = SurdScalar(0, 0, ssq)
-    t2 = SurdScalar(point.t2, 0, ssq)
-    t4 = SurdScalar(point.t4, 0, ssq)
-    m2_val = None
+    c2, q = 8 * point.t2, 16 * point.t4
+    bt = None
     if any(tag is CoefTag.BT for _m, tag in eq.rhs):
-        m2_val = _value(assignment, M2, ssq)
+        bt = _value(assignment, M2, ssq) * (64 * point.t4)
     for m, tag in eq.rhs:
         v = _value(assignment, m, ssq)
         if tag is CoefTag.C2:
-            total = total + t2 * 8 * v
+            total = total + v * c2
         elif tag is CoefTag.Q:
-            total = total + t4 * 16 * v
+            total = total + v * q
         elif tag is CoefTag.QNEG:
-            total = total - t4 * 16 * v
+            total = total - v * q
         elif tag is CoefTag.BT:
-            total = total + t4 * 64 * m2_val * v
+            total = total + bt * v
     for x, y in eq.lhs:
         total = total - _value(assignment, x, ssq) * _value(assignment, y, ssq)
     return total

@@ -158,13 +158,10 @@ def check_system_structure() -> CheckResult:
 def check_exact_residuals(points: int = 10, seed: int = 20240817) -> CheckResult:
     lines = []
     ok = True
+    equations = generate_system(7)
     for p in _random_points(points, seed):
         vals = closedform.branch_assignment(p)
-        bad = [
-            eq.source_word
-            for eq in generate_system(7)
-            if not residual(eq, vals, p).is_zero()
-        ]
+        bad = [eq.source_word for eq in equations if not residual(eq, vals, p).is_zero()]
         if bad:
             ok = False
             lines.append(f"nonzero residuals at {p}: {bad}")

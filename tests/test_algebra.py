@@ -42,6 +42,16 @@ class TestSurdScalar:
         with pytest.raises(RadicandMismatch):
             SurdScalar(1, 1, 9) + SurdScalar(1, 1, 17)
 
+    def test_rational_scaling(self):
+        x = SurdScalar(F(2, 3), F(-5, 7), 17)
+        for r in (3, F(-4, 9)):
+            y = x * r
+            z = x * SurdScalar.rational(r, 17)
+            assert (y.a, y.b, y.ssq) == (z.a, z.b, z.ssq) == (x.a * r, x.b * r, x.ssq)
+            assert r * x == y
+        with pytest.raises(TypeError):
+            x * 0.5
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             SurdScalar(1, 0, 17) / SurdScalar(0, 0, 17)

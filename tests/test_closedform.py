@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -6,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from dirac2mm.algebra import CouplingPoint, SurdScalar
-from dirac2mm.sde import generate_system, residual
+from dirac2mm.sde import M2, CoefTag, generate_system, residual
 from dirac2mm.words import parse_moment_label
 from dirac2mm import closedform as cf
 
@@ -89,6 +90,121 @@ class TestMoment:
         # words up to degree 7 only; degree 9 needs degree-12 moments
         with pytest.raises(ValueError, match="max_word_degree"):
             cf.branch_assignment(CouplingPoint(1, 1), max_word_degree)
+
+
+def _solve_surd_linear(rows, rhs, ncols, ssq):
+    """Pivot solution of a rectangular exact linear system over Q(s)."""
+    zero = SurdScalar(0, 0, ssq)
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    n = len(aug)
+    pivots = []
+    prow = 0
+    for c in range(ncols):
+        sel = next((r for r in range(prow, n) if not aug[r][c].is_zero()), None)
+        if sel is None:
+            continue
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        inv = aug[prow][c].inverse()
+        aug[prow] = [v * inv for v in aug[prow]]
+        for r in range(n):
+            if r != prow and not aug[r][c].is_zero():
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
+        pivots.append(c)
+        prow += 1
+        if prow == n:
+            break
+    for r in range(prow, n):
+        if all(aug[r][c].is_zero() for c in range(ncols)) and not aug[r][ncols].is_zero():
+            raise ArithmeticError("inconsistent completion system")
+    x = [zero] * ncols
+    for i in reversed(range(len(pivots))):
+        c = pivots[i]
+        acc = aug[i][ncols]
+        for cc in range(c + 1, ncols):
+            if not aug[i][cc].is_zero():
+                acc = acc - aug[i][cc] * x[cc]
+        x[c] = acc
+    return x
+
+
+def brute_force_assignment(p):
+    """The degree-10 completion by Gauss-Jordan elimination in Q(s) at the point."""
+    vals = cf.branch_assignment(p, max_word_degree=6)
+    ssq = p.ssq
+    t2s, t4s = SurdScalar.rational(p.t2, ssq), SurdScalar.rational(p.t4, ssq)
+    zero, one = SurdScalar(0, 0, ssq), SurdScalar(1, 0, ssq)
+    eqs = [eq for eq in generate_system(7) if len(eq.source_word) == 7]
+    unknowns = sorted({m for eq in eqs for m, _t in eq.rhs if m.degree == 10}, key=lambda m: m.runs)
+    col = {m: i for i, m in enumerate(unknowns)}
+    rows, rhs = [], []
+    for eq in eqs:
+        row = [zero] * len(unknowns)
+        const = zero
+        for m, tag in eq.rhs:
+            if m in col:
+                row[col[m]] = row[col[m]] + t4s * (16 if tag is CoefTag.Q else -16)
+            elif tag is CoefTag.C2:
+                const = const + t2s * 8 * vals[m]
+            elif tag is CoefTag.BT:
+                const = const + t4s * 64 * vals[M2] * vals[m]
+        lhs = sum(((one if x.is_empty() else vals[x]) * (one if y.is_empty() else vals[y])
+                   for x, y in eq.lhs), zero)
+        rows.append(row)
+        rhs.append(lhs - const)
+    vals.update(zip(unknowns, _solve_surd_linear(rows, rhs, len(unknowns), ssq)))
+    return vals
+
+
+# (1, 1), (1, 3) and (3/2, 7/32) have ssq = 9, 25 and 4, rational squares.
+COMPLETION_POINTS = random_points(30, seed=31) + [
+    CouplingPoint(1, 1), CouplingPoint(1, 3), CouplingPoint(F(3, 2), F(7, 32))]
+
+# SHA-256 of "label a b" lines of every value at COMPLETION_POINTS, frozen
+# from the per-point elimination in Q(s) that the one-time reduction replaced.
+COMPLETION_DIGEST = "22ab94945accad2981974ddd6c3afbc0e39bf58f74262e755256ce86438c9926"
+
+
+class TestCompletion:
+    def test_system_shape_is_pinned(self):
+        system = cf.completion_system()
+        assert [m.label() for m in system.unknowns] == [
+            "m_{3,1,3,3}", "m_{3,2,3,2}", "m_{4,1,2,3}", "m_{4,1,4,1}", "m_{5,1,1,3}", "m_{5,1,3,1}",
+            "m_{5,2,1,2}", "m_{6,1,2,1}", "m_{6,4}", "m_{7,1,1,1}", "m_{8,2}", "m_{10}"]
+        assert len(system.equations) == 10
+        assert (system.rank, system.kernel_dim, len(system.consistency)) == (9, 3, 1)
+        assert cf.completion_system() is system
+
+    def test_equals_elimination_in_surd_field_component_by_component(self):
+        for p in COMPLETION_POINTS:
+            got, want = cf.branch_assignment(p), brute_force_assignment(p)
+            assert got.keys() == want.keys()
+            for m, v in want.items():
+                assert (got[m].a, got[m].b, got[m].ssq) == (v.a, v.b, v.ssq), (p, m.label())
+
+    def test_values_are_pinned(self):
+        digest = hashlib.sha256()
+        for p in COMPLETION_POINTS:
+            vals = cf.branch_assignment(p)
+            assert len(vals) == 32
+            for m in sorted(vals, key=lambda m: m.runs):
+                digest.update(f"{m.label()} {vals[m].a} {vals[m].b}\n".encode())
+        assert digest.hexdigest() == COMPLETION_DIGEST
+
+    def test_right_side_outside_the_image_is_refused(self, monkeypatch):
+        # the consistency row combines the equations of BAAAAAB and AAAAABB
+        # less those of BABBBBB and ABBBBBB: their degree-8 moments cancel in
+        # pairs, and m_{4,2} + m_2 (m_4 + m_{2,2}) - m_6 = 0 is what it tests
+        runs = parse_moment_label("m_{4,2}").runs
+        q, den, monomials = cf._MOMENT_TABLE[runs]
+        monkeypatch.setitem(cf._MOMENT_TABLE, runs, (q, den, monomials + ((F(1), 3, 0, 0),)))
+        with pytest.raises(ArithmeticError, match="^inconsistent completion system$"):
+            cf.branch_assignment(CouplingPoint(2, 1))
+
+    @pytest.mark.parametrize("t2, t4", [(1, -1), (-1, 1), (0, 1), (1, 0)])
+    def test_unphysical_point_refused(self, t2, t4):
+        with pytest.raises(ValueError, match="physical evaluation needs t2 > 0 and t4 > 0"):
+            cf.branch_assignment(CouplingPoint(t2, t4))
 
 
 class TestMomentSeries:
