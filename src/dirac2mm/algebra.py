@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Integral, Rational
 
@@ -34,6 +35,14 @@ def exact_int(x, name: str) -> int:
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return int(x)
+
+
+def positive_t2(t2, who: str) -> Fraction:
+    """t2 as a Fraction; the model's Gaussian weight needs t2 > 0."""
+    t2 = rat(t2)
+    if t2 <= 0:
+        raise ValueError(f"{who} needs t2 > 0")
+    return t2
 
 
 def rational_sqrt(q: Fraction) -> Fraction | None:
@@ -60,7 +69,7 @@ class CouplingPoint:
         object.__setattr__(self, "t2", rat(t2))
         object.__setattr__(self, "t4", rat(t4))
 
-    @property
+    @cached_property     # kept in the instance __dict__, outside the compared fields
     def ssq(self) -> Fraction:
         """Radicand t2**2 + 8*t4 of the surd field attached to this point."""
         return self.t2 * self.t2 + 8 * self.t4
@@ -377,8 +386,6 @@ class MomentSeries:
 
 def surd_expansion(point_t2, order: int) -> MomentSeries:
     """sqrt(t2**2 + 8*t4) as a truncated series in t4 at fixed rational t2 > 0."""
-    t2 = rat(point_t2)
-    if t2 <= 0:
-        raise ValueError("expansion of the surd needs t2 > 0")
+    t2 = positive_t2(point_t2, "surd_expansion")
     base = [t2 * t2, Fraction(8)] + [Fraction(0)] * max(0, order - 1)
     return MomentSeries(t2, base[: order + 1]).sqrt()

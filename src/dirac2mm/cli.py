@@ -9,6 +9,7 @@ domain error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -117,7 +118,12 @@ def cmd_mc(args) -> int:
         seed=args.seed,
         chains=args.chains,
     )
-    result = montecarlo.run_chain(cfg)
+    # open the trace before the chain runs, so a bad path fails at once
+    trace = open(args.trace, "w", newline="") if args.trace else contextlib.nullcontext()
+    with trace as fh:
+        result = montecarlo.run_chain(cfg)
+        if fh:
+            csv.writer(fh).writerows(montecarlo.trace_rows(result))
     summary = {
         "config": {
             "n": cfg.n, "signature": str(cfg.signature), "steps": cfg.steps,
@@ -136,10 +142,6 @@ def cmd_mc(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.trace:
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in montecarlo.trace_rows(result):
-                writer.writerow(row)
         print(f"trace written to {args.trace}", file=sys.stderr)
     return 0
 
@@ -246,8 +248,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ValueError, KeyError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, ArithmeticError, OSError) as exc:
+        # str() of a KeyError is the repr of its message, quotes included
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 1
 
 

@@ -32,6 +32,7 @@ from .algebra import (
     MomentSeries,
     SurdScalar,
     exact_int,
+    positive_t2,
     rat,
     rational_sqrt,
     surd_expansion,
@@ -216,9 +217,7 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     Raises PoleAtGaussianPoint for entries whose numerator does not vanish
     to order t4^q (all degree-8 branch values have a simple pole).
     """
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("moment_series needs t2 > 0")
+    t2 = positive_t2(t2, "moment_series")
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     if c.is_empty():
@@ -312,8 +311,8 @@ def completion_system() -> CompletionSystem:
                             tuple(sparse(row) for row in aug[len(pivots):]))
 
 
-def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
-    """Moment values satisfying every loop equation up to the given word degree.
+def branch_assignment(point: CouplingPoint) -> dict:
+    """Moment values satisfying every loop equation of a word of degree <= 7.
 
     Degrees <= 8 come from the closed-form table.  The 12 degree-10 moments
     referenced by the degree-7-word equations are completed exactly from
@@ -322,16 +321,11 @@ def branch_assignment(point: CouplingPoint, max_word_degree: int = 7) -> dict:
     to the solution.  The system has rank 9, and its 3 free coordinates are
     set to zero, which any residual check is insensitive to.  The table and
     that completion close the equations of words up to degree 7 and no
-    further, so ``max_word_degree`` must lie in 1 ... 7.
+    further: degree 9 would need degree-12 moments.
     """
-    max_word_degree = exact_int(max_word_degree, "max_word_degree")
-    if not 1 <= max_word_degree <= 7:
-        raise ValueError(f"max_word_degree must be in 1 ... 7, got {max_word_degree}")
     point.require_physical()
     ssq = point.ssq
     vals = {CanonicalMoment(runs): _as_surd(runs, point) for runs in _MOMENT_TABLE}
-    if max_word_degree < 7:
-        return vals
     system = completion_system()
     one, zero = SurdScalar(1, 0, ssq), SurdScalar(0, 0, ssq)
     c2, bt = 8 * point.t2, vals[M2] * (64 * point.t4)
@@ -421,9 +415,7 @@ def rescale_dirac(ell: int, point: CouplingPoint):
 
 def gaussian_free_energy(t2) -> float:
     """Quadratic-ensemble free energy: -5 ln 2 + 2 ln pi - 2 ln t2."""
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("gaussian_free_energy needs t2 > 0")
+    t2 = positive_t2(t2, "gaussian_free_energy")
     return -5 * math.log(2) + 2 * math.log(math.pi) - 2 * math.log(float(t2))
 
 
@@ -437,13 +429,9 @@ def free_energy(point: CouplingPoint) -> float:
     energy only at t2 = 1.  ``free_energy_consistent`` is the evaluator that
     satisfies both identities; the two coincide nowhere except by accident.
     """
-    t2 = float(point.t2)
-    if t2 <= 0:
-        raise ValueError("free_energy needs t2 > 0")
+    t2 = float(positive_t2(point.t2, "free_energy"))
     s = point.s_float()
     arg = math.pi**2 * (t2 + s) / (64 * t2 * t2)
-    if arg <= 0:
-        raise ValueError("log argument must be positive")
     return -0.5 + t2 / (t2 + s) + math.log(arg)
 
 
@@ -455,21 +443,15 @@ def free_energy_consistent(point: CouplingPoint) -> float:
 
         F = -1/2 + s/(t2 + s) + ln(pi^2 / (16 t2 (t2 + s))).
     """
-    t2 = float(point.t2)
-    if t2 <= 0:
-        raise ValueError("free_energy_consistent needs t2 > 0")
+    t2 = float(positive_t2(point.t2, "free_energy_consistent"))
     s = point.s_float()
     arg = math.pi**2 / (16 * t2 * (t2 + s))
-    if arg <= 0:
-        raise ValueError("log argument must be positive")
     return -0.5 + s / (t2 + s) + math.log(arg)
 
 
 def critical_point(t2) -> Fraction:
     """Quartic coupling where the expected cell count diverges: -t2^2 / 8."""
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("critical_point needs t2 > 0")
+    t2 = positive_t2(t2, "critical_point")
     return -t2 * t2 / 8
 
 
@@ -514,9 +496,7 @@ def susceptibility_expansion(t2, num_terms: int = 4) -> SusceptibilityExpansion:
     Q(sqrt 2); dividing the two polynomials exactly yields the series.  The
     leading terms at t2 = 1 are 1, -4 sqrt(2) v, 24 v^2, -64 sqrt(2) v^3.
     """
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("susceptibility_expansion needs t2 > 0")
+    t2 = positive_t2(t2, "susceptibility_expansion")
     num_terms = exact_int(num_terms, "num_terms")
     if num_terms < 2:
         raise ValueError("num_terms must be >= 2")

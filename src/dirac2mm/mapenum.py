@@ -12,10 +12,11 @@ edge carries the propagator weight 1/(8 t2).
 
 Half-edges are fully labelled, exactly as in the underlying Wick expansion,
 so no automorphism factors ever appear: two matchings are the same map only
-if they are the same matching.  Genus bookkeeping follows the unstable-map
-decomposition: split each cylinder into two discs joined by a branch, then
-a gluing contributes at leading order iff every graph component is planar
-and the branch graph is a tree rooted at the word polygon's component.
+if they are the same matching.  Genus is read off the closed surface: each
+cylinder is two discs joined by a branch (a tube), so chi = V - E + F -
+2 (cylinders), the pieces are the components of the glued edges and the
+branches together, and genus = pieces - chi / 2.  A gluing contributes at
+leading order iff it is one piece, rooted at the word polygon, of genus 0.
 
 One walk serves every entry point: ``_layouts`` yields the feasible cell
 multisets of an order, and ``_matchings`` glues the darts of one of them
@@ -43,12 +44,11 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
 
-from .algebra import exact_int, rat
+from .algebra import exact_int, positive_t2
 from .words import word_letters
 
 RED = "R"     # colour of A half-edges
@@ -106,7 +106,7 @@ class UnstableMap:
     cells: tuple                 # CellKind multiset, in slot order
     pairing: tuple               # ((dart, dart), ...) with dart < partner
     genus: int
-    planar: bool                 # leading order: components planar, branch tree
+    planar: bool                 # leading order: connected and genus 0
     connected: bool              # every cell reachable from the root polygon
     weight: Fraction             # coefficient of t4^k incl. sign and 1/n_i!
 
@@ -226,8 +226,8 @@ def _matchings(layout: _Layout, planar: bool):
     return walk(0)
 
 
-def _components(layout: _Layout, partner: list[int]) -> list[int]:
-    """Root of each polygon's component in the graph of glued edges."""
+def _components(layout: _Layout, partner: list[int], links=()) -> list[int]:
+    """Root of each polygon's component in the graph of glued edges and ``links``."""
     polygon_of = layout.polygon_of
     parent = list(range(layout.n_polygons))
 
@@ -237,66 +237,40 @@ def _components(layout: _Layout, partner: list[int]) -> list[int]:
             x = parent[x]
         return x
 
-    for h in range(len(polygon_of)):
-        a, b = find(polygon_of[h]), find(polygon_of[partner[h]])
+    edges = ((polygon_of[h], polygon_of[partner[h]]) for h in range(len(polygon_of)))
+    for pa, pb in itertools.chain(edges, links):
+        a, b = find(pa), find(pb)
         if a != b:
             parent[a] = b
     return [find(p) for p in range(layout.n_polygons)]
 
 
 def _analyze(layout: _Layout, partner: list[int]):
-    """(genus, planar, connected) of one complete matching."""
+    """(genus, planar, connected) of one complete matching.
+
+    Each cylinder is two discs joined by a tube, so the closed surface has
+    chi = V - E + F - 2 (cylinders), and its pieces are the components of
+    the glued edges and the branches together; genus = pieces - chi / 2.
+    """
     n_darts = len(layout.colors)
     nxt = layout.nxt
-    polygon_of = layout.polygon_of
-
-    comp_of = _components(layout, partner)
-    faces = Counter(comp_of)
-    edges = Counter(comp_of[polygon_of[h]] for h in range(n_darts) if h < partner[h])
-    verts = Counter()
-
+    verts = 0
     visited = bytearray(n_darts)
     for h0 in range(n_darts):
-        if visited[h0]:
-            continue
-        c = comp_of[polygon_of[h0]]
-        verts[c] += 1
-        h = h0
-        while not visited[h]:
-            visited[h] = 1
-            h = nxt[partner[h]]
-
-    genus_sum = 0
-    all_planar_components = True
-    for c in faces:
-        chi = verts[c] - edges[c] + faces[c]
-        if chi % 2 != 0:
-            raise AssertionError("odd Euler characteristic: gluing bookkeeping broken")
-        genus_sum += (2 - chi) // 2
-        if chi != 2:
-            all_planar_components = False
-
-    # branch graph: nodes are components, edges are cylinder branches
-    comps = sorted(faces)
-    bparent = {c: c for c in comps}
-
-    def bfind(x):
-        while bparent[x] != x:
-            bparent[x] = bparent[bparent[x]]
-            x = bparent[x]
-        return x
-
-    for pa, pb in layout.branches:
-        a, b = bfind(comp_of[pa]), bfind(comp_of[pb])
-        if a != b:
-            bparent[a] = b
-    pieces = len({bfind(c) for c in comps})
-    cycle_rank = len(layout.branches) - len(comps) + pieces
+        if not visited[h0]:
+            verts += 1
+            h = h0
+            while not visited[h]:
+                visited[h] = 1
+                h = nxt[partner[h]]
+    chi = verts - n_darts // 2 + layout.n_polygons - 2 * len(layout.branches)
+    if chi % 2 != 0:
+        raise AssertionError("odd Euler characteristic: gluing bookkeeping broken")
+    pieces = len(set(_components(layout, partner, layout.branches)))
     # with no word polygon nothing is rooted: only the empty gluing counts
-    connected = pieces == 1 if layout.word else not comps
-    genus = genus_sum + cycle_rank
-    planar = connected and cycle_rank == 0 and all_planar_components
-    return genus, planar, connected
+    connected = pieces == 1 if layout.word else not pieces
+    genus = pieces - chi // 2
+    return genus, connected and genus == 0, connected
 
 
 def _gluings(w: str, k: int, planar: bool):
@@ -328,9 +302,7 @@ def enumerate_gluings(w: str, k: int):
 
 def _edge_scale(w: str, k: int, t2) -> Fraction:
     """(8 t2)^edges: every gluing of (w, k) has (deg w + 4k) / 2 edges."""
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("moment_coefficient needs t2 > 0")
+    t2 = positive_t2(t2, "moment_coefficient")
     return (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k")) // 2)
 
 
@@ -362,7 +334,7 @@ class CancellationReport:
     witnesses: tuple = ()       # planar maps left uncancelled, JSON-ready
 
 
-def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
+def cancellation_report(k: int) -> CancellationReport:
     """Census of planar ABAB gluings at order k.
 
     Checks two separable claims: that every planar gluing contains at least
@@ -370,7 +342,7 @@ def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
     weights sum to zero.  The first holds; the second does not (the positive
     chequered-quadrangle gluings outnumber their would-be cylinder partners,
     whose branch closes a handle and leaves planarity), so the report keeps
-    explicit witnesses.
+    explicit witnesses: the first eight planar gluings.
     """
     pos = neg = 0
     signed = Fraction(0)
@@ -384,7 +356,7 @@ def cancellation_report(k: int, witness_limit: int = 8) -> CancellationReport:
         signed += m.weight
         if not any(c in _DISTINGUISHED for c in m.cells):
             distinguished_ok = False
-        if len(witnesses) < witness_limit:
+        if len(witnesses) < 8:
             witnesses.append(m.as_json())
     return CancellationReport(
         k=k,

@@ -48,17 +48,24 @@ _INSERTIONS = (("AAA", CoefTag.Q), ("BAB", CoefTag.QNEG), ("ABB", CoefTag.Q), ("
 class SdeEquation:
     """One canonicalized loop equation.
 
-    ``lhs`` is the multiset of factorized moment pairs (each pair sorted,
-    the multiset sorted); ``rhs`` is the sorted tuple of (moment, tag)
-    entries.  Terms whose moments vanish by parity are dropped at
-    construction, so structural equality compares mathematical content.
-    The source word is kept for display only and excluded from comparison.
+    ``lhs`` is the multiset of factorized moment pairs and ``rhs`` the
+    multiset of (moment, tag) entries; construction sorts each pair, the
+    pairs and ``rhs`` by (runs, tag), so structural equality compares
+    mathematical content.  Terms whose moments vanish by parity are left
+    out by the caller.  The source word and ``rhs_display`` are kept for
+    display only and excluded from comparison.
     """
 
     lhs: tuple
     rhs: tuple
     source_word: str = field(compare=False, default="")
     rhs_display: tuple = field(compare=False, default=())   # insertion order, for rendering
+
+    def __post_init__(self):
+        pairs = (sorted(pair, key=lambda m: m.runs) for pair in self.lhs)
+        lhs = sorted((tuple(p) for p in pairs), key=lambda p: (p[0].runs, p[1].runs))
+        object.__setattr__(self, "lhs", tuple(lhs))
+        object.__setattr__(self, "rhs", tuple(sorted(self.rhs, key=lambda e: (e[0].runs, e[1]))))
 
     def is_trivial(self) -> bool:
         return not self.lhs and not self.rhs
@@ -144,10 +151,6 @@ class SdeEquation:
         return tuple(sorted((x.runs, y.runs) for x, y in self.lhs))
 
 
-def _sorted_pair(x: CanonicalMoment, y: CanonicalMoment):
-    return (x, y) if x.runs <= y.runs else (y, x)
-
-
 def _odd(letters: str) -> bool:
     """True iff the word's moment vanishes by parity (an odd letter count)."""
     return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
@@ -160,7 +163,7 @@ def lhs_pairs(w: str) -> list:
     while p >= 0:
         left, right = w[:p], w[p + 1 :]
         if not (_odd(left) or _odd(right)):
-            lhs.append(_sorted_pair(canonicalize(left), canonicalize(right)))
+            lhs.append((canonicalize(left), canonicalize(right)))
         p = w.find(A, p + 1)
     return lhs
 
@@ -170,27 +173,16 @@ def insertions(w: str) -> list:
     return [(canonicalize(w + insertion), tag) for insertion, tag in _INSERTIONS]
 
 
-def _equation_terms(w: str):
-    """(lhs, rhs, rhs in insertion order) of the loop equation of a letter string."""
-    lhs = lhs_pairs(w)
-    lhs.sort(key=lambda pair: (pair[0].runs, pair[1].runs))
-
-    rhs = []
+def generate_equation(w: str) -> SdeEquation:
+    """The large-N loop equation obtained from the word w."""
+    w = word_letters(w)
+    rhs = ()
     # every insertion has the letter parity of a single A, so the whole
     # right side vanishes together with m_[wA]
     if not _odd(w + A):
         wa = canonicalize(w + A)
-        rhs = [(wa, CoefTag.C2), *insertions(w), (wa, CoefTag.BT)]
-    display = tuple(rhs)
-    rhs.sort(key=lambda e: (e[0].runs, e[1]))
-    return tuple(lhs), tuple(rhs), display
-
-
-def generate_equation(w: str) -> SdeEquation:
-    """The large-N loop equation obtained from the word w."""
-    w = word_letters(w)
-    lhs, rhs, display = _equation_terms(w)
-    return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=display)
+        rhs = ((wa, CoefTag.C2), *insertions(w), (wa, CoefTag.BT))
+    return SdeEquation(lhs=lhs_pairs(w), rhs=rhs, source_word=w, rhs_display=rhs)
 
 
 def single_block_words(max_degree: int):

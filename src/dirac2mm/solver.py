@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MomentSeries, exact_int, rat
+from .algebra import MomentSeries, exact_int, positive_t2, rat
 from .words import (
     A,
     CanonicalMoment,
@@ -61,9 +61,7 @@ def _noncrossing_pairings(letters: str) -> int:
 
 def gaussian_moment(c: CanonicalMoment | str, t2) -> Fraction:
     """Gaussian (order-zero) moment: pairing count times (8 t2)^(-deg/2)."""
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("gaussian_moment needs t2 > 0")
+    t2 = positive_t2(t2, "gaussian_moment")
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     if c.is_empty():
@@ -162,9 +160,7 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     word) one is used and the conflict is recorded on the returned table.
     """
     D, K = exact_int(D, "D"), exact_int(K, "K")
-    t2 = rat(t2)
-    if t2 <= 0:
-        raise ValueError("solve_series needs t2 > 0")
+    t2 = positive_t2(t2, "solve_series")
     if D < 2 or D % 2 != 0:
         raise ValueError("D must be an even integer >= 2")
     if K < 0:

@@ -91,6 +91,12 @@ class TestCouplingPoint:
         assert CouplingPoint(1, 1).ssq == 9
         assert CouplingPoint(1, 3).ssq == 25
 
+    def test_ssq_is_computed_once_and_not_compared(self):
+        p, q = CouplingPoint(1, 3), CouplingPoint(F(2, 2), 3)
+        assert p.ssq is p.ssq
+        assert p == q and hash(p) == hash(q) and repr(p) == repr(q) == "CouplingPoint(t2=1, t4=3)"
+        assert p != CouplingPoint(3, 2)   # same ssq, another point
+
     def test_negative_radicand_rejected(self):
         with pytest.raises(ValueError):
             CouplingPoint(1, -1).require_real_surd()
@@ -156,6 +162,30 @@ class TestMomentSeries:
             sq = s * s
             expect = [F(t2) ** 2, F(8)] + [F(0)] * 5
             assert list(sq.coeffs) == expect
+
+
+def _t2_entry_points():
+    from dirac2mm import closedform, mapenum, solver
+
+    return {
+        "gaussian_moment": lambda t2: solver.gaussian_moment("AA", t2),
+        "solve_series": lambda t2: solver.solve_series(2, 1, t2),
+        "moment_coefficient": lambda t2: mapenum.moment_coefficient("AA", 1, t2),
+        "moment_series": lambda t2: closedform.moment_series("AA", t2, 2),
+        "gaussian_free_energy": closedform.gaussian_free_energy,
+        "free_energy": lambda t2: closedform.free_energy(CouplingPoint(t2, 1)),
+        "free_energy_consistent": lambda t2: closedform.free_energy_consistent(CouplingPoint(t2, 1)),
+        "critical_point": closedform.critical_point,
+        "susceptibility_expansion": closedform.susceptibility_expansion,
+        "surd_expansion": lambda t2: surd_expansion(t2, 3),
+    }
+
+
+@pytest.mark.parametrize("t2", [0, -1])
+@pytest.mark.parametrize("name", sorted(_t2_entry_points()))
+def test_nonpositive_t2_is_refused_by_name(name, t2):
+    with pytest.raises(ValueError, match=rf"^{name} needs t2 > 0$"):
+        _t2_entry_points()[name](t2)
 
 
 def test_rational_sqrt():

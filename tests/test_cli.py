@@ -46,6 +46,11 @@ class TestMoments:
         assert out == ""
         assert "t2 > 0" in err
 
+    def test_untabulated_moment_message_has_no_quotes(self, capsys):
+        code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", "m_{10}")
+        assert (code, out) == (1, "")
+        assert err == "error: no tabulated closed form for m_{10} (degree 10 > 8)\n"
+
     @pytest.mark.parametrize("label", ["m_{0,2}", "2,0", "m_{-1,3}", "m_{2,2,}"])
     def test_bad_run_lengths_exit_code(self, capsys, label):
         code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", label)
@@ -153,6 +158,14 @@ class TestMc:
         assert "m2" in payload["estimates"]
         header = trace.read_text().splitlines()[0]
         assert header == "sample,tr_A2,tr_D2,tr_D4,acceptance"
+
+    def test_unwritable_trace_fails_before_the_chain(self, capsys, tmp_path):
+        trace = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "mc", "--n", "2", "--steps", "2000", "--burn-in", "1000",
+                             "--trace", str(trace))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and str(trace) in err
+        assert not trace.parent.exists()
 
     def test_bad_signature(self, capsys):
         code, _, err = run(capsys, "mc", "--signature", "9,9", "--steps", "100", "--burn-in", "10")

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from dirac2mm.algebra import CouplingPoint, SurdScalar
 from dirac2mm.sde import M2, CoefTag, generate_system, residual
-from dirac2mm.words import parse_moment_label
+from dirac2mm.words import CanonicalMoment, parse_moment_label
 from dirac2mm import closedform as cf
 
 P11 = CouplingPoint(1, 1)
@@ -84,13 +84,6 @@ class TestMoment:
             for eq in generate_system(7):
                 assert residual(eq, vals, p).is_zero(), eq.source_word
 
-    @pytest.mark.parametrize("max_word_degree", [9, 8, 0, 7.0, True, "7"])
-    def test_unclosed_word_degree_refused(self, max_word_degree):
-        # the table and its degree-10 completion close the equations of
-        # words up to degree 7 only; degree 9 needs degree-12 moments
-        with pytest.raises(ValueError, match="max_word_degree"):
-            cf.branch_assignment(CouplingPoint(1, 1), max_word_degree)
-
 
 def _solve_surd_linear(rows, rhs, ncols, ssq):
     """Pivot solution of a rectangular exact linear system over Q(s)."""
@@ -130,7 +123,8 @@ def _solve_surd_linear(rows, rhs, ncols, ssq):
 
 def brute_force_assignment(p):
     """The degree-10 completion by Gauss-Jordan elimination in Q(s) at the point."""
-    vals = cf.branch_assignment(p, max_word_degree=6)
+    table = (CanonicalMoment(runs) for runs in cf._MOMENT_TABLE)
+    vals = {m: cf.moment(m, p) for m in table}
     ssq = p.ssq
     t2s, t4s = SurdScalar.rational(p.t2, ssq), SurdScalar.rational(p.t4, ssq)
     zero, one = SurdScalar(0, 0, ssq), SurdScalar(1, 0, ssq)

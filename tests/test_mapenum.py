@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +156,14 @@ class TestEmptyWord:
     def test_cell_only_gluings_are_vacuum_pieces(self):
         maps = list(enumerate_gluings("", 1))
         assert maps and not any(m.planar or m.connected for m in maps)
+
+    @pytest.mark.parametrize("k, census", [(1, {0: 8, 1: 7}), (2, {0: 221, 1: 485, 2: 194})])
+    def test_genus_census_is_pinned(self, k, census):
+        # genus of the word-less gluings, whose pieces are all disconnected
+        # from any root; frozen from the per-component Euler characteristics
+        maps = list(enumerate_gluings("", k))
+        assert not any(m.connected for m in maps)
+        assert Counter(m.genus for m in maps) == census
 
 
 class TestDomain:

@@ -133,7 +133,7 @@ class TestGenerateSystem:
 class TestResidual:
     def test_closed_forms_solve_equation_of_first_word(self):
         p = CouplingPoint(1, 1)
-        vals = closedform.branch_assignment(p, max_word_degree=1)
+        vals = closedform.branch_assignment(p)
         assert residual(generate_equation("A"), vals, p).is_zero()
 
     def test_homogeneous_equation_with_zero_assignment(self):
@@ -144,7 +144,7 @@ class TestResidual:
 
     def test_sensitivity_to_perturbation(self):
         p = CouplingPoint(1, 1)
-        vals = dict(closedform.branch_assignment(p, max_word_degree=1))
+        vals = dict(closedform.branch_assignment(p))
         vals[M2] = vals[M2] + SurdScalar.rational(1, p.ssq)
         assert not residual(generate_equation("A"), vals, p).is_zero()
 
