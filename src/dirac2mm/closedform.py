@@ -419,6 +419,14 @@ def gaussian_free_energy(t2) -> float:
     return -5 * math.log(2) + 2 * math.log(math.pi) - 2 * math.log(float(t2))
 
 
+def _float_point(point: CouplingPoint, who: str) -> tuple[float, float]:
+    """(t2, s) as floats, refused outside the range where the free energies evaluate in floats."""
+    t2 = positive_t2(point.t2, who)
+    if not (Fraction(1, 10**300) <= t2 * t2 <= 10**300 and point.ssq <= 10**300):
+        raise ValueError(f"{who} needs 1e-300 <= t2^2 <= 1e300 and t2^2 + 8 t4 <= 1e300 to evaluate in floats")
+    return float(t2), point.s_float()
+
+
 def free_energy(point: CouplingPoint) -> float:
     """The published planar free-energy formula, evaluated as printed.
 
@@ -429,8 +437,7 @@ def free_energy(point: CouplingPoint) -> float:
     energy only at t2 = 1.  ``free_energy_consistent`` is the evaluator that
     satisfies both identities; the two coincide nowhere except by accident.
     """
-    t2 = float(positive_t2(point.t2, "free_energy"))
-    s = point.s_float()
+    t2, s = _float_point(point, "free_energy")
     arg = math.pi**2 * (t2 + s) / (64 * t2 * t2)
     return -0.5 + t2 / (t2 + s) + math.log(arg)
 
@@ -443,8 +450,7 @@ def free_energy_consistent(point: CouplingPoint) -> float:
 
         F = -1/2 + s/(t2 + s) + ln(pi^2 / (16 t2 (t2 + s))).
     """
-    t2 = float(positive_t2(point.t2, "free_energy_consistent"))
-    s = point.s_float()
+    t2, s = _float_point(point, "free_energy_consistent")
     arg = math.pi**2 / (16 * t2 * (t2 + s))
     return -0.5 + s / (t2 + s) + math.log(arg)
 

@@ -13,13 +13,21 @@ proposals of all chains a block of steps at a time, and the matrix algebra
 runs batched over chains.  Estimates come with batch-mean standard errors.
 
 Every tr D^ell, in the action and in the Dirac estimators, is the trace
-polynomial of ``closedform.dirac_trace_polynomial``, evaluated in one batch:
-the trace of each word is read off one Gram product of its halves.
-``dirac_operator`` is the dense reference.
+polynomial of ``closedform.dirac_trace_polynomial``.  A proposal moves one
+letter X with the other, Y, fixed; each letter has a preallocated buffer of
+seven slots per chain, I, X', X'^2, Y, Y^2, X'Y and (X'Y)^H.  A proposal
+fills X' with one addition and X'^2, X'Y and (X'Y)^H with two matrix
+products and a conjugate transpose, and reads the action, a quadratic form
+in tr of words of length <= 4, off one real Gram product of the buffer.  An
+accepted X' and its square are copied into the other letter's Y and Y^2
+slots, so the fixed letter is never rebuilt.  The estimators read the
+trace of each word off one Gram product of its halves.  ``dirac_operator``
+is the dense reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -142,9 +150,68 @@ def _dirac_traces(A, B, sig: Signature, ells: tuple) -> np.ndarray:
     return (traces[..., iu] * traces[..., iv]) @ coef.T
 
 
-def _batched_action(A, B, sig: Signature, t2: float, t4: float):
-    """Action of each chain's (A, B); shapes (C, N, N) -> (C,)."""
-    return _dirac_traces(A, B, sig, (2, 4)) @ np.array([t2, t4])
+# slots of a letter's buffer for the moving letter X and the fixed one Y; the
+# last is (XY)^H = YX, so one Gram product of the buffer with itself reads
+# every word of length <= 4 off gram[u, v] = Re tr(slot_u slot_v^H).  The
+# columns stop before the last slot, which every word also reads as a row:
+# numpy sends a square product of a buffer with its own transpose to BLAS
+# syrk, three times slower than gemm at this size.
+SLOTS = ("", "X", "XX", "Y", "YY", "XY", "YX")
+COLS = len(SLOTS) - 1
+
+
+def _necklace(w: str) -> str:
+    """Least rotation of w or of its reverse: Re tr of Hermitian letters is constant on it."""
+    return min(v[i:] + v[:i] for v in (w, w[::-1]) for i in range(max(len(v), 1)))
+
+
+@lru_cache(maxsize=None)
+def _action_plan(sig: Signature, letter: str) -> tuple:
+    """Flat Gram entries of each trace pair of tr D^2 and tr D^4, and their coefficients (2, pairs).
+
+    Slot pair (u, v) holds Re tr of slot u followed by slot v reversed; each
+    word of the trace polynomial reads the most balanced pair of its class.
+    """
+    other = "B" if letter == "A" else "A"
+    words = [s.replace("X", letter).replace("Y", other) for s in SLOTS]
+    entry = {}
+    for u, v in sorted(itertools.product(range(len(SLOTS)), range(COLS)),
+                       key=lambda p: (abs(len(SLOTS[p[0]]) - len(SLOTS[p[1]])), p)):
+        entry.setdefault(_necklace(words[u] + words[v][::-1]), u * COLS + v)
+    polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in (2, 4)]
+    pairs = sorted(set().union(*polys))
+    iu = np.array([entry[_necklace(u)] for u, _v in pairs])
+    iv = np.array([entry[_necklace(v)] for _u, v in pairs])
+    return iu, iv, np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+
+
+class _LetterBuffer:
+    """The slots I, X, X^2, Y, Y^2, XY, (XY)^H of each chain for one moving letter X.
+
+    ``moved`` (X, X^2) and ``held`` (Y, Y^2) are the slot pairs an accepted
+    move copies from one letter's buffer to the other's.
+    """
+
+    def __init__(self, X, Y, sig: Signature, letter: str, t2: float, t4: float):
+        self.buf = np.zeros((X.shape[0], len(SLOTS), *X.shape[1:]), dtype=complex)
+        self.buf[:, 0] = np.eye(X.shape[-1])
+        self.X, self.X2, self.Y, self.Y2, self.XY, self.YX = (self.buf[:, k] for k in range(1, 7))
+        self.moved, self.held = self.buf[:, 1:3], self.buf[:, 3:5]
+        self.X[...] = X
+        self.Y[...] = Y
+        np.matmul(self.Y, self.Y, out=self.Y2)
+        self.rows = self.buf.reshape(*self.buf.shape[:2], -1).view(float)
+        self.cols = self.rows[:, :COLS].swapaxes(-1, -2)
+        self.iu, self.iv, coef = _action_plan(sig, letter)
+        self.weights = np.array([t2, t4]) @ coef
+
+    def action(self) -> np.ndarray:
+        """Action of each chain, (C,), after X^2, XY and (XY)^H are rebuilt from the X and Y slots."""
+        np.matmul(self.X, self.X, out=self.X2)
+        np.matmul(self.X, self.Y, out=self.XY)
+        np.conjugate(self.XY.swapaxes(-1, -2), out=self.YX)
+        gram = (self.rows @ self.cols).reshape(len(self.buf), -1)
+        return (gram.take(self.iu, axis=1) * gram.take(self.iv, axis=1)) @ self.weights
 
 
 def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoint) -> float:
@@ -155,7 +222,7 @@ def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoi
         raise ValueError("A and B must be square matrices of equal size")
     _check_hermitian(A, "A")
     _check_hermitian(B, "B")
-    return float(_batched_action(A[None], B[None], sig, float(point.t2), float(point.t4))[0])
+    return float(_LetterBuffer(A[None], B[None], sig, "A", float(point.t2), float(point.t4)).action()[0])
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
@@ -237,8 +304,12 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     sig = cfg.signature
     gen = np.random.default_rng(cfg.seed)
 
-    X = np.zeros((2, C, n, n), dtype=complex)    # X[0] = A, X[1] = B
-    S = _batched_action(X[0], X[1], sig, t2, t4)
+    # bufs[0] moves A with B held, bufs[1] moves B; each holds the other's
+    # current letter and its square, so A is bufs[1].Y and B is bufs[0].Y
+    zeros = np.zeros((C, n, n), dtype=complex)
+    bufs = [_LetterBuffer(zeros, zeros, sig, letter, t2, t4) for letter in "AB"]
+    A, B = bufs[1].Y, bufs[0].Y
+    S = bufs[0].action()
     scales = np.full(C, cfg.step_scale)
     kept = (cfg.steps - cfg.burn_in) // cfg.thinning
     samples_a = np.empty((kept, C, n, n), dtype=complex)
@@ -250,16 +321,16 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
         targets, steps, log_u = _draw_block(gen, size, cfg, scales)
         accepted = np.empty((size, C), dtype=bool)
         for j, target in enumerate(targets):
-            prop = X[target] + steps[j]
-            A, B = (prop, X[1]) if target == 0 else (X[0], prop)
-            S_new = _batched_action(A, B, sig, t2, t4)
+            buf, other = bufs[target], bufs[1 - target]
+            np.add(other.Y, steps[j], out=buf.X)
+            S_new = buf.action()
             accept = np.less(log_u[j], S - S_new, out=accepted[j])
-            np.copyto(X[target], prop, where=accept[:, None, None])
+            np.copyto(other.held, buf.moved, where=accept[:, None, None, None])
             np.copyto(S, S_new, where=accept)
             post = start + j + 1 - cfg.burn_in
             if post > 0 and post % cfg.thinning == 0:
-                samples_a[post // cfg.thinning - 1] = X[0]
-                samples_b[post // cfg.thinning - 1] = X[1]
+                samples_a[post // cfg.thinning - 1] = A
+                samples_b[post // cfg.thinning - 1] = B
 
         burn = min(max(cfg.burn_in - start, 0), size)
         accept_count += accepted[burn:].sum(axis=0)

@@ -85,6 +85,11 @@ class TestFreeEnergy:
         code, out, _ = run(capsys, "free-energy", "--t2", "1", "--t4=-1/16")
         assert code == 0 and "as-printed formula" in out
 
+    @pytest.mark.parametrize("t2", ["1e-400", "1e200"])
+    def test_refuses_t2_outside_the_float_range(self, capsys, t2):
+        code, _, err = run(capsys, "free-energy", "--t2", t2, "--t4", "1")
+        assert code != 0 and "free_energy needs 1e-300 <= t2^2 <= 1e300" in err
+
     def test_help_shows_negative_coupling_hint(self, capsys):
         code, out, _ = run(capsys, "free-energy", "--help")
         assert code == 0 and "--t4=-1/16" in out

@@ -296,6 +296,13 @@ class TestRescaling:
 
 
 class TestFreeEnergy:
+    @pytest.mark.parametrize("t2", ["1e-400", "1e200"])
+    @pytest.mark.parametrize("name", ["free_energy", "free_energy_consistent"])
+    def test_refuses_t2_outside_the_float_range(self, name, t2):
+        # 1e-400 is 0.0 as a float, and the square of 1e200 overflows
+        with pytest.raises(ValueError, match=rf"^{name} needs 1e-300 <= t2\^2 <= 1e300"):
+            getattr(cf, name)(CouplingPoint(F(t2), 1))
+
     def test_printed_value_pin(self):
         assert cf.free_energy(P11) == pytest.approx(-0.25 + math.log(math.pi**2 / 16), abs=1e-12)
 

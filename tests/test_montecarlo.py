@@ -40,6 +40,30 @@ class TestAction:
                 ).real
                 assert mc.action_eval(A, B, sig, p) == pytest.approx(direct, rel=1e-12)
 
+    @pytest.mark.parametrize("sig", list(Signature))
+    @pytest.mark.parametrize("letter", ["A", "B"])
+    def test_letter_kernel_matches_dense_operator(self, sig, letter):
+        # a batch of 3 random pairs, traceless on commutator letters as the sampler keeps them
+        rng = np.random.default_rng(4)
+        t2, t4 = 1.5, 2 / 3
+        for n in (1, 2, 3, 5):
+            pairs = []
+            for _ in range(3):
+                A, B = random_hermitian(rng, n), random_hermitian(rng, n)
+                for M, eps in ((A, sig.eps1), (B, sig.eps2)):
+                    if eps == -1:
+                        M -= np.trace(M) / n * np.eye(n)
+                pairs.append((A, B))
+            X, Y = (np.array(m) for m in zip(*pairs))
+            if letter == "B":
+                X, Y = Y, X
+            got = mc._LetterBuffer(X, Y, sig, letter, t2, t4).action()
+            for (A, B), s in zip(pairs, got):
+                D = mc.dirac_operator(A, B, sig)
+                D2 = D @ D
+                direct = t2 * np.trace(D2).real + t4 * np.einsum("ij,ji->", D2, D2).real
+                assert s == pytest.approx(direct, rel=1e-12), (n, s, direct)
+
     def test_swap_symmetry_for_symmetric_signatures(self):
         rng = np.random.default_rng(1)
         A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
@@ -231,12 +255,41 @@ CHAIN_PINS = {
 }
 
 
+def assert_pinned(r, acceptance, sum_a, sum_b):
+    assert r.acceptance.tolist() == acceptance
+    assert r.samples_a.real.sum() == pytest.approx(sum_a, rel=1e-10)
+    assert r.samples_b.real.sum() == pytest.approx(sum_b, rel=1e-10)
+
+
 def test_chains_are_pinned(signature_chains):
-    for sig, (acceptance, sum_a, sum_b) in CHAIN_PINS.items():
-        r = signature_chains[sig]
-        assert r.acceptance.tolist() == acceptance
-        assert r.samples_a.real.sum() == pytest.approx(sum_a, rel=1e-10)
-        assert r.samples_b.real.sum() == pytest.approx(sum_b, rel=1e-10)
+    for sig, pin in CHAIN_PINS.items():
+        assert_pinned(signature_chains[sig], *pin)
+
+
+# the same pins at the benchmark's shape (N = 10, 8 chains), frozen from the
+# sampler that rebuilt every word trace of the pair on each proposal
+BENCH_SHAPE_PINS = {
+    Signature.S20: ([0.378, 0.384, 0.378, 0.368, 0.353, 0.362, 0.399, 0.407],
+                    -179.139516393897, 157.929780620127),
+    Signature.S11: ([0.378, 0.405, 0.363, 0.435, 0.322, 0.381, 0.409, 0.429],
+                    -86.29800363635097, 57.96288492350332),
+    Signature.S02: ([0.343, 0.378, 0.385, 0.386, 0.321, 0.369, 0.343, 0.422],
+                    -153.29277758660365, 92.58956945381017),
+}
+
+
+@pytest.mark.parametrize("sig", list(Signature))
+def test_benchmark_shape_chains_are_pinned(sig):
+    cfg = mc.SamplerConfig(n=10, point=P11, signature=sig, steps=1500, burn_in=500,
+                           thinning=10, seed=3, chains=8)
+    assert_pinned(mc.run_chain(cfg), *BENCH_SHAPE_PINS[sig])
+
+
+def test_single_letter_chain_is_pinned():
+    cfg = mc.SamplerConfig(n=1, point=P11, steps=1500, burn_in=500, thinning=10,
+                           seed=3, chains=8, update_targets="A")
+    assert_pinned(mc.run_chain(cfg), [0.427, 0.411, 0.438, 0.458, 0.463, 0.402, 0.42, 0.464],
+                  7.409287869296349, 0.0)
 
 
 def dense_traces(result, samples):
