@@ -31,7 +31,7 @@ print("(at order t4 it is exactly the pair of sphere gluings of the alternating 
 print(" with one chequered quadrangle: 2 x 8 / 8^4 = 1/256)")
 
 print("\nagainst the algebraic branch, the first diverging order of each moment:")
-for record in verify_closed_forms(D=8, K=3, t2=1, table=table):
+for record in verify_closed_forms(table):
     if record.ok:
         status = "matches through order 3"
     elif record.closed_coeffs is None:

@@ -45,6 +45,15 @@ def positive_t2(t2, who: str) -> Fraction:
     return t2
 
 
+def float_range(who: str, both=(), upper=()) -> None:
+    """Refuse, before any float conversion, a (label, value) of ``both`` outside
+    [1e-300, 1e300] or of ``upper`` above 1e300; the message names every bound."""
+    if all(Fraction(1, 10**300) <= v <= 10**300 for _, v in both) and all(v <= 10**300 for _, v in upper):
+        return
+    bounds = [f"1e-300 <= {label} <= 1e300" for label, _ in both] + [f"{label} <= 1e300" for label, _ in upper]
+    raise ValueError(f"{who} needs {' and '.join(bounds)} to evaluate in floats")
+
+
 def rational_sqrt(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
@@ -154,16 +163,11 @@ class SurdScalar:
         o = self._check(other)
         return SurdScalar(self.a + o.a, self.b + o.b, self.ssq)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return SurdScalar(-self.a, -self.b, self.ssq)
 
     def __sub__(self, other):
         return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __mul__(self, other):
         if not isinstance(other, SurdScalar):
@@ -196,21 +200,6 @@ class SurdScalar:
         o = self._check(other)
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        return self._check(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = SurdScalar(1, 0, self.ssq)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparisons & conversions --------------------------------------
 
     def is_zero(self) -> bool:
@@ -232,14 +221,6 @@ class SurdScalar:
         if self.ssq < 0:
             raise ValueError("negative radicand has no real value")
         return float(self.a) + float(self.b) * math.sqrt(float(self.ssq))
-
-    def as_json(self) -> dict:
-        return {
-            "a": str(self.a),
-            "b": str(self.b),
-            "ssq": str(self.ssq),
-            "decimal": self.to_float(),
-        }
 
     def __repr__(self):
         red = self.reduced()
@@ -305,19 +286,6 @@ class MomentSeries:
         o, k = self._align(other)
         return MomentSeries(self.t2, [self.coeffs[i] + o.coeffs[i] for i in range(k + 1)])
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MomentSeries(self.t2, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        o, _ = self._align(other)
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o, _ = self._align(other)
-        return o - self
-
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
             return MomentSeries(self.t2, [c * other for c in self.coeffs])
@@ -329,8 +297,6 @@ class MomentSeries:
             for j in range(k + 1 - i):
                 out[i + j] += self.coeffs[i] * o.coeffs[j]
         return MomentSeries(self.t2, out)
-
-    __rmul__ = __mul__
 
     def shift_mul_t4(self, power: int = 1) -> "MomentSeries":
         """Multiply by t4**power, keeping the truncation order."""
@@ -349,14 +315,6 @@ class MomentSeries:
                 )
         tail = list(self.coeffs[power:]) or [Fraction(0)]
         return MomentSeries(self.t2, tail)
-
-    def eval(self, t4) -> Fraction:
-        """Horner evaluation of the truncated polynomial at rational t4."""
-        x = rat(t4)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def sqrt(self) -> "MomentSeries":
         """Series g with g*g == self up to the truncation order.

@@ -32,6 +32,7 @@ from .algebra import (
     MomentSeries,
     SurdScalar,
     exact_int,
+    float_range,
     positive_t2,
     rat,
     rational_sqrt,
@@ -416,14 +417,14 @@ def rescale_dirac(ell: int, point: CouplingPoint):
 def gaussian_free_energy(t2) -> float:
     """Quadratic-ensemble free energy: -5 ln 2 + 2 ln pi - 2 ln t2."""
     t2 = positive_t2(t2, "gaussian_free_energy")
+    float_range("gaussian_free_energy", both=[("t2^2", t2 * t2)])
     return -5 * math.log(2) + 2 * math.log(math.pi) - 2 * math.log(float(t2))
 
 
 def _float_point(point: CouplingPoint, who: str) -> tuple[float, float]:
     """(t2, s) as floats, refused outside the range where the free energies evaluate in floats."""
     t2 = positive_t2(point.t2, who)
-    if not (Fraction(1, 10**300) <= t2 * t2 <= 10**300 and point.ssq <= 10**300):
-        raise ValueError(f"{who} needs 1e-300 <= t2^2 <= 1e300 and t2^2 + 8 t4 <= 1e300 to evaluate in floats")
+    float_range(who, both=[("t2^2", t2 * t2)], upper=[("t2^2 + 8 t4", point.ssq)])
     return float(t2), point.s_float()
 
 
@@ -484,15 +485,6 @@ class SusceptibilityExpansion:
                 return coeff
         raise KeyError(f"no term with exponent {e}")
 
-    def as_json(self) -> dict:
-        return {
-            "t2": str(self.t2),
-            "gamma": str(self.gamma),
-            "terms": [
-                {"exponent": str(e), **c.as_json()} for e, c in self.terms
-            ],
-        }
-
 
 def susceptibility_expansion(t2, num_terms: int = 4) -> SusceptibilityExpansion:
     """Exact expansion of d_4 / d_4(critical) about the critical coupling.
@@ -539,9 +531,3 @@ def moment_table_rows(point: CouplingPoint):
         c = CanonicalMoment(runs)
         v = moment(c, point)
         yield (c.label(), c.degree, str(v.a), str(v.b), str(v.ssq), v.to_float())
-
-
-def moment_table_json(point: CouplingPoint) -> list:
-    rows = list(moment_table_rows(point))
-    header = rows[0]
-    return [dict(zip(header, row)) for row in rows[1:]]

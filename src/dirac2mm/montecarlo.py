@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CouplingPoint, exact_int
+from .algebra import CouplingPoint, exact_int, float_range
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
 from .words import word_letters
 
@@ -50,7 +50,6 @@ class SamplerConfig:
     steps: int = 200_000
     burn_in: int = 20_000
     thinning: int = 50
-    step_scale: float | None = None   # None: start from a size-aware guess
     seed: int = 2024
     chains: int = 8
     update_targets: str = "AB"   # which matrices the walk updates ("AB" or "A")
@@ -68,15 +67,11 @@ class SamplerConfig:
             raise ValueError("thinning and chains must be >= 1")
         if (self.steps - self.burn_in) // self.thinning == 0:
             raise ValueError("no samples kept; increase steps or reduce thinning")
-        if self.step_scale is None:
-            guess = 0.7 / math.sqrt(8.0 * float(self.point.t2) * self.n * max(1, self.n))
-            object.__setattr__(self, "step_scale", guess)
-        if not math.isfinite(self.step_scale) or self.step_scale <= 0:
-            raise ValueError(f"step_scale must be a positive finite number, got {self.step_scale}")
         if self.update_targets not in ("AB", "A"):
             raise ValueError("update_targets must be 'AB' or 'A'")
         if self.point.t2 <= 0 or self.point.t4 <= 0:
             raise ValueError("sampler needs t2 > 0 and t4 > 0")
+        float_range("sampler", both=[("t2", self.point.t2), ("t4", self.point.t4)])
 
     @property
     def proposals(self) -> int:
@@ -89,8 +84,9 @@ class EstimateWithError:
     std_error: float
     n_eff: float
 
-    def agrees_with(self, value: float, nsigma: float = 3.0) -> bool:
-        return abs(self.mean - value) <= nsigma * self.std_error
+    def agrees_with(self, value: float) -> bool:
+        """True iff ``value`` lies within three standard errors of the mean."""
+        return abs(self.mean - value) <= 3 * self.std_error
 
     def as_json(self) -> dict:
         return {"mean": self.mean, "std_error": self.std_error, "n_eff": self.n_eff}
@@ -294,8 +290,9 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     """Metropolis random walk; deterministic given the seed.
 
     One proposal per step per chain: a Gaussian Hermitian step on one
-    matrix, accepted with probability min(1, exp(-dS)).  The proposal scale
-    is adapted toward 40% acceptance during burn-in only, then frozen.
+    matrix, accepted with probability min(1, exp(-dS)).  Every chain's
+    proposal scale starts at 0.7 / sqrt(8 t2 N^2), is adapted toward 40%
+    acceptance during burn-in only, then frozen.
     Proposals are drawn a block of ``BLOCK`` steps at a time from one
     generator; each block is one tuning window.
     """
@@ -310,7 +307,7 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     bufs = [_LetterBuffer(zeros, zeros, sig, letter, t2, t4) for letter in "AB"]
     A, B = bufs[1].Y, bufs[0].Y
     S = bufs[0].action()
-    scales = np.full(C, cfg.step_scale)
+    scales = np.full(C, 0.7 / math.sqrt(8.0 * t2 * n * n))
     kept = (cfg.steps - cfg.burn_in) // cfg.thinning
     samples_a = np.empty((kept, C, n, n), dtype=complex)
     samples_b = np.empty((kept, C, n, n), dtype=complex)
@@ -347,10 +344,10 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     )
 
 
-def _batch_mean_error(values: np.ndarray, min_batches: int = 16) -> EstimateWithError:
-    """Batch-mean standard error of a (T, C) series of observables."""
+def _batch_mean_error(values: np.ndarray) -> EstimateWithError:
+    """Batch-mean standard error of a (T, C) series of observables, from at least 16 batches."""
     T, C = values.shape
-    per_chain = max(min_batches // C + (min_batches % C > 0), 2)
+    per_chain = max(16 // C + (16 % C > 0), 2)
     per_chain = min(per_chain, T)
     batch_len = T // per_chain
     usable = batch_len * per_chain
@@ -454,25 +451,19 @@ def n1_marginal_ks(point: CouplingPoint, samples: int = 100_000, seed: int = 7) 
     return distance, k
 
 
-def signature_scan(
-    point: CouplingPoint,
-    n: int = 10,
-    steps: int = 250_000,
-    seed: int = 11,
-    chains: int = 8,
-) -> dict:
-    """m_2 and alternating-moment estimates for all three signatures."""
+def signature_scan(point: CouplingPoint) -> dict:
+    """m_2 and alternating-moment estimates for all three signatures at N = 10."""
     out = {}
     for sig in Signature:
         cfg = SamplerConfig(
-            n=n,
+            n=10,
             point=point,
             signature=sig,
-            steps=steps,
-            burn_in=min(30_000, steps // 5),
+            steps=250_000,
+            burn_in=30_000,
             thinning=50,
-            seed=seed,
-            chains=chains,
+            seed=11,
+            chains=8,
         )
         result = run_chain(cfg)
         out[sig] = {

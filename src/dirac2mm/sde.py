@@ -70,19 +70,6 @@ class SdeEquation:
     def is_trivial(self) -> bool:
         return not self.lhs and not self.rhs
 
-    @property
-    def moments(self) -> set:
-        out = set()
-        for x, y in self.lhs:
-            out.add(x)
-            out.add(y)
-        for m, tag in self.rhs:
-            out.add(m)
-            if tag is CoefTag.BT:
-                out.add(M2)
-        out.discard(CanonicalMoment(()))
-        return out
-
     # -- rendering -------------------------------------------------------
 
     def _merged_quartic(self, normalized: bool = False) -> list[tuple[CanonicalMoment, int]]:
@@ -145,10 +132,7 @@ class SdeEquation:
         quartic = tuple(sorted(((m.runs, c) for m, c in self._merged_quartic())))
         c2 = tuple(sorted(m.runs for m, tag in self.rhs if tag is CoefTag.C2))
         bt = tuple(sorted(m.runs for m, tag in self.rhs if tag is CoefTag.BT))
-        return (self.lhs_key(), c2, quartic, bt)
-
-    def lhs_key(self):
-        return tuple(sorted((x.runs, y.runs) for x, y in self.lhs))
+        return (tuple(sorted((x.runs, y.runs) for x, y in self.lhs)), c2, quartic, bt)
 
 
 def _odd(letters: str) -> bool:

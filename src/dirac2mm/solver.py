@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import MomentSeries, exact_int, positive_t2, rat
+from .algebra import MomentSeries, exact_int, positive_t2
 from .words import (
     A,
     CanonicalMoment,
@@ -128,9 +128,6 @@ class MomentTable:
         if vanishes_by_parity(c):
             return MomentSeries.zero(self.t2, self.order)
         return self.moments[c]
-
-    def coefficient(self, c, k: int) -> Fraction:
-        return self.series(c).coefficient(k)
 
     def as_json(self) -> dict:
         return {
@@ -234,31 +231,24 @@ class VerifyRecord:
     detail: str = ""
 
 
-def verify_closed_forms(D: int, K: int, t2, table: MomentTable | None = None) -> list[VerifyRecord]:
-    """Compare the perturbative solution against the closed-form branch.
+def verify_closed_forms(table: MomentTable) -> list[VerifyRecord]:
+    """Compare a perturbative solution against the closed-form branch.
 
     Every closed form is Taylor-expanded exactly (surd expanded via the
-    series square root) and compared coefficient by coefficient with the
-    solver output.  Mismatches are reported as data, including the first
-    diverging order; closed forms that are not power series at t4 = 0
-    (the degree-8 branch values have a simple pole) are flagged as such.
-    A given ``table`` must be the solution for exactly this (D, K, t2).
+    series square root) at the table's t2 and order, and compared
+    coefficient by coefficient with each of the table's moments through its
+    degree.  Mismatches are reported as data, including the first diverging
+    order; closed forms that are not power series at t4 = 0 (the degree-8
+    branch values have a simple pole) are flagged as such.
     """
     from . import closedform
 
-    if table is None:
-        table = solve_series(D, K, t2)
-    elif (table.max_degree, table.order, table.t2) != (D, K, rat(t2)):
-        raise ValueError(
-            f"table solves D = {table.max_degree}, K = {table.order}, t2 = {table.t2}, "
-            f"not the requested D = {D}, K = {K}, t2 = {rat(t2)}"
-        )
     records = []
-    for d in range(2, D + 1, 2):
+    for d in range(2, table.max_degree + 1, 2):
         for c in iter_canonical_moments(d):
             solver_coeffs = tuple(table.series(c).coeffs)
             try:
-                closed = closedform.moment_series(c, t2, K)
+                closed = closedform.moment_series(c, table.t2, table.order)
             except closedform.PoleAtGaussianPoint as exc:
                 records.append(
                     VerifyRecord(c, False, None, solver_coeffs, None, detail=str(exc))

@@ -159,10 +159,6 @@ class CanonicalMoment:
         return sum(self.runs)
 
     @property
-    def q(self) -> int:
-        return len(self.runs)
-
-    @property
     def a_degree(self) -> int:
         return sum(self.runs[0::2])
 
@@ -181,9 +177,6 @@ class CanonicalMoment:
         if not self.runs:
             return "m_0"
         return "m_{" + ",".join(str(r) for r in self.runs) + "}"
-
-    def as_json(self) -> list:
-        return list(self.runs)
 
     def __repr__(self):
         return self.label()
@@ -240,31 +233,26 @@ def _necklaces(n: int):
             yield s
 
 
-@lru_cache(maxsize=64)   # one entry per (degree, even_only) in use
-def _canonical_moments(degree: int, even_only: bool) -> tuple:
+@lru_cache(maxsize=64)   # one entry per degree in use
+def _canonical_moments(degree: int) -> tuple:
     if degree == 0:
         return (CanonicalMoment(()),)
     out = []
     for s in _necklaces(degree):
-        if s != _canonical_rep(s):
-            continue
         a = s.count(A)
-        if even_only and (a % 2 or (degree - a) % 2):
+        if a % 2 or (degree - a) % 2 or s != _canonical_rep(s):
             continue
         out.append(CanonicalMoment(_runs_of(s)))
     return tuple(sorted(out, key=lambda c: c.runs))
 
 
-def iter_canonical_moments(degree: int, even_only: bool = True) -> list:
-    """All canonical moment classes of the exact given degree, sorted.
-
-    With even_only, only classes with even A- and B-degree (the ones not
-    killed by parity) are produced.
-    """
+def iter_canonical_moments(degree: int) -> list:
+    """Canonical moment classes of the exact given degree with even A- and
+    B-degree (the ones parity does not kill), sorted."""
     degree = exact_int(degree, "degree")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    return list(_canonical_moments(degree, bool(even_only)))
+    return list(_canonical_moments(degree))
 
 
 def parse_moment_label(text: str) -> CanonicalMoment:

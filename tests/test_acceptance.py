@@ -53,7 +53,7 @@ def test_criterion_2_system_structure():
 
 def test_criterion_3_exact_residuals():
     start = time.monotonic()
-    result = verification.check_exact_residuals(points=10)
+    result = verification.check_exact_residuals()
     assert result.passed, "\n".join(result.lines)
     assert time.monotonic() - start < 10.0
 
@@ -68,7 +68,7 @@ def solver_table():
 
 @pytest.fixture(scope="module")
 def verify_records(solver_table):
-    return solver.verify_closed_forms(D=8, K=3, t2=1, table=solver_table)
+    return solver.verify_closed_forms(solver_table)
 
 
 def test_criterion_4_runtime_bound(solver_table):
@@ -115,7 +115,7 @@ def test_criterion_4_divergence_structure_is_exact(verify_records):
 @pytest.fixture(scope="module")
 def map_check():
     start = time.monotonic()
-    result = verification.check_map_agreement(max_degree=6, max_order=2)
+    result = verification.check_map_agreement()
     return result, time.monotonic() - start
 
 
@@ -213,7 +213,7 @@ def mc_scan():
     from dirac2mm import montecarlo
 
     start = time.monotonic()
-    scan = montecarlo.signature_scan(CouplingPoint(1, 1), n=10, steps=250_000, seed=11)
+    scan = montecarlo.signature_scan(CouplingPoint(1, 1))
     elapsed = time.monotonic() - start
     return scan, elapsed
 
@@ -251,7 +251,7 @@ def test_criterion_9_signatures_mutually_consistent(mc_scan):
 def test_criterion_9_alternating_word_consistent_with_zero(mc_scan):
     scan, _ = mc_scan
     for sig, data in scan.items():
-        assert data["abab"].agrees_with(0.0, 3.0), f"{sig}: {data['abab'].as_json()}"
+        assert data["abab"].agrees_with(0.0), f"{sig}: {data['abab'].as_json()}"
 
 
 @pytest.mark.slow

@@ -177,6 +177,12 @@ class TestMc:
         assert code == 1
         assert "signature" in err
 
+    @pytest.mark.parametrize("t2", ["1e-400", "1e400"])
+    def test_refuses_t2_outside_the_float_range(self, capsys, t2):
+        code, out, err = run(capsys, "mc", "--n", "2", "--t2", t2, "--steps", "200", "--burn-in", "100")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: sampler needs 1e-300 <= t2 <= 1e300")
+
 
 class TestCritical:
     def test_output(self, capsys):

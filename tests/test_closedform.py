@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -300,8 +301,16 @@ class TestFreeEnergy:
     @pytest.mark.parametrize("name", ["free_energy", "free_energy_consistent"])
     def test_refuses_t2_outside_the_float_range(self, name, t2):
         # 1e-400 is 0.0 as a float, and the square of 1e200 overflows
-        with pytest.raises(ValueError, match=rf"^{name} needs 1e-300 <= t2\^2 <= 1e300"):
+        message = f"{name} needs 1e-300 <= t2^2 <= 1e300 and t2^2 + 8 t4 <= 1e300 to evaluate in floats"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             getattr(cf, name)(CouplingPoint(F(t2), 1))
+
+    @pytest.mark.parametrize("t2", ["1e-400", "1e400"])
+    def test_gaussian_refuses_t2_outside_the_float_range(self, t2):
+        # the same guard as the other two free energies, before log(float(t2)) fails
+        message = "gaussian_free_energy needs 1e-300 <= t2^2 <= 1e300 to evaluate in floats"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cf.gaussian_free_energy(F(t2))
 
     def test_printed_value_pin(self):
         assert cf.free_energy(P11) == pytest.approx(-0.25 + math.log(math.pi**2 / 16), abs=1e-12)
@@ -421,7 +430,3 @@ class TestExports:
         assert len(rows) == 21
         body = {r[0]: r for r in rows[1:]}
         assert body["m_{2}"][5] == pytest.approx(1 / 16)
-
-    def test_table_json(self):
-        payload = cf.moment_table_json(P11)
-        assert {row["index"] for row in payload} >= {"m_{2}", "m_{8}", "m_{4,4}"}

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -97,10 +98,12 @@ class TestConfig:
             mc.SamplerConfig(n=10, point=P11, steps=3009, burn_in=3000, thinning=10)
         assert mc.SamplerConfig(n=10, point=P11, steps=3010, burn_in=3000, thinning=10)
 
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -0.1])
-    def test_refuses_bad_step_scale(self, scale):
-        with pytest.raises(ValueError, match=f"step_scale must be a positive finite number, got {scale}"):
-            mc.SamplerConfig(n=4, point=P11, step_scale=scale)
+    @pytest.mark.parametrize("t2, t4", [("1e-400", 1), ("1e400", 1), (1, "1e-400"), (1, "1e400")])
+    def test_refuses_couplings_outside_the_float_range(self, t2, t4):
+        # 1e-400 is 0.0 as a float and 1e400 overflows one: refused before any conversion
+        message = "sampler needs 1e-300 <= t2 <= 1e300 and 1e-300 <= t4 <= 1e300 to evaluate in floats"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            mc.SamplerConfig(n=2, point=CouplingPoint(F(t2), F(t4)))
 
     @pytest.mark.parametrize("field", ["n", "steps", "burn_in", "thinning", "chains", "seed"])
     @pytest.mark.parametrize("bad", [2.5, True])
@@ -113,9 +116,10 @@ class TestConfig:
         assert type(cfg.n) is int and type(cfg.steps) is int
 
     def test_default_scale_depends_on_size(self):
-        small = mc.SamplerConfig(n=2, point=P11)
-        large = mc.SamplerConfig(n=12, point=P11)
-        assert small.step_scale > large.step_scale
+        # without burn-in the scales are never tuned, so every chain keeps its starting scale
+        for n in (2, 12):
+            cfg = mc.SamplerConfig(n=n, point=P11, steps=2, burn_in=0, thinning=1, chains=3)
+            assert np.array_equal(mc.run_chain(cfg).step_scales, np.full(3, 0.7 / math.sqrt(8 * n**2)))
 
     def test_proposal_count(self):
         cfg = mc.SamplerConfig(n=4, point=P11, steps=1000, burn_in=100, chains=8)
@@ -202,7 +206,7 @@ class TestChain:
 
     def test_parity_observable_is_noise(self, short_chain):
         est = mc.estimate_moment(short_chain, "AB")
-        assert est.agrees_with(0.0, nsigma=3.0)
+        assert est.agrees_with(0.0)
 
     def test_dirac_estimate(self, short_chain):
         est = mc.estimate_dirac(short_chain, 2, max_samples=300)

@@ -168,33 +168,23 @@ class TestDeterminationConsistency:
 
 class TestVerifyClosedForms:
     def test_divergence_is_reported_not_raised(self):
-        records = verify_closed_forms(D=4, K=2, t2=1)
+        records = verify_closed_forms(solve_series(4, 2, 1))
         by_label = {r.moment.label(): r for r in records}
         assert not by_label["m_{2}"].ok and by_label["m_{2}"].first_mismatch == 2
         assert not by_label["m_{4}"].ok and by_label["m_{4}"].first_mismatch == 1
         assert not by_label["m_{1,1,1,1}"].ok and by_label["m_{1,1,1,1}"].first_mismatch == 1
 
     def test_order_zero_degree_four_agrees(self):
-        records = verify_closed_forms(D=4, K=0, t2=1)
+        records = verify_closed_forms(solve_series(4, 0, 1))
         for r in records:
             assert r.ok, r.moment.label()
 
-    @pytest.mark.parametrize(
-        "asked, solved, message",
-        [
-            # order 0 only: zip would compare order 0 and call every moment ok
-            ((4, 3, 1), (4, 0, 1), "table solves D = 4, K = 0, t2 = 1, not the requested D = 4, K = 3, t2 = 1"),
-            # t2 = 1 coefficients against t2 = 2 closed forms
-            ((4, 2, 2), (4, 2, 1), "table solves D = 4, K = 2, t2 = 1, not the requested D = 4, K = 2, t2 = 2"),
-            # degree 6 moments are missing from the table
-            ((6, 0, 1), (4, 0, 1), "table solves D = 4, K = 0, t2 = 1, not the requested D = 6, K = 0, t2 = 1"),
-        ],
-    )
-    def test_mismatched_table_is_refused(self, asked, solved, message):
-        D, K, t2 = asked
-        with pytest.raises(ValueError) as caught:
-            verify_closed_forms(D, K, t2, table=solve_series(*solved))
-        assert str(caught.value) == message
+    def test_closed_forms_are_expanded_at_the_tables_t2(self):
+        # D, K and t2 come from the table, so the closed forms are expanded at t2 = 3/2 through order 2
+        records = verify_closed_forms(solve_series(4, 2, F(3, 2)))
+        first = {r.moment.label(): r.first_mismatch for r in records}
+        assert first == {"m_{2}": 2, "m_{4}": 1, "m_{2,2}": 1, "m_{1,1,1,1}": 1}
+        assert all(len(r.closed_coeffs) == 3 for r in records)
 
     def test_denominator_corruption_detected(self):
         # writing the degree-6 denominator with its doubled misprint makes
@@ -206,7 +196,7 @@ class TestVerifyClosedForms:
         corrupted = (original[0], 3276832768, original[2])
         try:
             cf._MOMENT_TABLE[runs] = corrupted
-            records = verify_closed_forms(D=6, K=1, t2=1)
+            records = verify_closed_forms(solve_series(6, 1, 1))
             bad = {r.moment.label(): r for r in records}["m_{6}"]
             assert not bad.ok and bad.first_mismatch == 0
             assert bad.closed_coeffs[0] == F(19 * 16, 3276832768)
