@@ -183,13 +183,20 @@ class PoleAtGaussianPoint(ArithmeticError):
     """The branch value is not a power series at t4 = 0."""
 
 
+@lru_cache(maxsize=16)
+def _powers_at(point: CouplingPoint) -> dict:
+    """t2^i t4^j at ``point`` for every (i, j) the table uses, formed once."""
+    pairs = {(i, j) for _, _, monomials in _MOMENT_TABLE.values() for _, i, j, _ in monomials}
+    return {(i, j): point.t2**i * point.t4**j for i, j in pairs}
+
+
 def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     q, den, monomials = _MOMENT_TABLE[runs]
-    t2, t4 = point.t2, point.t4
+    powers = _powers_at(point)
     parts = [Fraction(0), Fraction(0)]     # plain part, surd part
     for coef, i, j, sp in monomials:
-        parts[sp] += coef * t2**i * t4**j
-    scale = den * t4**q
+        parts[sp] += coef * powers[i, j]
+    scale = den * point.t4**q
     return SurdScalar(parts[0] / scale, parts[1] / scale, point.ssq)
 
 

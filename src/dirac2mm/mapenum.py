@@ -18,16 +18,16 @@ cylinder is two discs joined by a branch (a tube), so chi = V - E + F -
 branches together, and genus = pieces - chi / 2.  A gluing contributes at
 leading order iff it is one piece, rooted at the word polygon, of genus 0.
 
-One walk serves every entry point: ``_layouts`` yields the feasible cell
-multisets of an order, and ``_matchings`` glues the darts of one of them
-dart by dart, keeping the partial surface S' (the polygons glued along the
-edges matched so far, each cylinder one annulus), its components and the
-boundary cycles of their open darts.  A gluing is planar exactly when the
-finished surface is one sphere: with n components of Euler characteristic
-chi_i joined by c cylinders into one piece, chi = sum chi_i - 2c <= 2n -
-2(n - 1) = 2, with equality iff every chi_i = 2 and the branch graph is a
-tree (Guionnet & Maurel-Segala, ALEA 1, 2006).  So the planar walk, which
-``moment_coefficient`` and ``cancellation_report`` use, skips two moves:
+Counts come from a recursion and labelled maps from a walk.
+``_layouts`` yields the feasible cell multisets of an order, and
+``_matchings`` glues the darts of one of them dart by dart, keeping the
+partial surface S' (the polygons glued along the edges matched so far, each
+cylinder one annulus), its components and the boundary cycles of their open
+darts.  A gluing is planar exactly when the finished surface is one sphere:
+with n components of Euler characteristic chi_i joined by c cylinders into
+one piece, chi = sum chi_i - 2c <= 2n - 2(n - 1) = 2, with equality iff
+every chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala,
+ALEA 1, 2006).  So the planar walk skips two moves:
 
 - a handle: gluing two darts of one component that lie on different
   boundary cycles raises its genus, and genus never falls again;
@@ -36,7 +36,12 @@ tree (Guionnet & Maurel-Segala, ALEA 1, 2006).  So the planar walk, which
 
 Every other move keeps each component planar, so every leaf it reaches is
 planar.  ``enumerate_gluings`` walks without the cuts and yields every
-matching, in the same order.
+matching, in the same order.  The number of planar leaves below a node
+depends only on the shape of S' there: its components and the colour words
+of their open cycles.  ``_planar_count`` recurses over that shape with the
+walk's cuts, memoised within one call, and ``moment_coefficient`` and
+``cancellation_report`` sum layout weights times these counts; only the
+labelled maps (the dumps and the report's witnesses) come from the walk.
 """
 
 from __future__ import annotations
@@ -226,6 +231,61 @@ def _matchings(layout: _Layout, planar: bool):
     return walk(0)
 
 
+def _least_rotation(cycle: str) -> str:
+    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+
+
+def _component(cycles) -> tuple:
+    """A component of S' as the sorted least rotations of its open cycles."""
+    return tuple(sorted(_least_rotation(c) for c in cycles if c))
+
+
+def _planar_count(layout: _Layout, memo: dict) -> int:
+    """The number of planar matchings of ``layout``, without labelled darts.
+
+    The completions of a partial surface depend only on its components and
+    the colour words of their open boundary cycles, so the count recurses
+    over that canonical state, memoised in ``memo``.  Each step glues the
+    first dart of the first cycle to every open dart of its colour, with
+    the walk's cuts and the walk's splicing of boundary cycles.
+    """
+    if not layout.word:       # nothing is rooted: only the empty gluing counts
+        return int(not layout.colors)
+    word = "".join(RED if c == "A" else BLUE for c in layout.word)
+    cells = [map("".join, CELLS[kind].boundaries) for kind in layout.kinds]
+    return _count(tuple(sorted(map(_component, [(word,), *cells]))), memo)
+
+
+def _count(state: tuple, memo: dict) -> int:
+    """Planar completions of a sorted tuple of ``_component``s.
+
+    A partner on another cycle of the first component would add a handle,
+    so it is never tried.
+    """
+    if state in memo:
+        return memo[state]
+    (cycle, *others), rest = state[0], state[1:]
+    colour, tail = cycle[0], cycle[1:]
+    moves = [                 # a partner on the same cycle splits it in two
+        (others + [tail[:j], tail[j + 1 :]], rest)
+        for j, c in enumerate(tail) if c == colour
+    ]
+    for i, comp in enumerate(rest):   # one in another component merges the two
+        for m, other in enumerate(comp):
+            joined = [tail + other[j + 1 :] + other[:j] for j, c in enumerate(other) if c == colour]
+            kept = others + list(comp[:m] + comp[m + 1 :])
+            moves += [(kept + [cyc], rest[:i] + rest[i + 1 :]) for cyc in joined]
+    total = 0
+    for cycles, left in moves:
+        comp = _component(cycles)
+        if comp:
+            total += _count(tuple(sorted((*left, comp))), memo)
+        else:                 # no open dart: a closed piece unless nothing else is left
+            total += not left
+    memo[state] = total
+    return total
+
+
 def _components(layout: _Layout, partner: list[int], links=()) -> list[int]:
     """Root of each polygon's component in the graph of glued edges and ``links``."""
     polygon_of = layout.polygon_of
@@ -273,20 +333,25 @@ def _analyze(layout: _Layout, partner: list[int]):
     return genus, connected and genus == 0, connected
 
 
+def _maps(layout: _Layout, planar: bool):
+    """The labelled gluings of one layout; with ``planar`` only the planar ones."""
+    for partner in _matchings(layout, planar):
+        genus, is_planar, connected = _analyze(layout, partner)
+        yield UnstableMap(
+            word=layout.word,
+            cells=layout.kinds,
+            pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
+            genus=genus,
+            planar=is_planar,
+            connected=connected,
+            weight=layout.weight,
+        )
+
+
 def _gluings(w: str, k: int, planar: bool):
     """The labelled gluings of (w, k); with ``planar`` only the planar ones."""
     for layout in _layouts(w, k):
-        for partner in _matchings(layout, planar):
-            genus, is_planar, connected = _analyze(layout, partner)
-            yield UnstableMap(
-                word=w,
-                cells=layout.kinds,
-                pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
-                genus=genus,
-                planar=is_planar,
-                connected=connected,
-                weight=layout.weight,
-            )
+        yield from _maps(layout, planar)
 
 
 def enumerate_gluings(w: str, k: int):
@@ -307,17 +372,16 @@ def _edge_scale(w: str, k: int, t2) -> Fraction:
 
 
 def moment_coefficient(w: str, k: int, t2) -> Fraction:
-    """Coefficient of t4^k in the genus-0 moment of w, by the planar walk.
+    """Coefficient of t4^k in the genus-0 moment of w, by the planar count.
 
     Planar connected gluings only; each contributes its signed cell weight
-    times the propagator factor (8 t2)^(-edges).
+    times the propagator factor (8 t2)^(-edges).  One memo serves the
+    layouts of one call and is dropped with it.
     """
     w = word_letters(w)
     scale = _edge_scale(w, k, t2)
-    total = Fraction(0)
-    for layout in _layouts(w, k):
-        total += layout.weight * sum(1 for _ in _matchings(layout, True))
-    return total / scale
+    memo = {}
+    return sum(layout.weight * _planar_count(layout, memo) for layout in _layouts(w, k)) / scale
 
 
 @dataclass(frozen=True)
@@ -344,28 +408,20 @@ def cancellation_report(k: int) -> CancellationReport:
     whose branch closes a handle and leaves planarity), so the report keeps
     explicit witnesses: the first eight planar gluings.
     """
-    pos = neg = 0
-    signed = Fraction(0)
-    distinguished_ok = True
-    witnesses = []
-    for m in _gluings("ABAB", k, planar=True):
-        if m.weight > 0:
-            pos += 1
-        elif m.weight < 0:
-            neg += 1
-        signed += m.weight
-        if not any(c in _DISTINGUISHED for c in m.cells):
-            distinguished_ok = False
-        if len(witnesses) < 8:
-            witnesses.append(m.as_json())
+    memo = {}
+    counts = [(layout, _planar_count(layout, memo)) for layout in _layouts("ABAB", k)]
+    signed = sum((layout.weight * n for layout, n in counts), Fraction(0))
+    planar_maps = (m for layout, n in counts if n for m in _maps(layout, True))
     return CancellationReport(
         k=k,
-        positive_weight_count=pos,
-        negative_weight_count=neg,
+        positive_weight_count=sum(n for layout, n in counts if layout.weight > 0),
+        negative_weight_count=sum(n for layout, n in counts if layout.weight < 0),
         signed_sum=signed,
-        all_have_distinguished_cell=distinguished_ok,
+        all_have_distinguished_cell=all(
+            any(c in _DISTINGUISHED for c in layout.kinds) for layout, n in counts if n
+        ),
         paired=(signed == 0),
-        witnesses=tuple(witnesses),
+        witnesses=tuple(m.as_json() for m in itertools.islice(planar_maps, 8)),
     )
 
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CouplingPoint, exact_int, float_range
+from .algebra import CouplingPoint, exact_int, float_range, positive_t2
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
 from .words import word_letters
 
@@ -218,6 +218,8 @@ def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoi
         raise ValueError("A and B must be square matrices of equal size")
     _check_hermitian(A, "A")
     _check_hermitian(B, "B")
+    t2 = positive_t2(point.t2, "action_eval")
+    float_range("action_eval", both=[("t2", t2)], upper=[("|t4|", abs(point.t4))])
     return float(_LetterBuffer(A[None], B[None], sig, "A", float(point.t2), float(point.t4)).action()[0])
 
 

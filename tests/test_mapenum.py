@@ -6,12 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from dirac2mm import mapenum
 from dirac2mm.mapenum import (
     CELLS,
     CellKind,
     _analyze,
     _layouts,
     _matchings,
+    _planar_count,
     branch_graph_dot,
     cancellation_report,
     dump_maps_json,
@@ -142,6 +144,58 @@ class TestPlanarWalk:
         for degree in (2, 4):
             for c in iter_canonical_moments(degree):
                 assert moment_coefficient(c.rep_word(), 3, 1) == table.series(c).coefficient(3)
+
+
+def _assert_count_equals_walk(degree, k):
+    for c in iter_canonical_moments(degree):
+        memo = {}
+        for layout in _layouts(c.rep_word(), k):
+            leaves = sum(1 for _ in _matchings(layout, True))
+            assert _planar_count(layout, memo) == leaves, (c.label(), layout.kinds)
+
+
+class TestPlanarCount:
+    @pytest.mark.parametrize("degree, k", [(d, k) for d in (0, 2, 4) for k in range(3)] + [(6, 0), (6, 1)])
+    def test_count_equals_the_planar_walk(self, degree, k):
+        _assert_count_equals_walk(degree, k)
+
+    @pytest.mark.slow
+    def test_count_equals_the_planar_walk_degree_six_order_two(self):
+        _assert_count_equals_walk(6, 2)
+
+    @pytest.mark.slow
+    def test_agreement_with_recursion_at_order_four(self):
+        table = solve_series(D=4, K=4, t2=1)
+        for degree in (0, 2, 4):
+            for c in iter_canonical_moments(degree):
+                assert moment_coefficient(c.rep_word(), 4, 1) == table.series(c).coefficient(4)
+
+    def test_each_call_counts_with_its_own_memo(self, monkeypatch):
+        # every layout of one call shares one memo, empty at the call's start,
+        # and the module keeps nothing between calls
+        seen = []
+
+        def spy(layout, memo):
+            seen.append((memo, len(memo)))
+            return count(layout, memo)
+
+        def containers():
+            return {
+                name: len(v) for name, v in vars(mapenum).items()
+                if isinstance(v, (dict, list, set)) and not name.startswith("__")
+            }
+
+        count = mapenum._planar_count
+        monkeypatch.setattr(mapenum, "_planar_count", spy)
+        before = containers()
+        values = []
+        for _ in range(2):
+            seen.clear()
+            values.append(moment_coefficient("ABAB", 2, 1))
+            memo = seen[0][0]
+            assert seen[0][1] == 0 and all(m is memo for m, _ in seen)
+            assert containers() == before
+        assert values == [F(-9, 256)] * 2
 
 
 class TestEmptyWord:

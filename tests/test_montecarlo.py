@@ -78,6 +78,12 @@ class TestAction:
         with pytest.raises(ValueError):
             mc.action_eval(bad, np.zeros((2, 2)), Signature.S20, P11)
 
+    @pytest.mark.parametrize("t2", [0, F("1e-400"), -1])
+    def test_refuses_t2_outside_the_domain(self, t2):
+        # 1e-400 is a positive t2 that reads as 0.0 in floats
+        with pytest.raises(ValueError, match="t2"):
+            mc.action_eval(np.eye(2), np.zeros((2, 2)), Signature.S20, CouplingPoint(t2, 1))
+
 
 class TestConfig:
     def test_validation(self):
