@@ -83,7 +83,12 @@ def cmd_series(args) -> int:
 
 def cmd_enumerate(args) -> int:
     w = word_letters(args.word)
+    if args.all_maps and not args.dump:
+        raise ValueError("--all-maps only applies to --dump")
     if args.report_cancellation:
+        mapenum._check_order(args.order)   # a bad order is named before a bad word
+        if canonicalize(w) != canonicalize("ABAB"):
+            raise ValueError(f"--report-cancellation counts the gluings of ABAB only, got {args.word!r}")
         rep = mapenum.cancellation_report(args.order)
         print(json.dumps({
             "k": rep.k,
@@ -94,15 +99,10 @@ def cmd_enumerate(args) -> int:
             "signed_sum_cancels": rep.paired,
         }, indent=2))
         return 0
-    if args.dump:   # one walk: the coefficient is summed from the maps it dumps
-        scale = mapenum._edge_scale(w, args.order, args.t2)
-        maps = list(mapenum._gluings(w, args.order, planar=not args.all_maps))
-        coeff = sum(m.weight for m in maps if m.planar) / scale
-    else:
-        coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
+    coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
     print(f"[t4^{args.order}] {canonicalize(w).label()} = {coeff} = {float(coeff):.12g}")
     if args.dump:
-        print(mapenum.dump_maps_json(maps))
+        print(mapenum.dump_maps_json(mapenum._gluings(w, args.order, planar=not args.all_maps)))
     return 0
 
 
@@ -208,9 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True)
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--t2", default="1")
-    p.add_argument("--report-cancellation", action="store_true", dest="report_cancellation")
-    p.add_argument("--dump", action="store_true", help="JSON dump of the planar gluings")
-    p.add_argument("--all-maps", action="store_true", dest="all_maps", help="dump non-planar gluings too")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--report-cancellation", action="store_true", dest="report_cancellation",
+                   help="signed census of the planar gluings of ABAB")
+    g.add_argument("--dump", action="store_true", help="JSON dump of the planar gluings")
+    p.add_argument("--all-maps", action="store_true", dest="all_maps",
+                   help="with --dump, dump non-planar gluings too")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("mc", help="Metropolis sampler")

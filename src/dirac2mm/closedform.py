@@ -38,7 +38,7 @@ from .algebra import (
     rational_sqrt,
     surd_expansion,
 )
-from .words import CanonicalMoment, canonicalize, vanishes_by_parity
+from .words import CanonicalMoment, _min_rotation, canonicalize, vanishes_by_parity
 from .sde import M2, CoefTag, generate_system
 
 
@@ -84,7 +84,6 @@ def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
     Y read in reverse; the trace of the empty word is N.
     """
     eps = {"A": signature.eps1, "B": signature.eps2}
-    rotation = lambda w: min((w[i:] + w[:i] for i in range(len(w))), default="")
     poly = Counter()
     for w in itertools.product("AB", repeat=_check_ell(ell)):
         if w.count("A") % 2 == 0:
@@ -92,7 +91,7 @@ def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
             for right in itertools.product((False, True), repeat=ell):
                 u = "".join(x for x, r in zip(w, right) if not r)
                 v = "".join(x for x, r in zip(w, right) if r)[::-1]
-                poly[tuple(sorted((rotation(u), rotation(v))))] += sign * math.prod(eps[x] for x in v)
+                poly[tuple(sorted((_min_rotation(u), _min_rotation(v))))] += sign * math.prod(eps[x] for x in v)
     return tuple(sorted((pair, c) for pair, c in poly.items() if c))
 
 

@@ -18,30 +18,32 @@ cylinder is two discs joined by a branch (a tube), so chi = V - E + F -
 branches together, and genus = pieces - chi / 2.  A gluing contributes at
 leading order iff it is one piece, rooted at the word polygon, of genus 0.
 
-Counts come from a recursion and labelled maps from a walk.
-``_layouts`` yields the feasible cell multisets of an order, and
-``_matchings`` glues the darts of one of them dart by dart, keeping the
-partial surface S' (the polygons glued along the edges matched so far, each
-cylinder one annulus), its components and the boundary cycles of their open
-darts.  A gluing is planar exactly when the finished surface is one sphere:
-with n components of Euler characteristic chi_i joined by c cylinders into
-one piece, chi = sum chi_i - 2c <= 2n - 2(n - 1) = 2, with equality iff
-every chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala,
-ALEA 1, 2006).  So the planar walk skips two moves:
+Planar gluings are built dart by dart.  ``_layouts`` yields the feasible
+cell multisets of an order.  The partial surface S' (the polygons glued
+along the edges matched so far, each cylinder one annulus) is a tuple of
+components, each a tuple of the boundary cycles of its open darts, and
+``_moves`` glues the first open dart to each open dart of its colour: on
+the same cycle the cycle splits, in another component the two merge.  A
+gluing is planar exactly when the finished surface is one sphere: with n
+components of Euler characteristic chi_i joined by c cylinders into one
+piece, chi = sum chi_i - 2c <= 2n - 2(n - 1) = 2, with equality iff every
+chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala, ALEA 1,
+2006).  So ``_moves`` skips two moves:
 
 - a handle: gluing two darts of one component that lie on different
   boundary cycles raises its genus, and genus never falls again;
-- a closed piece: a component left with no open dart while another exists,
-  or with no word polygon to root it, can never join the rest.
+- a closed piece: a component left with no open dart while another exists
+  can never join the rest (nor can any piece with no word polygon to root
+  it, which ``_planar_count`` refuses).
 
 Every other move keeps each component planar, so every leaf it reaches is
-planar.  ``enumerate_gluings`` walks without the cuts and yields every
-matching, in the same order.  The number of planar leaves below a node
-depends only on the shape of S' there: its components and the colour words
-of their open cycles.  ``_planar_count`` recurses over that shape with the
-walk's cuts, memoised within one call, and ``moment_coefficient`` and
-``cancellation_report`` sum layout weights times these counts; only the
-labelled maps (the dumps and the report's witnesses) come from the walk.
+planar.  The number of planar leaves below a node depends only on the
+colour words of the open cycles, so ``_count`` makes the moves on colour
+words, memoised within one call, and ``moment_coefficient`` and
+``cancellation_report`` sum layout weights times these counts.
+``_planar_matchings`` makes the same moves on dart labels for the labelled
+planar maps (the dumps and the census's witnesses).  ``_matchings`` is the
+plain brute force that ``enumerate_gluings`` lists every matching from.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 from .algebra import exact_int, positive_t2
-from .words import word_letters
+from .words import _min_rotation, word_letters
 
 RED = "R"     # colour of A half-edges
 BLUE = "B"    # colour of B half-edges
@@ -135,16 +137,21 @@ class _Layout:
         cells = [CELLS[kind].boundaries for kind in kinds]
         self.word, self.kinds = word, kinds
         self.colors, self.nxt, self.polygon_of, self.branches = [], [], [], []
+        self.components = []                  # S' before any gluing; a dart's label is chr(dart)
         n_poly = 0
         for boundaries in ([(word_polygon,)] if word_polygon else []) + cells:
             if len(boundaries) == 2:          # a cylinder: its two discs joined by a branch
                 self.branches.append((n_poly, n_poly + 1))
+            cycles = []
             for boundary in boundaries:
                 start, m = len(self.colors), len(boundary)
+                cycles.append("".join(map(chr, range(start, start + m))))
                 self.colors.extend(boundary)
                 self.nxt.extend(start + (i + 1) % m for i in range(m))
                 self.polygon_of.extend([n_poly] * m)
                 n_poly += 1
+            self.components.append(tuple(cycles))
+        self.colour = dict(enumerate(self.colors))   # str.translate: labels to colour word
         self.n_polygons = n_poly
         self.reds = [i for i, c in enumerate(self.colors) if c == RED]
         self.blues = [i for i, c in enumerate(self.colors) if c == BLUE]
@@ -152,66 +159,32 @@ class _Layout:
         self.weight = prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
 
 
-def _layouts(w: str, k: int):
-    """The layout of each k-cell multiset whose colour counts are both even."""
+def _check_order(k) -> int:
     k = exact_int(k, "order k")
     if k < 0:
         raise ValueError(f"order k must be >= 0, got {k}")
-    for kinds in itertools.combinations_with_replacement(list(CellKind), k):
+    return k
+
+
+def _layouts(w: str, k: int):
+    """The layout of each k-cell multiset whose colour counts are both even."""
+    for kinds in itertools.combinations_with_replacement(list(CellKind), _check_order(k)):
         layout = _Layout(w, kinds)
         if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0:
             yield layout
 
 
-def _matchings(layout: _Layout, planar: bool):
+def _matchings(layout: _Layout):
     """One partner array per colour-respecting perfect matching of the darts.
 
     The lowest open red dart, or the lowest open blue one once every red is
     matched, is glued to each open dart of its colour above it in turn.
-    With ``planar`` a gluing that adds a handle or closes off a piece is
-    skipped, so only the planar matchings are reached.
     """
-    nxt, poly_of, n_red = layout.nxt, layout.polygon_of, len(layout.reds)
-    darts = layout.reds + layout.blues
+    n_red, darts = len(layout.reds), layout.reds + layout.blues
     n = len(darts)
     partner = [-1] * n
-    succ, pred = nxt[:], [0] * n            # boundary cycles of S' over its open darts
-    for h in range(n):
-        pred[nxt[h]] = h
-    comp = list(range(layout.n_polygons))   # component of each polygon in S'
-    for pa, pb in layout.branches:
-        comp[pb] = pa                       # a cylinder is one annulus face
-    open_in = [sum(comp[p] == c for p in poly_of) for c in range(layout.n_polygons)]
-    pieces = layout.n_polygons - len(layout.branches)
-    rooted = bool(layout.word)
-
-    def cut(a, b):
-        ca, cb = comp[poly_of[a]], comp[poly_of[b]]
-        if ca == cb:
-            u = succ[a]
-            while u != a and u != b:
-                u = succ[u]
-            if u == a:                      # b lies on another boundary cycle: a handle
-                return True
-        left = open_in[ca] + (open_in[cb] if ca != cb else 0) - 2
-        return left == 0 and (pieces - (ca != cb) > 1 or not rooted)   # a closed piece
-
-    def glue(a, b):
-        nonlocal pieces
-        saved = succ[:], pred[:], comp[:], open_in[:], pieces
-        for x, y in ((a, b), (b, a)):       # the boundary that reached x leaves after y
-            p, s = pred[x], succ[y]
-            succ[p], pred[s] = s, p
-        ca, cb = comp[poly_of[a]], comp[poly_of[b]]
-        if ca != cb:
-            comp[:] = [ca if c == cb else c for c in comp]
-            open_in[ca] += open_in[cb]
-            pieces -= 1
-        open_in[ca] -= 2
-        return saved
 
     def walk(i):
-        nonlocal pieces
         while i < n and partner[darts[i]] >= 0:
             i += 1
         if i == n:
@@ -219,71 +192,88 @@ def _matchings(layout: _Layout, planar: bool):
             return
         a = darts[i]
         for b in darts[i + 1 : n_red if i < n_red else n]:
-            if partner[b] >= 0 or (planar and cut(a, b)):
-                continue
-            partner[a], partner[b] = b, a
-            saved = glue(a, b) if planar else None   # only the cuts read S'
-            yield from walk(i + 1)
-            partner[a] = partner[b] = -1
-            if saved:
-                succ[:], pred[:], comp[:], open_in[:], pieces = saved
+            if partner[b] < 0:
+                partner[a], partner[b] = b, a
+                yield from walk(i + 1)
+                partner[a] = partner[b] = -1
 
     return walk(0)
 
 
-def _least_rotation(cycle: str) -> str:
-    return min(cycle[i:] + cycle[:i] for i in range(len(cycle)))
+def _moves(state: tuple, colour: dict) -> list:
+    """(partner, cycles, rest) for each planar gluing of the first open dart.
+
+    ``state`` is S' as a tuple of components, each a tuple of its nonempty
+    open cycles, and ``colour`` translates a cycle to its colour word (``{}``
+    when the cycles are colour words).  ``cycles`` are the new component's,
+    empty ones included, and ``rest`` the other components.
+    """
+    (cycle, *others), rest = state[0], state[1:]
+    first, tail = cycle[0].translate(colour), cycle[1:]
+    moves = [
+        (tail[j], others + [tail[:j], tail[j + 1 :]], rest)
+        for j, c in enumerate(tail.translate(colour)) if c == first
+    ]
+    for i, comp in enumerate(rest):   # never another cycle of this component: a handle
+        for m, other in enumerate(comp):
+            kept, left = others + list(comp[:m] + comp[m + 1 :]), rest[:i] + rest[i + 1 :]
+            moves += [
+                (other[j], kept + [tail + other[j + 1 :] + other[:j]], left)
+                for j, c in enumerate(other.translate(colour)) if c == first
+            ]
+    return [move for move in moves if any(move[1]) or not move[2]]   # no closed piece
 
 
 def _component(cycles) -> tuple:
     """A component of S' as the sorted least rotations of its open cycles."""
-    return tuple(sorted(_least_rotation(c) for c in cycles if c))
+    return tuple(sorted(_min_rotation(c) for c in cycles if c))
 
 
 def _planar_count(layout: _Layout, memo: dict) -> int:
     """The number of planar matchings of ``layout``, without labelled darts.
 
     The completions of a partial surface depend only on its components and
-    the colour words of their open boundary cycles, so the count recurses
-    over that canonical state, memoised in ``memo``.  Each step glues the
-    first dart of the first cycle to every open dart of its colour, with
-    the walk's cuts and the walk's splicing of boundary cycles.
+    the colour words of their open boundary cycles, so ``_count`` recurses
+    over that canonical state, memoised in ``memo``.
     """
     if not layout.word:       # nothing is rooted: only the empty gluing counts
         return int(not layout.colors)
-    word = "".join(RED if c == "A" else BLUE for c in layout.word)
-    cells = [map("".join, CELLS[kind].boundaries) for kind in layout.kinds]
-    return _count(tuple(sorted(map(_component, [(word,), *cells]))), memo)
+    colour = layout.colour
+    return _count(tuple(sorted(
+        _component(c.translate(colour) for c in comp) for comp in layout.components
+    )), memo)
 
 
 def _count(state: tuple, memo: dict) -> int:
-    """Planar completions of a sorted tuple of ``_component``s.
-
-    A partner on another cycle of the first component would add a handle,
-    so it is never tried.
-    """
+    """Planar completions of a sorted tuple of ``_component``s."""
     if state in memo:
         return memo[state]
-    (cycle, *others), rest = state[0], state[1:]
-    colour, tail = cycle[0], cycle[1:]
-    moves = [                 # a partner on the same cycle splits it in two
-        (others + [tail[:j], tail[j + 1 :]], rest)
-        for j, c in enumerate(tail) if c == colour
-    ]
-    for i, comp in enumerate(rest):   # one in another component merges the two
-        for m, other in enumerate(comp):
-            joined = [tail + other[j + 1 :] + other[:j] for j, c in enumerate(other) if c == colour]
-            kept = others + list(comp[:m] + comp[m + 1 :])
-            moves += [(kept + [cyc], rest[:i] + rest[i + 1 :]) for cyc in joined]
     total = 0
-    for cycles, left in moves:
-        comp = _component(cycles)
-        if comp:
-            total += _count(tuple(sorted((*left, comp))), memo)
-        else:                 # no open dart: a closed piece unless nothing else is left
-            total += not left
+    for _, cycles, rest in _moves(state, {}):
+        comp = _component(cycles)     # none left: the gluing is complete
+        total += _count(tuple(sorted((*rest, comp))), memo) if comp else 1
     memo[state] = total
     return total
+
+
+def _planar_matchings(layout: _Layout) -> list:
+    """The partner arrays of the planar matchings of ``layout``, in ``_matchings``'s order."""
+    partner, found = [-1] * len(layout.colors), []
+
+    def walk(state):          # every dart is matched again on the way to the next leaf
+        if not state:
+            found.append(partner[:])
+            return
+        a = ord(state[0][0][0])
+        for b, cycles, rest in _moves(state, layout.colour):
+            partner[a], partner[ord(b)] = ord(b), a
+            comp = tuple(c for c in cycles if c)
+            walk((comp, *rest) if comp else rest)
+
+    if _planar_count(layout, {}):   # also refuses the layouts with no word to root them
+        walk(tuple(layout.components))
+    darts = layout.reds + layout.blues
+    return sorted(found, key=lambda p: [p[d] for d in darts])
 
 
 def _components(layout: _Layout, partner: list[int], links=()) -> list[int]:
@@ -333,25 +323,20 @@ def _analyze(layout: _Layout, partner: list[int]):
     return genus, connected and genus == 0, connected
 
 
-def _maps(layout: _Layout, planar: bool):
-    """The labelled gluings of one layout; with ``planar`` only the planar ones."""
-    for partner in _matchings(layout, planar):
-        genus, is_planar, connected = _analyze(layout, partner)
-        yield UnstableMap(
-            word=layout.word,
-            cells=layout.kinds,
-            pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
-            genus=genus,
-            planar=is_planar,
-            connected=connected,
-            weight=layout.weight,
-        )
-
-
 def _gluings(w: str, k: int, planar: bool):
     """The labelled gluings of (w, k); with ``planar`` only the planar ones."""
     for layout in _layouts(w, k):
-        yield from _maps(layout, planar)
+        for partner in _planar_matchings(layout) if planar else _matchings(layout):
+            genus, is_planar, connected = _analyze(layout, partner)
+            yield UnstableMap(
+                word=layout.word,
+                cells=layout.kinds,
+                pairing=tuple((h, p) for h, p in enumerate(partner) if h < p),
+                genus=genus,
+                planar=is_planar,
+                connected=connected,
+                weight=layout.weight,
+            )
 
 
 def enumerate_gluings(w: str, k: int):
@@ -365,21 +350,17 @@ def enumerate_gluings(w: str, k: int):
     yield from _gluings(word_letters(w), k, planar=False)
 
 
-def _edge_scale(w: str, k: int, t2) -> Fraction:
-    """(8 t2)^edges: every gluing of (w, k) has (deg w + 4k) / 2 edges."""
-    t2 = positive_t2(t2, "moment_coefficient")
-    return (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k")) // 2)
-
-
 def moment_coefficient(w: str, k: int, t2) -> Fraction:
     """Coefficient of t4^k in the genus-0 moment of w, by the planar count.
 
     Planar connected gluings only; each contributes its signed cell weight
-    times the propagator factor (8 t2)^(-edges).  One memo serves the
-    layouts of one call and is dropped with it.
+    times the propagator factor (8 t2)^(-edges), and every gluing of (w, k)
+    has (deg w + 4k) / 2 edges.  One memo serves the layouts of one call and
+    is dropped with it.
     """
     w = word_letters(w)
-    scale = _edge_scale(w, k, t2)
+    t2 = positive_t2(t2, "moment_coefficient")
+    scale = (8 * t2) ** ((len(w) + 4 * _check_order(k)) // 2)
     memo = {}
     return sum(layout.weight * _planar_count(layout, memo) for layout in _layouts(w, k)) / scale
 
@@ -411,7 +392,6 @@ def cancellation_report(k: int) -> CancellationReport:
     memo = {}
     counts = [(layout, _planar_count(layout, memo)) for layout in _layouts("ABAB", k)]
     signed = sum((layout.weight * n for layout, n in counts), Fraction(0))
-    planar_maps = (m for layout, n in counts if n for m in _maps(layout, True))
     return CancellationReport(
         k=k,
         positive_weight_count=sum(n for layout, n in counts if layout.weight > 0),
@@ -421,7 +401,7 @@ def cancellation_report(k: int) -> CancellationReport:
             any(c in _DISTINGUISHED for c in layout.kinds) for layout, n in counts if n
         ),
         paired=(signed == 0),
-        witnesses=tuple(m.as_json() for m in itertools.islice(planar_maps, 8)),
+        witnesses=tuple(m.as_json() for m in itertools.islice(_gluings("ABAB", k, True), 8)),
     )
 
 

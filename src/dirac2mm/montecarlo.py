@@ -36,7 +36,7 @@ import numpy as np
 
 from .algebra import CouplingPoint, exact_int, float_range, positive_t2
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
-from .words import word_letters
+from .words import _min_rotation, word_letters
 
 HERMITICITY_TOL = 1e-12
 BLOCK = 100   # steps drawn at once by run_chain; also the burn-in tuning window
@@ -158,7 +158,7 @@ COLS = len(SLOTS) - 1
 
 def _necklace(w: str) -> str:
     """Least rotation of w or of its reverse: Re tr of Hermitian letters is constant on it."""
-    return min(v[i:] + v[:i] for v in (w, w[::-1]) for i in range(max(len(v), 1)))
+    return min(_min_rotation(w), _min_rotation(w[::-1]))
 
 
 @lru_cache(maxsize=None)

@@ -60,6 +60,11 @@ def orbit(letters: str) -> set[str]:
     return out
 
 
+def _min_rotation(w: str) -> str:
+    """Least rotation of any string by comparing every rotation; "" for ""."""
+    return min((w[i:] + w[:i] for i in range(len(w))), default="")
+
+
 def _least_rotation(letters: str, top: int) -> str:
     """Least rotation of a word that has both letters and longest A-run ``top``.
 

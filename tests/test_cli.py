@@ -142,6 +142,36 @@ class TestEnumerate:
         assert payload["every_planar_map_has_distinguished_cell"] is True
         assert payload["signed_sum_cancels"] is False
 
+    @pytest.mark.parametrize("word, k, digest", [
+        ("ABAB", 2, "13b81757f4e6468d6c5dd93019c00af413c90194005be11e9db2ca59055d94c0"),
+        ("AABB", 2, "5d1ba03a173f9a6c3533a157ce28d9378799ab84da6b32516ab9e4ea02b43fdd"),
+        ("AAAAAA", 1, "7d44dedc63ac1ff42c397d9766af5a06341651faef96455244c7bad379a9c6b9"),
+    ])
+    def test_dump_is_pinned(self, capsys, word, k, digest):
+        # SHA-256 of the whole stdout, the maps in order, frozen from the
+        # dart-by-dart walk with its own cuts
+        code, out, _ = run(capsys, "enumerate", "--word", word, "--order", str(k), "--dump")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_cancellation_report_refuses_another_word(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--word", "AA", "--order", "1", "--report-cancellation")
+        assert (code, out) == (1, "")
+        assert "--report-cancellation" in err
+        code, _, _ = run(capsys, "enumerate", "--word", "BABA", "--order", "1", "--report-cancellation")
+        assert code == 0
+
+    def test_cancellation_report_refuses_dump(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--word", "ABAB", "--order", "1",
+                             "--report-cancellation", "--dump")
+        assert (code, out) == (1, "")
+        assert "--report-cancellation" in err and "--dump" in err
+
+    def test_all_maps_refuses_to_run_without_dump(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--word", "AA", "--order", "1", "--all-maps")
+        assert (code, out) == (1, "")
+        assert "--all-maps" in err
+
     @pytest.mark.parametrize("extra", [[], ["--dump"], ["--report-cancellation"]])
     def test_negative_order_exit_code(self, capsys, extra):
         code, out, err = run(capsys, "enumerate", "--word", "AB", "--order", "-1", *extra)

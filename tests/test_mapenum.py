@@ -14,6 +14,7 @@ from dirac2mm.mapenum import (
     _layouts,
     _matchings,
     _planar_count,
+    _planar_matchings,
     branch_graph_dot,
     cancellation_report,
     dump_maps_json,
@@ -121,9 +122,8 @@ class TestMomentCoefficient:
 def _assert_walk_is_planar_subsequence(degree, k):
     for c in iter_canonical_moments(degree):
         for layout in _layouts(c.rep_word(), k):
-            every = list(_matchings(layout, False))
-            planar = [p for p in every if _analyze(layout, p)[1]]
-            assert list(_matchings(layout, True)) == planar, (c.label(), layout.kinds)
+            planar = [p for p in _matchings(layout) if _analyze(layout, p)[1]]
+            assert _planar_matchings(layout) == planar, (c.label(), layout.kinds)
 
 
 class TestPlanarWalk:
@@ -147,10 +147,11 @@ class TestPlanarWalk:
 
 
 def _assert_count_equals_walk(degree, k):
+    # the oracle is the brute-force filter: the count and the planar walk share _moves
     for c in iter_canonical_moments(degree):
         memo = {}
         for layout in _layouts(c.rep_word(), k):
-            leaves = sum(1 for _ in _matchings(layout, True))
+            leaves = sum(1 for p in _matchings(layout) if _analyze(layout, p)[1])
             assert _planar_count(layout, memo) == leaves, (c.label(), layout.kinds)
 
 
@@ -256,6 +257,17 @@ class TestCancellation:
         assert (r.positive_weight_count, r.negative_weight_count) == (0, 136)
         assert r.signed_sum == -9216
         assert r.all_have_distinguished_cell and not r.paired
+
+    @pytest.mark.parametrize("k, digest", [
+        (1, "05d97abfd8dd7bbcad17b401c9fc25b42ff5e9a508e33c19a08bd8e5ce339184"),
+        (2, "65d3ea8036799344770fc3facd4dc31313dc459237fff95ae5899a860fa602ab"),
+        (3, "e94af631b2df2902cea509322da1d5aa42965a2afce2751f69fb0663b01e1a2a"),
+    ])
+    def test_witnesses_are_pinned(self, k, digest):
+        # SHA-256 of the witnesses in order, frozen from the dart-by-dart walk
+        # with its own cuts, before the walk shared the count's moves
+        witnesses = json.dumps(cancellation_report(k).witnesses, sort_keys=True)
+        assert hashlib.sha256(witnesses.encode()).hexdigest() == digest
 
     def test_census_matches_moment_coefficient(self):
         # sum of signed cell weights / (8 t2)^edges must equal the coefficient
