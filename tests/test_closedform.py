@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 from dirac2mm.algebra import CouplingPoint, SurdScalar
 from dirac2mm.sde import M2, CoefTag, generate_system, residual
-from dirac2mm.words import CanonicalMoment, parse_moment_label
+from dirac2mm.words import CanonicalMoment, canonicalize, parse_moment_label
 from dirac2mm import closedform as cf
 
 P11 = CouplingPoint(1, 1)
@@ -217,6 +217,34 @@ class TestMomentSeries:
     def test_nonpositive_t2_refused_before_shortcuts(self, word, t2):
         with pytest.raises(ValueError, match="moment_series needs t2 > 0"):
             cf.moment_series(word, t2, 2)
+
+    def test_expansions_are_pinned(self):
+        # SHA-256 of the repr (or the pole message) of every table entry, the
+        # empty moment, m_{1,1,1,1} and one parity-zero moment at four t2 and
+        # orders 0-8, frozen from the truncated-series ring expansion
+        moments = [CanonicalMoment(runs) for runs in sorted(cf._MOMENT_TABLE)]
+        moments += [CanonicalMoment(()), CanonicalMoment((1, 1, 1, 1)), canonicalize("AAAB")]
+        digest = hashlib.sha256()
+        poles = 0
+        for c in moments:
+            for t2 in (F(1), F(3, 2), F(2), F(1, 7)):
+                for order in range(9):
+                    try:
+                        line = repr(cf.moment_series(c, t2, order))
+                    except cf.PoleAtGaussianPoint as exc:
+                        line = f"pole: {exc}"
+                        poles += 1
+                    digest.update(f"{c.label()} {t2} {order}: {line}\n".encode())
+        assert (len(moments), poles) == (23, 432)
+        assert digest.hexdigest() == "0a29f770f374560126b22b17ac5a5a9935d2239834d26c58f0fa1383779e95d8"
+
+    def test_surd_squares_back_to_radicand(self):
+        # m_2 = (s - t2) / (32 t4), so (t2 + 32 t4 m_2)^2 = t2^2 + 8 t4
+        for t2 in (F(1), F(3, 2), F(2)):
+            m2 = cf.moment_series("AA", t2, 8).coeffs
+            s = [t2] + [32 * c for c in m2[:8]]
+            square = [sum(s[i] * s[k - i] for i in range(k + 1)) for k in range(9)]
+            assert square == [t2 * t2, 8] + [0] * 7
 
 
 class TestDirac:
