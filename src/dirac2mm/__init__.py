@@ -12,7 +12,6 @@ from .algebra import (
     MomentSeries,
     SurdScalar,
     rat,
-    surd_expansion,
 )
 from .words import (
     CanonicalMoment,
@@ -59,7 +58,7 @@ from .montecarlo import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CouplingPoint", "MomentSeries", "SurdScalar", "rat", "surd_expansion",
+    "CouplingPoint", "MomentSeries", "SurdScalar", "rat",
     "CanonicalMoment", "canonicalize", "parse_moment_label",
     "splits_at", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",

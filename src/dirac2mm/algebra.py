@@ -4,10 +4,12 @@ truncated power series.
 Every closed-form quantity of the quartic 2-matrix model lives in the real
 quadratic extension Q(s) with s**2 = t2**2 + 8*t4.  ``SurdScalar`` implements
 that field with arbitrary-precision rational components, so equality checks
-in the test suite are exact, never approximate.  ``MomentSeries`` implements
-truncated formal power series in the quartic coupling t4 (at a fixed rational
-t2), the algebra in which the perturbative solver and the map enumerator
-agree coefficient by coefficient.
+in the test suite are exact, never approximate.  ``MomentSeries`` holds the
+coefficients of a power series in the quartic coupling t4, truncated at some
+order, at a fixed rational t2: the value in which the perturbative solver,
+the map enumerator and the closed forms' Taylor expansions are compared
+coefficient by coefficient.  It has no ring operations; whoever builds a
+series computes its coefficients.
 """
 
 from __future__ import annotations
@@ -180,8 +182,6 @@ class SurdScalar:
             self.ssq,
         )
 
-    __rmul__ = __mul__
-
     def norm(self) -> Fraction:
         """Field norm a**2 - b**2 * ssq."""
         return self.a * self.a - self.b * self.b * self.ssq
@@ -231,15 +231,14 @@ class SurdScalar:
 
 
 class TruncationError(ValueError):
-    """Raised when a series operation would need coefficients beyond K."""
+    """Raised when a series coefficient beyond its truncation order is asked for."""
 
 
 @dataclass(frozen=True)
 class MomentSeries:
     """Truncated power series sum(coeffs[k] * t4**k, k=0..order) at fixed t2.
 
-    Ring operations truncate consistently at the smaller participating
-    order; asking for a coefficient beyond the truncation raises instead of
+    Asking for a coefficient beyond the truncation raises instead of
     silently reporting zero.
     """
 
@@ -273,67 +272,6 @@ class MomentSeries:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    # -- ring operations -------------------------------------------------
-
-    def _align(self, other) -> tuple["MomentSeries", int]:
-        if isinstance(other, MomentSeries):
-            if other.t2 != self.t2:
-                raise ValueError(f"base points differ: t2={self.t2} vs {other.t2}")
-            return other, min(self.order, other.order)
-        return MomentSeries.constant(rat(other), self.t2, self.order), self.order
-
-    def __add__(self, other):
-        o, k = self._align(other)
-        return MomentSeries(self.t2, [self.coeffs[i] + o.coeffs[i] for i in range(k + 1)])
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return MomentSeries(self.t2, [c * other for c in self.coeffs])
-        o, k = self._align(other)
-        out = [Fraction(0)] * (k + 1)
-        for i in range(k + 1):
-            if self.coeffs[i] == 0:
-                continue
-            for j in range(k + 1 - i):
-                out[i + j] += self.coeffs[i] * o.coeffs[j]
-        return MomentSeries(self.t2, out)
-
-    def shift_mul_t4(self, power: int = 1) -> "MomentSeries":
-        """Multiply by t4**power, keeping the truncation order."""
-        out = [Fraction(0)] * (self.order + 1)
-        for k in range(self.order + 1 - power):
-            out[k + power] = self.coeffs[k]
-        return MomentSeries(self.t2, out)
-
-    def divide_t4(self, power: int = 1) -> "MomentSeries":
-        """Exact division by t4**power; the low coefficients must vanish."""
-        for k in range(min(power, self.order + 1)):
-            if self.coeffs[k] != 0:
-                raise TruncationError(
-                    f"series has nonzero coefficient {self.coeffs[k]} at order {k}; "
-                    f"not divisible by t4^{power}"
-                )
-        tail = list(self.coeffs[power:]) or [Fraction(0)]
-        return MomentSeries(self.t2, tail)
-
-    def sqrt(self) -> "MomentSeries":
-        """Series g with g*g == self up to the truncation order.
-
-        The constant term must be a positive rational square; the remaining
-        coefficients follow from the usual quadratic recursion.
-        """
-        c0 = self.coeffs[0]
-        if c0 <= 0:
-            raise ValueError(f"sqrt needs a positive constant term, got {c0}")
-        g0 = rational_sqrt(c0)
-        if g0 is None:
-            raise ValueError(f"constant term {c0} is not a rational square")
-        g = [g0]
-        for k in range(1, self.order + 1):
-            conv = sum(g[j] * g[k - j] for j in range(1, k))
-            g.append((self.coeffs[k] - conv) / (2 * g0))
-        return MomentSeries(self.t2, g)
-
     def as_json(self) -> dict:
         return {"t2": str(self.t2), "coeffs": [str(c) for c in self.coeffs]}
 
@@ -341,9 +279,3 @@ class MomentSeries:
         terms = ", ".join(str(c) for c in self.coeffs)
         return f"MomentSeries(t2={self.t2}; [{terms}])"
 
-
-def surd_expansion(point_t2, order: int) -> MomentSeries:
-    """sqrt(t2**2 + 8*t4) as a truncated series in t4 at fixed rational t2 > 0."""
-    t2 = positive_t2(point_t2, "surd_expansion")
-    base = [t2 * t2, Fraction(8)] + [Fraction(0)] * max(0, order - 1)
-    return MomentSeries(t2, base[: order + 1]).sqrt()

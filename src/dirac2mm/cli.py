@@ -86,6 +86,8 @@ def cmd_enumerate(args) -> int:
     if args.all_maps and not args.dump:
         raise ValueError("--all-maps only applies to --dump")
     if args.report_cancellation:
+        if args.t2 is not None:
+            raise ValueError("--t2 does not apply to --report-cancellation: the census sums cell weights with no propagator")
         mapenum._check_order(args.order)   # a bad order is named before a bad word
         if canonicalize(w) != canonicalize("ABAB"):
             raise ValueError(f"--report-cancellation counts the gluings of ABAB only, got {args.word!r}")
@@ -99,7 +101,7 @@ def cmd_enumerate(args) -> int:
             "signed_sum_cancels": rep.paired,
         }, indent=2))
         return 0
-    coeff = mapenum.moment_coefficient(w, args.order, rat(args.t2))
+    coeff = mapenum.moment_coefficient(w, args.order, rat(1 if args.t2 is None else args.t2))
     print(f"[t4^{args.order}] {canonicalize(w).label()} = {coeff} = {float(coeff):.12g}")
     if args.dump:
         print(mapenum.dump_maps_json(mapenum._gluings(w, args.order, planar=not args.all_maps)))
@@ -207,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="map-gluing enumeration")
     p.add_argument("--word", required=True)
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--t2", default="1")
+    p.add_argument("--t2", help="quadratic coupling of the coefficient (default 1)")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--report-cancellation", action="store_true", dest="report_cancellation",
                    help="signed census of the planar gluings of ABAB")

@@ -36,7 +36,6 @@ from .algebra import (
     positive_t2,
     rat,
     rational_sqrt,
-    surd_expansion,
 )
 from .words import CanonicalMoment, _min_rotation, canonicalize, vanishes_by_parity
 from .sde import M2, CoefTag, generate_system
@@ -221,8 +220,11 @@ def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
 def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     """Exact Taylor expansion of a branch moment in t4, at fixed t2 > 0.
 
-    Raises PoleAtGaussianPoint for entries whose numerator does not vanish
-    to order t4^q (all degree-8 branch values have a simple pole).
+    The surd is the binomial series s = t2 sqrt(1 + 8 t4 / t2^2), with
+    s_0 = t2 and s_n = s_{n-1} (3 - 2n) 4 / (n t2^2); the numerator is summed
+    monomial by monomial against it and divided by den t4^q.  Raises
+    PoleAtGaussianPoint for entries whose numerator does not vanish to order
+    t4^q (all degree-8 branch values have a simple pole).
     """
     t2 = positive_t2(t2, "moment_series")
     if not isinstance(c, CanonicalMoment):
@@ -235,22 +237,24 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
         raise UnknownMoment(f"no tabulated closed form for {c.label()}")
     q, den, monomials = _MOMENT_TABLE[c.runs]
     work = order + q
-    s = surd_expansion(t2, work)
-    num = MomentSeries.zero(t2, work)
+    s = [t2]
+    for n in range(1, work + 1):
+        s.append(s[-1] * (3 - 2 * n) * 4 / (n * t2 * t2))
+    num = [Fraction(0)] * (work + 1)
     for coef, i, j, sp in monomials:
-        piece = MomentSeries.constant(coef * t2**i, t2, work).shift_mul_t4(j)
+        scale = coef * t2**i
         if sp:
-            piece = piece * s
-        num = num + piece
-    try:
-        shifted = num.divide_t4(q)
-    except Exception as exc:
-        raise PoleAtGaussianPoint(
-            f"{c.label()} branch value has a pole at t4 = 0: {exc}"
-        ) from None
-    coeffs = list(shifted.coeffs[: order + 1])
-    coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-    return MomentSeries(t2, [x / den for x in coeffs])
+            for k in range(j, work + 1):
+                num[k] += scale * s[k - j]
+        elif j <= work:
+            num[j] += scale
+    for k, x in enumerate(num[:q]):
+        if x:
+            raise PoleAtGaussianPoint(
+                f"{c.label()} branch value has a pole at t4 = 0: series has nonzero "
+                f"coefficient {x} at order {k}; not divisible by t4^{q}"
+            )
+    return MomentSeries(t2, [x / den for x in num[q:]])
 
 
 # -- degree-10 completion ----------------------------------------------------

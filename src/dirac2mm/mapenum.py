@@ -42,8 +42,8 @@ colour words of the open cycles, so ``_count`` makes the moves on colour
 words, memoised within one call, and ``moment_coefficient`` and
 ``cancellation_report`` sum layout weights times these counts.
 ``_planar_matchings`` makes the same moves on dart labels for the labelled
-planar maps (the dumps and the census's witnesses).  ``_matchings`` is the
-plain brute force that ``enumerate_gluings`` lists every matching from.
+planar maps of ``enumerate --dump``.  ``_matchings`` is the plain brute
+force that ``enumerate_gluings`` lists every matching from.
 """
 
 from __future__ import annotations
@@ -376,7 +376,6 @@ class CancellationReport:
     all_have_distinguished_cell: bool           # every planar gluing holds a chequered quad
                                 # or an opposite cylinder
     paired: bool                # cancellation: signed_sum == 0
-    witnesses: tuple = ()       # planar maps left uncancelled, JSON-ready
 
 
 def cancellation_report(k: int) -> CancellationReport:
@@ -386,8 +385,8 @@ def cancellation_report(k: int) -> CancellationReport:
     one chequered quadrangle or opposite cylinder, and that the signed cell
     weights sum to zero.  The first holds; the second does not (the positive
     chequered-quadrangle gluings outnumber their would-be cylinder partners,
-    whose branch closes a handle and leaves planarity), so the report keeps
-    explicit witnesses: the first eight planar gluings.
+    whose branch closes a handle and leaves planarity).  The uncancelled
+    planar maps themselves are listed by ``enumerate --dump``.
     """
     memo = {}
     counts = [(layout, _planar_count(layout, memo)) for layout in _layouts("ABAB", k)]
@@ -401,7 +400,6 @@ def cancellation_report(k: int) -> CancellationReport:
             any(c in _DISTINGUISHED for c in layout.kinds) for layout, n in counts if n
         ),
         paired=(signed == 0),
-        witnesses=tuple(m.as_json() for m in itertools.islice(_gluings("ABAB", k, True), 8)),
     )
 
 

@@ -11,7 +11,6 @@ from dirac2mm.algebra import (
     SurdScalar,
     TruncationError,
     rational_sqrt,
-    surd_expansion,
 )
 
 rationals = st.fractions(
@@ -48,7 +47,6 @@ class TestSurdScalar:
             y = x * r
             z = x * SurdScalar.rational(r, 17)
             assert (y.a, y.b, y.ssq) == (z.a, z.b, z.ssq) == (x.a * r, x.b * r, x.ssq)
-            assert r * x == y
         with pytest.raises(TypeError):
             x * 0.5
 
@@ -103,55 +101,10 @@ class TestCouplingPoint:
 
 
 class TestMomentSeries:
-    def test_ring_product(self):
-        one_plus = MomentSeries(1, [1, 1, 0])
-        one_minus = MomentSeries(1, [1, -1, 0])
-        assert (one_plus * one_minus).coeffs == (F(1), F(0), F(-1))
-
-    def test_mixed_base_point_rejected(self):
-        with pytest.raises(ValueError):
-            MomentSeries(1, [1]) + MomentSeries(2, [1])
-
     def test_truncation_is_loud(self):
         f = MomentSeries(1, [1, 2])
         with pytest.raises(TruncationError):
             f.coefficient(5)
-        with pytest.raises(TruncationError):
-            f.divide_t4()
-
-    def test_sqrt_example(self):
-        # sqrt(1 + 8 t4) to order 3; oracle: square the result and compare
-        f = MomentSeries(1, [1, 8, 0, 0])
-        g = f.sqrt()
-        assert g.coeffs == (F(1), F(4), F(-8), F(32))
-        assert (g * g).coeffs == f.coeffs
-
-    def test_sqrt_constant(self):
-        assert MomentSeries(1, [4, 0]).sqrt().coeffs == (F(2), F(0))
-        assert MomentSeries(1, [1]).sqrt().coeffs == (F(1),)
-
-    def test_sqrt_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            MomentSeries(1, [2, 1]).sqrt()
-        with pytest.raises(ValueError):
-            MomentSeries(1, [0, 1]).sqrt()
-
-    @given(
-        coeffs=st.lists(rationals, min_size=1, max_size=6),
-        c0=st.sampled_from([F(1), F(4), F(9, 4), F(1, 16)]),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_sqrt_squares_back(self, coeffs, c0):
-        f = MomentSeries(1, [c0] + coeffs)
-        g = f.sqrt()
-        assert (g * g).coeffs == f.coeffs
-
-    def test_surd_expansion_squares_to_radicand(self):
-        for t2 in (1, 2, F(3, 2)):
-            s = surd_expansion(t2, 6)
-            sq = s * s
-            expect = [F(t2) ** 2, F(8)] + [F(0)] * 5
-            assert list(sq.coeffs) == expect
 
 
 def _t2_entry_points():
@@ -167,7 +120,6 @@ def _t2_entry_points():
         "free_energy_consistent": lambda t2: closedform.free_energy_consistent(CouplingPoint(t2, 1)),
         "critical_point": closedform.critical_point,
         "susceptibility_expansion": closedform.susceptibility_expansion,
-        "surd_expansion": lambda t2: surd_expansion(t2, 3),
     }
 
 

@@ -167,6 +167,18 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert "--report-cancellation" in err and "--dump" in err
 
+    @pytest.mark.parametrize("t2", ["1", "-7"])
+    def test_cancellation_report_refuses_t2(self, capsys, t2):
+        code, out, err = run(capsys, "enumerate", "--word", "ABAB", "--order", "1",
+                             "--report-cancellation", "--t2", t2)
+        assert (code, out) == (1, "")
+        assert "--t2" in err and "--report-cancellation" in err
+
+    def test_coefficient_defaults_to_unit_t2(self, capsys):
+        default = run(capsys, "enumerate", "--word", "AABB", "--order", "2")
+        assert default == run(capsys, "enumerate", "--word", "AABB", "--order", "2", "--t2", "1")
+        assert default != run(capsys, "enumerate", "--word", "AABB", "--order", "2", "--t2", "2")
+
     def test_all_maps_refuses_to_run_without_dump(self, capsys):
         code, out, err = run(capsys, "enumerate", "--word", "AA", "--order", "1", "--all-maps")
         assert (code, out) == (1, "")
