@@ -48,7 +48,6 @@ from .montecarlo import (
     ChainResult,
     EstimateWithError,
     SamplerConfig,
-    action_eval,
     dirac_operator,
     estimate_dirac,
     estimate_moment,
@@ -68,6 +67,6 @@ __all__ = [
     "Signature", "branch_assignment", "critical_point", "dirac_from_words",
     "dirac_moment", "free_energy", "free_energy_consistent", "gaussian_free_energy",
     "moment", "moment_series", "rescale_dirac", "susceptibility_expansion",
-    "ChainResult", "EstimateWithError", "SamplerConfig", "action_eval",
-    "dirac_operator", "estimate_dirac", "estimate_moment", "run_chain",
+    "ChainResult", "EstimateWithError", "SamplerConfig", "dirac_operator",
+    "estimate_dirac", "estimate_moment", "run_chain",
 ]

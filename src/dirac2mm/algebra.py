@@ -28,7 +28,10 @@ def rat(x) -> Fraction:
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"cannot read {x!r} as a rational: its denominator is zero") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

@@ -34,11 +34,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import CouplingPoint, exact_int, float_range, positive_t2
+from .algebra import CouplingPoint, exact_int, float_range
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
 from .words import _min_rotation, word_letters
 
-HERMITICITY_TOL = 1e-12
 BLOCK = 100   # steps drawn at once by run_chain; also the burn-in tuning window
 
 
@@ -72,6 +71,11 @@ class SamplerConfig:
         if self.point.t2 <= 0 or self.point.t4 <= 0:
             raise ValueError("sampler needs t2 > 0 and t4 > 0")
         float_range("sampler", both=[("t2", self.point.t2), ("t4", self.point.t4)])
+        # at n = 1, X (x) 1 - 1 (x) X^T = 0: a moving commutator letter drops out of D
+        flat = [x for x, eps in zip(self.update_targets, (self.signature.eps1, self.signature.eps2)) if eps == -1]
+        if self.n == 1 and flat:
+            raise ValueError(f"n = 1 drops the commutator letter {flat[0]} out of D, "
+                             "so its weight is flat and its walk unbounded; use n >= 2")
 
     @property
     def proposals(self) -> int:
@@ -90,13 +94,6 @@ class EstimateWithError:
 
     def as_json(self) -> dict:
         return {"mean": self.mean, "std_error": self.std_error, "n_eff": self.n_eff}
-
-
-def _check_hermitian(M: np.ndarray, name: str) -> None:
-    dev = np.max(np.abs(M - M.conj().swapaxes(-1, -2)))
-    scale = max(1.0, float(np.max(np.abs(M))))
-    if dev > HERMITICITY_TOL * scale:
-        raise ValueError(f"{name} is not Hermitian (deviation {dev:.3e})")
 
 
 @lru_cache(maxsize=256)
@@ -127,15 +124,20 @@ def _word_traces(A, B, plan) -> np.ndarray:
     return gram[..., iu, iv]
 
 
+def _trace_pairs(ells: tuple, sig: Signature) -> tuple:
+    """The trace pairs of the tr D^ell, sorted, and their coefficients (len(ells), pairs)."""
+    polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in ells]
+    pairs = sorted(set().union(*polys))
+    return pairs, np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+
+
 @lru_cache(maxsize=None)
 def _trace_plan(ells: tuple, sig: Signature) -> tuple:
     """Word plan, pair columns and coefficients of each tr D^ell."""
-    polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in ells]
-    pairs = sorted(set().union(*polys))
+    pairs, coef = _trace_pairs(ells, sig)
     words = sorted({w for pair in pairs for w in pair} | {""})
     col = {w: i for i, w in enumerate(words)}
     cols = np.array([[col[u] for u, _v in pairs], [col[v] for _u, v in pairs]])
-    coef = np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
     return _plan(tuple(words)), cols, coef
 
 
@@ -174,11 +176,10 @@ def _action_plan(sig: Signature, letter: str) -> tuple:
     for u, v in sorted(itertools.product(range(len(SLOTS)), range(COLS)),
                        key=lambda p: (abs(len(SLOTS[p[0]]) - len(SLOTS[p[1]])), p)):
         entry.setdefault(_necklace(words[u] + words[v][::-1]), u * COLS + v)
-    polys = [dict(dirac_trace_polynomial(ell, sig)) for ell in (2, 4)]
-    pairs = sorted(set().union(*polys))
+    pairs, coef = _trace_pairs((2, 4), sig)
     iu = np.array([entry[_necklace(u)] for u, _v in pairs])
     iv = np.array([entry[_necklace(v)] for _u, v in pairs])
-    return iu, iv, np.array([[poly.get(p, 0) for p in pairs] for poly in polys], dtype=float)
+    return iu, iv, coef
 
 
 class _LetterBuffer:
@@ -208,19 +209,6 @@ class _LetterBuffer:
         np.conjugate(self.XY.swapaxes(-1, -2), out=self.YX)
         gram = (self.rows @ self.cols).reshape(len(self.buf), -1)
         return (gram.take(self.iu, axis=1) * gram.take(self.iv, axis=1)) @ self.weights
-
-
-def action_eval(A: np.ndarray, B: np.ndarray, sig: Signature, point: CouplingPoint) -> float:
-    """Full action S(D) = t2 tr D^2 + t4 tr D^4 of one Hermitian pair."""
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    if A.shape != B.shape or A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("A and B must be square matrices of equal size")
-    _check_hermitian(A, "A")
-    _check_hermitian(B, "B")
-    t2 = positive_t2(point.t2, "action_eval")
-    float_range("action_eval", both=[("t2", t2)], upper=[("|t4|", abs(point.t4))])
-    return float(_LetterBuffer(A[None], B[None], sig, "A", float(point.t2), float(point.t4)).action()[0])
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
@@ -280,7 +268,7 @@ def _draw_block(gen: np.random.Generator, size: int, cfg: SamplerConfig, scales:
     np.add(z, z.swapaxes(-1, -2), out=steps.real)
     np.subtract(z, z.swapaxes(-1, -2), out=steps.imag)
     steps *= scales[:, None, None] / 2.0
-    traceless = np.array([sig.eps1 == -1, sig.eps2 == -1]) & (n > 1)
+    traceless = np.array([sig.eps1 == -1, sig.eps2 == -1])
     if traceless.any():
         diag = np.arange(n)
         mean = steps[..., diag, diag].real.mean(axis=-1, keepdims=True)
@@ -349,11 +337,9 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
 def _batch_mean_error(values: np.ndarray) -> EstimateWithError:
     """Batch-mean standard error of a (T, C) series of observables, from at least 16 batches."""
     T, C = values.shape
-    per_chain = max(16 // C + (16 % C > 0), 2)
-    per_chain = min(per_chain, T)
+    per_chain = min(max(-(-16 // C), 2), T)
     batch_len = T // per_chain
-    usable = batch_len * per_chain
-    batches = values[:usable].reshape(per_chain, batch_len, C).mean(axis=1)  # (B, C)
+    batches = values[: batch_len * per_chain].reshape(per_chain, batch_len, C).mean(axis=1)  # (B, C)
     flat = batches.reshape(-1)
     mean = float(values.mean())
     if flat.size < 2:
@@ -366,10 +352,7 @@ def _batch_mean_error(values: np.ndarray) -> EstimateWithError:
 
 def word_trace_series(result: ChainResult, w: str) -> np.ndarray:
     """(T, C) series of (1/N) Re tr of the word evaluated on each sample."""
-    w = word_letters(w)
-    if not w:
-        return np.ones(result.samples_a.shape[:2])
-    plan = _plan((w,))
+    plan = _plan((word_letters(w),))
     # chain by chain, so the stacked halves stay a 1/C slice of the samples
     A, B = result.samples_a, result.samples_b
     series = [_word_traces(A[:, c], B[:, c], plan)[:, 0] for c in range(A.shape[1])]
@@ -407,19 +390,29 @@ def trace_rows(result: ChainResult):
         yield (t, *map(float, row), acc)
 
 
-# -- detailed-balance check against quadrature ---------------------------------
+# -- detailed-balance check against the exact N = 1 density -------------------
+
+
+def _n1_cdf(t2: float, t4: float, xs: np.ndarray) -> np.ndarray:
+    """CDF of the density exp(-8 t2 x^2 - 32 t4 x^4) at xs, by the trapezoid rule.
+
+    The 20,001-point grid ends where one term of the exponent reaches 50,
+    so the density beyond it is below e^-50.
+    """
+    edge = min(math.sqrt(50 / (8 * t2)), (50 / (32 * t4)) ** 0.25)
+    grid = np.linspace(-edge, edge, 20_001)
+    density = np.exp(-8 * t2 * grid**2 - 32 * t4 * grid**4)
+    cdf = np.concatenate(([0.0], np.cumsum(density[1:] + density[:-1])))
+    return np.interp(xs, grid, cdf / cdf[-1])
 
 
 def n1_marginal_ks(point: CouplingPoint, samples: int = 100_000, seed: int = 7) -> tuple[float, int]:
-    """Kolmogorov-Smirnov distance of the sampled N=1 marginal vs quadrature.
+    """Kolmogorov-Smirnov distance of the sampled N=1 marginal vs the exact density.
 
     Runs the walk on a single 1x1 matrix (the partner matrix frozen at
     zero), whose stationary density is exp(-8 t2 x^2 - 32 t4 x^4); the
-    target CDF is computed by numerical quadrature.
+    target CDF is its trapezoid integral on a fixed grid (``_n1_cdf``).
     """
-    from scipy.integrate import quad
-
-    t2, t4 = float(point.t2), float(point.t4)
     thinning = 4
     cfg = SamplerConfig(
         n=1,
@@ -434,22 +427,10 @@ def n1_marginal_ks(point: CouplingPoint, samples: int = 100_000, seed: int = 7) 
     )
     result = run_chain(cfg)
     xs = np.sort(result.samples_a[:, :, 0, 0].real.reshape(-1))
-    density = lambda x: math.exp(-8 * t2 * x * x - 32 * t4 * x**4)
-    norm = quad(density, -np.inf, np.inf)[0]
-    grid = np.linspace(xs[0] - 1e-9, xs[-1] + 1e-9, 2001)
-    cdf_vals = np.empty_like(grid)
-    acc = 0.0
-    prev = -np.inf
-    for i, g in enumerate(grid):
-        acc += quad(density, prev, g)[0]
-        cdf_vals[i] = acc
-        prev = g
-    cdf_vals /= norm
-    target = np.interp(xs, grid, cdf_vals)
+    target = _n1_cdf(float(point.t2), float(point.t4), xs)
     k = xs.size
-    emp_hi = np.arange(1, k + 1) / k
-    emp_lo = np.arange(0, k) / k
-    distance = float(np.max(np.maximum(np.abs(emp_hi - target), np.abs(target - emp_lo))))
+    emp = np.arange(k + 1) / k
+    distance = float(np.max(np.maximum(np.abs(emp[1:] - target), np.abs(target - emp[:-1]))))
     return distance, k
 
 

@@ -180,8 +180,6 @@ def single_block_words(max_degree: int):
     for degree in range(1, max_degree + 1, 2):
         for b in range(1, degree + 1, 2):
             rest = degree - b
-            if rest % 2 != 0:
-                continue
             for a in range(rest + 1):
                 yield B * a + A * b + B * (rest - a)
 
@@ -199,8 +197,6 @@ def generate_system(max_word_degree: int) -> list[SdeEquation]:
     seen = {}
     for w in single_block_words(max_word_degree):
         eq = generate_equation(w)
-        if eq.is_trivial():
-            continue
         key = eq.normalized_key()
         if key not in seen:
             seen[key] = eq

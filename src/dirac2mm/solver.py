@@ -234,8 +234,8 @@ class VerifyRecord:
 def verify_closed_forms(table: MomentTable) -> list[VerifyRecord]:
     """Compare a perturbative solution against the closed-form branch.
 
-    Every closed form is Taylor-expanded exactly (surd expanded via the
-    series square root) at the table's t2 and order, and compared
+    Every closed form is Taylor-expanded exactly (the surd by its binomial
+    series) at the table's t2 and order, and compared
     coefficient by coefficient with each of the table's moments through its
     degree.  Mismatches are reported as data, including the first diverging
     order; closed forms that are not power series at t4 = 0 (the degree-8

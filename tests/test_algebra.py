@@ -10,6 +10,7 @@ from dirac2mm.algebra import (
     RadicandMismatch,
     SurdScalar,
     TruncationError,
+    rat,
     rational_sqrt,
 )
 
@@ -128,6 +129,12 @@ def _t2_entry_points():
 def test_nonpositive_t2_is_refused_by_name(name, t2):
     with pytest.raises(ValueError, match=rf"^{name} needs t2 > 0$"):
         _t2_entry_points()[name](t2)
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/0"])
+def test_rat_refuses_a_zero_denominator(text):
+    with pytest.raises(ValueError, match=f"^cannot read '{text}' as a rational: its denominator is zero$"):
+        rat(text)
 
 
 def test_rational_sqrt():

@@ -46,6 +46,11 @@ class TestMoments:
         assert out == ""
         assert "t2 > 0" in err
 
+    def test_zero_denominator_exit_code(self, capsys):
+        code, out, err = run(capsys, "moments", "--t2", "1/0", "--t4", "1", "--index", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot read '1/0' as a rational: its denominator is zero\n"
+
     def test_untabulated_moment_message_has_no_quotes(self, capsys):
         code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", "m_{10}")
         assert (code, out) == (1, "")
@@ -218,6 +223,12 @@ class TestMc:
         code, _, err = run(capsys, "mc", "--signature", "9,9", "--steps", "100", "--burn-in", "10")
         assert code == 1
         assert "signature" in err
+
+    def test_refuses_a_commutator_letter_at_n_1(self, capsys):
+        code, out, err = run(capsys, "mc", "--n", "1", "--signature", "1,1", "--steps", "3000",
+                             "--burn-in", "1000", "--thinning", "10", "--chains", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: n = 1 drops the commutator letter B out of D")
 
     @pytest.mark.parametrize("t2", ["1e-400", "1e400"])
     def test_refuses_t2_outside_the_float_range(self, capsys, t2):

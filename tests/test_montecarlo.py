@@ -17,29 +17,32 @@ def random_hermitian(rng, n):
     return (g + g.conj().T) / 2
 
 
+def action(A, B, sig, t2=1.0, t4=1.0):
+    """S(D) = t2 tr D^2 + t4 tr D^4 of one pair, read off the sampler's letter kernel."""
+    return mc._LetterBuffer(A[None], B[None], sig, "A", t2, t4).action()[0]
+
+
 class TestAction:
     def test_zero_matrices(self):
         z = np.zeros((4, 4))
         for sig in Signature:
-            assert mc.action_eval(z, z, sig, P11) == 0.0
+            assert action(z, z, sig) == 0.0
 
     def test_scalar_case(self):
         # N=1, B=0: the quartic trace collapses to 8 t2 x^2 + 32 t4 x^4
         for x in (0.3, -1.1):
-            got = mc.action_eval(np.array([[x]]), np.array([[0.0]]), Signature.S20, P11)
+            got = action(np.array([[x]]), np.array([[0.0]]), Signature.S20)
             assert got == pytest.approx(8 * x**2 + 32 * x**4, rel=1e-13)
 
     def test_matches_dense_dirac_traces(self):
         rng = np.random.default_rng(0)
-        p = CouplingPoint(F(3, 2), F(2, 3))
+        t2, t4 = 1.5, 2 / 3
         for sig in Signature:
             for n in (2, 3, 5):
                 A, B = random_hermitian(rng, n), random_hermitian(rng, n)
                 D = mc.dirac_operator(A, B, sig)
-                direct = float(p.t2) * np.trace(D @ D).real + float(p.t4) * np.trace(
-                    np.linalg.matrix_power(D, 4)
-                ).real
-                assert mc.action_eval(A, B, sig, p) == pytest.approx(direct, rel=1e-12)
+                direct = t2 * np.trace(D @ D).real + t4 * np.trace(np.linalg.matrix_power(D, 4)).real
+                assert action(A, B, sig, t2, t4) == pytest.approx(direct, rel=1e-12)
 
     @pytest.mark.parametrize("sig", list(Signature))
     @pytest.mark.parametrize("letter", ["A", "B"])
@@ -69,20 +72,7 @@ class TestAction:
         rng = np.random.default_rng(1)
         A, B = random_hermitian(rng, 4), random_hermitian(rng, 4)
         for sig in (Signature.S20, Signature.S02):
-            assert mc.action_eval(A, B, sig, P11) == pytest.approx(
-                mc.action_eval(B, A, sig, P11), rel=1e-12
-            )
-
-    def test_rejects_non_hermitian(self):
-        bad = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError):
-            mc.action_eval(bad, np.zeros((2, 2)), Signature.S20, P11)
-
-    @pytest.mark.parametrize("t2", [0, F("1e-400"), -1])
-    def test_refuses_t2_outside_the_domain(self, t2):
-        # 1e-400 is a positive t2 that reads as 0.0 in floats
-        with pytest.raises(ValueError, match="t2"):
-            mc.action_eval(np.eye(2), np.zeros((2, 2)), Signature.S20, CouplingPoint(t2, 1))
+            assert action(A, B, sig) == pytest.approx(action(B, A, sig), rel=1e-12)
 
 
 class TestConfig:
@@ -97,6 +87,22 @@ class TestConfig:
             mc.SamplerConfig(n=4, point=P11, update_targets="B")
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             mc.SamplerConfig(n=4, point=P11, seed=-1)
+
+    @pytest.mark.parametrize("sig, targets, letter", [
+        (Signature.S11, "AB", "B"), (Signature.S02, "AB", "A"), (Signature.S02, "A", "A"),
+    ])
+    def test_refuses_a_commutator_letter_at_n_1(self, sig, targets, letter):
+        # at N = 1, X (x) 1 - 1 (x) X^T = 0: the letter leaves D and its walk is unbounded
+        message = f"n = 1 drops the commutator letter {letter} out of D"
+        with pytest.raises(ValueError, match=f"^{message}, so its weight is flat and its walk unbounded; use n >= 2$"):
+            mc.SamplerConfig(n=1, point=P11, signature=sig, update_targets=targets)
+
+    @pytest.mark.parametrize("sig, targets, n", [
+        (Signature.S20, "AB", 1), (Signature.S20, "A", 1), (Signature.S11, "A", 1),
+        (Signature.S11, "AB", 2), (Signature.S02, "AB", 2),
+    ])
+    def test_accepts_n_1_without_a_moving_commutator_letter(self, sig, targets, n):
+        assert mc.SamplerConfig(n=n, point=P11, signature=sig, update_targets=targets).n == n
 
     def test_refuses_runs_that_keep_no_sample(self):
         # 9 post-burn-in steps at thinning 10 keep nothing: refused before any step runs
@@ -209,6 +215,12 @@ class TestChain:
         est = mc.estimate_moment(short_chain, "AA")
         assert est.std_error > 0
         assert abs(est.mean - 1 / 16) < 0.15 * (1 / 16)
+
+    def test_empty_word_series_is_exactly_one(self, short_chain):
+        # Re tr(I I) = N, divided by N
+        series = mc.word_trace_series(short_chain, "")
+        assert series.shape == short_chain.samples_a.shape[:2]
+        assert np.all(series == 1.0)
 
     def test_parity_observable_is_noise(self, short_chain):
         est = mc.estimate_moment(short_chain, "AB")
@@ -355,6 +367,21 @@ class TestConcentration:
             )
             means.append(mc.estimate_moment(mc.run_chain(cfg), "AA").mean)
         assert means[0] > means[1] > means[2]
+
+
+@pytest.mark.parametrize("t2, t4", [
+    (1, 1), (1, 1e-6), (1e-6, 1), (1e4, 1), (1, 1e4), (3, 0.1), (1e-3, 1e-3),
+])
+def test_n1_cdf_matches_quadrature(t2, t4):
+    from scipy.integrate import quad
+
+    density = lambda x: math.exp(-8 * t2 * x * x - 32 * t4 * x**4)
+    edge = min(math.sqrt(50 / (8 * t2)), (50 / (32 * t4)) ** 0.25)
+    xs = np.linspace(-1.2 * edge, 1.2 * edge, 61)
+    # integrated piece by piece from -inf: one quad from -inf to x misses a narrow peak
+    parts = [quad(density, a, b, epsrel=1e-13)[0] for a, b in zip([-np.inf, *xs], [*xs, np.inf])]
+    want = np.cumsum(parts)[:-1] / sum(parts)
+    np.testing.assert_allclose(mc._n1_cdf(t2, t4, xs), want, rtol=0, atol=1e-7)
 
 
 def test_ks_check_fast():

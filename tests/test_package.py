@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import dirac2mm
 
 
@@ -12,3 +17,18 @@ def test_star_import_binds_exactly_the_exports():
     exec("from dirac2mm import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(dirac2mm.__all__)
+
+
+def test_runs_without_scipy():
+    # scipy is a test dependency only: blocking its import must not matter to
+    # the exact checks or to the N = 1 detailed-balance check
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from dirac2mm import CouplingPoint, cli, montecarlo\n"
+        "assert cli.main(['verify']) == 0\n"
+        "montecarlo.n1_marginal_ks(CouplingPoint(1, 1), samples=2000, seed=1)\n"
+    )
+    src = str(Path(dirac2mm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

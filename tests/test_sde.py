@@ -14,6 +14,7 @@ from dirac2mm.sde import (
     generate_equation,
     generate_system,
     residual,
+    single_block_words,
 )
 from dirac2mm.words import canonicalize, parse_moment_label
 from dirac2mm import closedform
@@ -118,6 +119,12 @@ class TestGenerateSystem:
         assert len(generate_system(3)) == 4
         assert len(generate_system(5)) == 10
         assert len(generate_system(7)) == 20
+
+    def test_no_single_block_word_gives_a_trivial_equation(self):
+        # each has an odd A-count, so m_[wA] does not vanish by parity
+        words = list(single_block_words(11))
+        assert len(words) == 91
+        assert not any(generate_equation(w).is_trivial() for w in words)
 
     def test_words_of_degree_one(self):
         (eq,) = generate_system(1)
