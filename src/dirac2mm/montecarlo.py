@@ -68,6 +68,9 @@ class SamplerConfig:
             raise ValueError("no samples kept; increase steps or reduce thinning")
         if self.update_targets not in ("AB", "A"):
             raise ValueError("update_targets must be 'AB' or 'A'")
+        if not isinstance(self.signature, Signature):
+            raise ValueError(f"signature must be Signature.S20, S11 or S02, got {self.signature!r}; "
+                             "Signature.parse reads '2,0', '1,1' or '0,2'")
         if self.point.t2 <= 0 or self.point.t4 <= 0:
             raise ValueError("sampler needs t2 > 0 and t4 > 0")
         float_range("sampler", both=[("t2", self.point.t2), ("t4", self.point.t4)])

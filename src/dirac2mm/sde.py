@@ -141,14 +141,20 @@ def _odd(letters: str) -> bool:
 
 
 def lhs_pairs(w: str) -> list:
-    """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped."""
+    """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped.
+
+    Both halves are even in length and in A exactly when the split A has an
+    even position and an even number of A before it, and w itself is odd in
+    length and in A; otherwise one half vanishes by parity.
+    """
+    if len(w) % 2 == 0 or w.count(A) % 2 == 0:
+        return []
     lhs = []
-    p = w.find(A)
+    p, before = w.find(A), 0
     while p >= 0:
-        left, right = w[:p], w[p + 1 :]
-        if not (_odd(left) or _odd(right)):
-            lhs.append((canonicalize(left), canonicalize(right)))
-        p = w.find(A, p + 1)
+        if p % 2 == 0 and before % 2 == 0:
+            lhs.append((canonicalize(w[:p]), canonicalize(w[p + 1 :])))
+        p, before = w.find(A, p + 1), before + 1
     return lhs
 
 

@@ -90,16 +90,17 @@ def _recipe_words(c: CanonicalMoment):
 def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list[tuple]:
     """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
 
-    Every entry is a row index into the integer table.  Without
-    ``with_insertions`` both insertion tuples are empty: the top degree
-    band is read only at order 0, where the insertions do not enter.
+    Every entry is a row index into the integer table, looked up in
+    ``index`` by run tuple.  Without ``with_insertions`` both insertion
+    tuples are empty: the top degree band is read only at order 0, where
+    the insertions do not enter.
     """
     out = []
     for w in _recipe_words(c):
-        pairs = tuple((index[x], index[y]) for x, y in lhs_pairs(w))
+        pairs = tuple((index[x.runs], index[y.runs]) for x, y in lhs_pairs(w))
         terms = insertions(w) if with_insertions else ()
-        plus = tuple(index[m] for m, tag in terms if tag is CoefTag.Q)
-        minus = tuple(index[m] for m, tag in terms if tag is CoefTag.QNEG)
+        plus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q)
+        minus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.QNEG)
         out.append((pairs, plus, minus))
     return out
 
@@ -167,9 +168,10 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     all_moments = [CanonicalMoment(())]
     for d in range(2, degree_cap[0] + 1, 2):
         all_moments.extend(iter_canonical_moments(d))
-    index = {c: i for i, c in enumerate(all_moments)}
-    m2 = index[M2]
-    pinned = index.get(CanonicalMoment((1, 1, 1, 1))) if enforce_vanishing_alternating else None
+    # keyed by run tuples, whose hash and equality run in C
+    index = {c.runs: i for i, c in enumerate(all_moments)}
+    m2 = index[M2.runs]
+    pinned = index.get((1, 1, 1, 1)) if enforce_vanishing_alternating else None
 
     def value(c: CanonicalMoment, k: int, v: int) -> Fraction:
         """Integer table entry v of c at order k, as the coefficient at t2."""

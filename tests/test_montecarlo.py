@@ -104,6 +104,12 @@ class TestConfig:
     def test_accepts_n_1_without_a_moving_commutator_letter(self, sig, targets, n):
         assert mc.SamplerConfig(n=n, point=P11, signature=sig, update_targets=targets).n == n
 
+    @pytest.mark.parametrize("bad", ["0,2", (0, 2), None])
+    def test_refuses_a_signature_that_is_not_a_signature(self, bad):
+        # a plain string or tuple used to reach run_chain and die on .eps1
+        with pytest.raises(ValueError, match=r"^signature must be Signature\.S20, S11 or S02, got "):
+            mc.SamplerConfig(n=2, point=P11, signature=bad)
+
     def test_refuses_runs_that_keep_no_sample(self):
         # 9 post-burn-in steps at thinning 10 keep nothing: refused before any step runs
         with pytest.raises(ValueError, match="no samples kept; increase steps or reduce thinning"):

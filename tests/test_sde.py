@@ -3,6 +3,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -13,11 +14,12 @@ from dirac2mm.sde import (
     MissingMoment,
     generate_equation,
     generate_system,
+    lhs_pairs,
     residual,
     single_block_words,
 )
-from dirac2mm.words import canonicalize, parse_moment_label
-from dirac2mm import closedform
+from dirac2mm.words import canonicalize, parse_moment_label, splits_at
+from dirac2mm import closedform, sde
 
 
 def rhs_map(eq):
@@ -102,6 +104,18 @@ class TestGenerateEquation:
                     assert m.degree == len(letters) + 3
             for x, y in eq.lhs:
                 assert x.degree + y.degree == len(letters) - 1
+
+    def test_lhs_pairs_match_brute_force_splits(self):
+        # every word of length <= 11: the splits at each A, in order, less
+        # those with a half that vanishes by parity
+        for n in range(12):
+            for letters in map("".join, product("AB", repeat=n)):
+                expected = [
+                    (canonicalize(left), canonicalize(right))
+                    for left, right in splits_at(letters, "A")
+                    if not (sde._odd(left) or sde._odd(right))
+                ]
+                assert lhs_pairs(letters) == expected, letters
 
     def test_even_a_count_trivializes(self):
         assert generate_equation("AAB").is_trivial()

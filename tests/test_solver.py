@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from dirac2mm import words
 from dirac2mm.sde import CoefTag
 from dirac2mm.solver import (
     InconsistentSystem,
@@ -227,3 +228,12 @@ def test_canonical_cache_is_bounded():
     solve_series(8, 4, 1)
     info = _canonical_from_string.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_every_word_cache_is_bounded():
+    # the string cache, the necklace cache behind it and the classes per degree
+    solve_series(8, 4, 1)
+    caches = {name: f.cache_info() for name, f in vars(words).items() if hasattr(f, "cache_info")}
+    assert {"_canonical_from_string", "_canonical_from_necklace"} <= set(caches)
+    for name, info in caches.items():
+        assert info.maxsize is not None and info.currsize <= info.maxsize, name

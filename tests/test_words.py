@@ -2,14 +2,14 @@ import io
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import groupby
+from itertools import groupby, product
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dirac2mm import cli, mapenum, montecarlo, sde
+from dirac2mm import cli, mapenum, montecarlo, sde, words
 from dirac2mm.words import (
     CanonicalMoment,
     canonicalize,
@@ -114,6 +114,17 @@ class TestCanonicalize:
 
     def test_degree_counts(self):
         assert [len(iter_canonical_moments(d)) for d in (2, 4, 6, 8)] == [1, 3, 4, 12]
+
+    def test_every_word_through_length_12_matches_exhaustive_oracle(self):
+        # all 8,191 strings, with both caches cold: the first string of each
+        # necklace builds its class and its rotations reuse it
+        words._canonical_from_string.cache_clear()
+        words._canonical_from_necklace.cache_clear()
+        strings = ["".join(p) for n in range(13) for p in product("AB", repeat=n)]
+        assert len(strings) == 8191
+        for letters in strings:
+            assert words._necklace(letters) == words._min_rotation(letters), letters
+            assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters), letters
 
 
 def brute_force_classes(degree: int) -> list:
