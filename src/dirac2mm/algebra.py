@@ -3,13 +3,14 @@ truncated power series.
 
 Every closed-form quantity of the quartic 2-matrix model lives in the real
 quadratic extension Q(s) with s**2 = t2**2 + 8*t4.  ``SurdScalar`` implements
-that field with arbitrary-precision rational components, so equality checks
-in the test suite are exact, never approximate.  ``MomentSeries`` holds the
-coefficients of a power series in the quartic coupling t4, truncated at some
-order, at a fixed rational t2: the value in which the perturbative solver,
-the map enumerator and the closed forms' Taylor expansions are compared
-coefficient by coefficient.  It has no ring operations; whoever builds a
-series computes its coefficients.
+that field exactly, never approximately: a value a + b*s is kept as integers
+(p + q*s)/d over one denominator, so each operation is a few integer
+products and one gcd, and its components a and b read as Fractions.
+``MomentSeries`` holds the coefficients of a power series in the quartic
+coupling t4, truncated at some order, at a fixed rational t2: the value in
+which the perturbative solver, the map enumerator and the closed forms'
+Taylor expansions are compared coefficient by coefficient.  It has no ring
+operations; whoever builds a series computes its coefficients.
 """
 
 from __future__ import annotations
@@ -108,10 +109,16 @@ class RadicandMismatch(ValueError):
     """Raised when mixing surd values built over different radicands."""
 
 
-@dataclass(frozen=True)
+_FLOAT_SAFE_BITS = 512    # |a|, |b|, ssq within 2^(+-512): a + b*s is a normal float
+_ROOT_BITS = 130          # isqrt(u v 4^k) carries at least this many bits
+
+
 class SurdScalar:
     """Exact element a + b*s of Q(s), with s**2 equal to the fixed ``ssq``.
 
+    The value is held as integers (p + q*s)/d over one denominator, reduced
+    so that gcd(p, q, d) = 1 and d > 0; with ssq = u/v, an operation is a few
+    integer products and one gcd.  ``a``, ``b`` and ``ssq`` read as Fractions.
     The radicand travels with the value, so scalars built at different
     coupling points cannot be combined silently.  When ``ssq`` happens to be
     a perfect rational square the representation is redundant ((3, 0) and
@@ -119,14 +126,37 @@ class SurdScalar:
     canonical rational form first.
     """
 
-    a: Fraction
-    b: Fraction
-    ssq: Fraction
+    __slots__ = ("_p", "_q", "_d", "_ssq", "_u", "_v")
 
     def __init__(self, a, b, ssq):
-        object.__setattr__(self, "a", a if type(a) is Fraction else rat(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else rat(b))
-        object.__setattr__(self, "ssq", rat(ssq))
+        a = a if type(a) is Fraction else rat(a)
+        b = b if type(b) is Fraction else rat(b)
+        ssq = rat(ssq)
+        self._ssq, self._u, self._v = ssq, ssq.numerator, ssq.denominator
+        da, db = a.denominator, b.denominator
+        self._reduce(a.numerator * db, b.numerator * da, da * db)
+
+    def _reduce(self, p: int, q: int, d: int) -> "SurdScalar":
+        g = math.gcd(p, q, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            p, q, d = p // g, q // g, d // g
+        self._p, self._q, self._d = p, q, d
+        return self
+
+    def _like(self, p: int, q: int, d: int) -> "SurdScalar":
+        """(p + q*s)/d over this value's radicand, reduced."""
+        x = object.__new__(SurdScalar)
+        x._ssq, x._u, x._v = self._ssq, self._u, self._v
+        return x._reduce(p, q, d)
+
+    @classmethod
+    def _from_ints(cls, p: int, q: int, d: int, ssq: Fraction) -> "SurdScalar":
+        """(p + q*s)/d over the radicand ``ssq``, reduced; d != 0."""
+        x = object.__new__(cls)
+        x._ssq, x._u, x._v = ssq, ssq.numerator, ssq.denominator
+        return x._reduce(p, q, d)
 
     # -- constructors -------------------------------------------------
 
@@ -138,66 +168,88 @@ class SurdScalar:
     def s(cls, ssq) -> "SurdScalar":
         return cls(0, 1, ssq)
 
+    @property
+    def a(self) -> Fraction:
+        """Rational part."""
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        """Coefficient of s."""
+        return Fraction(self._q, self._d)
+
+    @property
+    def ssq(self) -> Fraction:
+        """The radicand s**2."""
+        return self._ssq
+
     # -- canonical form -----------------------------------------------
 
     def reduced(self) -> "SurdScalar":
         """Fold b*s into the rational part when s itself is rational."""
-        if self.b == 0:
+        if self._q == 0:
             return self
-        r = rational_sqrt(self.ssq)
+        r = rational_sqrt(self._ssq)
         if r is None:
             return self
-        return SurdScalar(self.a + self.b * r, 0, self.ssq)
+        e = r.denominator
+        return self._like(self._p * e + self._q * r.numerator, 0, self._d * e)
 
     def rational_value(self) -> Fraction:
         red = self.reduced()
-        if red.b != 0:
+        if red._q != 0:
             raise ValueError(f"{self} is irrational")
-        return red.a
+        return Fraction(red._p, red._d)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other) -> "SurdScalar":
         if isinstance(other, SurdScalar):
-            if other.ssq != self.ssq:
-                raise RadicandMismatch(f"radicands differ: {self.ssq} vs {other.ssq}")
+            if other._ssq is not self._ssq and other._ssq != self._ssq:
+                raise RadicandMismatch(f"radicands differ: {self._ssq} vs {other._ssq}")
             return other
-        return SurdScalar(rat(other), 0, self.ssq)
+        r = rat(other)
+        return self._like(r.numerator, 0, r.denominator)
 
     def __add__(self, other):
         o = self._check(other)
-        return SurdScalar(self.a + o.a, self.b + o.b, self.ssq)
+        d, e = self._d, o._d
+        return self._like(self._p * e + o._p * d, self._q * e + o._q * d, d * e)
 
     def __neg__(self):
-        return SurdScalar(-self.a, -self.b, self.ssq)
+        return self._like(-self._p, -self._q, self._d)
 
     def __sub__(self, other):
-        return self + (-self._check(other))
+        o = self._check(other)
+        d, e = self._d, o._d
+        return self._like(self._p * e - o._p * d, self._q * e - o._q * d, d * e)
 
     def __mul__(self, other):
         if not isinstance(other, SurdScalar):
-            r = rat(other)
-            return SurdScalar(self.a * r, self.b * r, self.ssq)
+            r = other if type(other) is int else rat(other)
+            n = r.numerator
+            return self._like(self._p * n, self._q * n, self._d * r.denominator)
         o = self._check(other)
-        return SurdScalar(
-            self.a * o.a + self.b * o.b * self.ssq,
-            self.a * o.b + self.b * o.a,
-            self.ssq,
-        )
+        p, q, v = self._p, self._q, self._v
+        return self._like(p * o._p * v + q * o._q * self._u, (p * o._q + q * o._p) * v, self._d * o._d * v)
+
+    def _norm_numerator(self) -> int:
+        return self._p * self._p * self._v - self._q * self._q * self._u
 
     def norm(self) -> Fraction:
         """Field norm a**2 - b**2 * ssq."""
-        return self.a * self.a - self.b * self.b * self.ssq
+        return Fraction(self._norm_numerator(), self._d * self._d * self._v)
 
     def inverse(self) -> "SurdScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero surd value")
-        n = self.norm()
+        n = self._norm_numerator()
         if n == 0:
             # only possible when ssq is a rational square; divide in Q
             v = self.rational_value()
-            return SurdScalar(1 / v, 0, self.ssq)
-        return SurdScalar(self.a / n, -self.b / n, self.ssq)
+            return self._like(v.denominator, 0, v.numerator)
+        dv = self._d * self._v
+        return self._like(self._p * dv, -self._q * dv, n)
 
     def __truediv__(self, other):
         o = self._check(other)
@@ -206,31 +258,60 @@ class SurdScalar:
     # -- comparisons & conversions --------------------------------------
 
     def is_zero(self) -> bool:
+        if self._q == 0:
+            return self._p == 0
         red = self.reduced()
-        return red.a == 0 and red.b == 0
+        return red._p == 0 and red._q == 0
 
     def __eq__(self, other):
-        if isinstance(other, SurdScalar) and other.ssq != self.ssq:
+        if isinstance(other, SurdScalar) and other._ssq is not self._ssq and other._ssq != self._ssq:
             return False
-        o = self._check(other)
-        x, y = self.reduced(), o.reduced()
-        return x.a == y.a and x.b == y.b
+        x, y = self.reduced(), self._check(other).reduced()
+        return x._p == y._p and x._q == y._q and x._d == y._d
 
     def __hash__(self):
         red = self.reduced()
-        return hash((red.a, red.b, self.ssq))
+        return hash((red.a, red.b, self._ssq))
 
     def to_float(self) -> float:
-        if self.ssq < 0:
+        """The float nearest a + b*s, within a few ulp.
+
+        When a and b have the same sign and lie, with ssq, well inside the
+        float range, this is a + b*sqrt(ssq) in floats.  Otherwise s is
+        bracketed by r / (v 2^k) with r = isqrt(u v 4^k) of at least 130
+        bits, and when a and b have opposite signs the value is taken as the
+        exact norm over the conjugate a - b*s, so nothing cancels; one
+        integer division rounds the result.
+        """
+        p, q, d, u, v = self._p, self._q, self._d, self._u, self._v
+        if u < 0:
             raise ValueError("negative radicand has no real value")
-        return float(self.a) + float(self.b) * math.sqrt(float(self.ssq))
+        cancels = p * q < 0
+        if not cancels and all(
+            abs(n.bit_length() - m.bit_length()) < _FLOAT_SAFE_BITS for n, m in ((p, d), (q, d), (u, v)) if n
+        ):
+            return p / d + q / d * math.sqrt(u / v)
+        w = u * v
+        k = max(0, _ROOT_BITS - w.bit_length() // 2)
+        r, e = math.isqrt(w << 2 * k), v << k        # r/e <= s < (r + 1)/e
+        if cancels:
+            num, den = self._norm_numerator() << k, d * (p * e - q * r)
+        else:
+            num, den = p * e + q * r, d * e
+        try:
+            x = num / den
+            if x or not num:
+                return x
+        except OverflowError:
+            pass
+        raise ValueError("a nonzero value outside the float range 5e-324 <= |x| <= 1.8e308 has no float")
 
     def __repr__(self):
         red = self.reduced()
-        if red.b == 0:
+        if red._q == 0:
             return f"{red.a}"
-        sign = "+" if red.b >= 0 else "-"
-        return f"({red.a} {sign} {abs(red.b)}*sqrt({red.ssq}))"
+        sign = "+" if red._q >= 0 else "-"
+        return f"({red.a} {sign} {abs(red.b)}*sqrt({red._ssq}))"
 
 
 class TruncationError(ValueError):

@@ -56,7 +56,7 @@ def cmd_free_energy(args) -> int:
 
 
 def cmd_sde(args) -> int:
-    if args.word:
+    if args.word is not None:
         eqs = [generate_equation(args.word)]
     else:
         eqs = generate_system(args.max_degree)
@@ -65,7 +65,7 @@ def cmd_sde(args) -> int:
     else:
         for eq in eqs:
             line = eq.render_latex() if args.format == "latex" else eq.render_text()
-            prefix = f"{eq.source_word}: " if not args.word else ""
+            prefix = f"{eq.source_word}: " if args.word is None else ""
             print(prefix + line)
     return 0
 

@@ -96,8 +96,8 @@ def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
 
 # Numerator of each branch moment over DEN * t4^q, as monomials
 # (coefficient, t2 power, t4 power, s power in {0, 1}).
-_PLAIN = lambda c, i, j: (Fraction(c), i, j, 0)
-_SURD = lambda c, i, j: (Fraction(c), i, j, 1)
+_PLAIN = lambda c, i, j: (c, i, j, 0)
+_SURD = lambda c, i, j: (c, i, j, 1)
 
 
 def _family(c1, c2, c3, cs1, cs2, q, den):
@@ -182,20 +182,36 @@ class PoleAtGaussianPoint(ArithmeticError):
 
 
 @lru_cache(maxsize=16)
-def _powers_at(point: CouplingPoint) -> dict:
-    """t2^i t4^j at ``point`` for every (i, j) the table uses, formed once."""
+def _powers_at(point: CouplingPoint) -> tuple:
+    """(powers, scales) at ``point``, in integers, formed once.
+
+    With t2 = n2/m2, t4 = n4/m4 and I, J the largest exponents of the table,
+    powers[i, j] = t2^i t4^j m2^I m4^J, and scales[q] = (m4^q, m2^I m4^J n4^q),
+    so a numerator summed over ``powers`` times m4^q over den * scales[q][1]
+    is the entry's value.
+    """
     pairs = {(i, j) for _, _, monomials in _MOMENT_TABLE.values() for _, i, j, _ in monomials}
-    return {(i, j): point.t2**i * point.t4**j for i, j in pairs}
+    qs = {q for q, _, _ in _MOMENT_TABLE.values()}
+    (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
+    I, J = max(i for i, _ in pairs), max(j for _, j in pairs)
+    powers = {(i, j): n2**i * m2 ** (I - i) * n4**j * m4 ** (J - j) for i, j in pairs}
+    return powers, {q: (m4**q, m2**I * m4**J * n4**q) for q in qs}
 
 
 def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     q, den, monomials = _MOMENT_TABLE[runs]
-    powers = _powers_at(point)
-    parts = [Fraction(0), Fraction(0)]     # plain part, surd part
+    powers, scales = _powers_at(point)
+    x = y = 0     # plain part, surd part: integers, as the table's coefficients are
     for coef, i, j, sp in monomials:
-        parts[sp] += coef * powers[i, j]
-    scale = den * point.t4**q
-    return SurdScalar(parts[0] / scale, parts[1] / scale, point.ssq)
+        if sp:
+            y += coef * powers[i, j]
+        else:
+            x += coef * powers[i, j]
+    up, down = scales[q]
+    return SurdScalar._from_ints(
+        x.numerator * y.denominator * up, y.numerator * x.denominator * up,
+        x.denominator * y.denominator * den * down, point.ssq,
+    )
 
 
 def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:

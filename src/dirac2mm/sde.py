@@ -213,38 +213,40 @@ class MissingMoment(KeyError):
     """An equation referenced a moment absent from the assignment."""
 
 
-def _value(assignment, m: CanonicalMoment, ssq) -> SurdScalar:
+def _value(assignment, m: CanonicalMoment, one: SurdScalar, zero: SurdScalar) -> SurdScalar:
     if m.is_empty():
-        return SurdScalar(1, 0, ssq)
+        return one
     if vanishes_by_parity(m):
-        return SurdScalar(0, 0, ssq)
+        return zero
     try:
         v = assignment[m]
     except KeyError:
         raise MissingMoment(f"assignment missing value for {m.label()}") from None
     if isinstance(v, SurdScalar):
         return v
-    return SurdScalar(v, 0, ssq)
+    return SurdScalar(v, 0, one.ssq)
 
 
 def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], point: CouplingPoint) -> SurdScalar:
-    """RHS - LHS of the equation, evaluated exactly in the surd field."""
+    """RHS - LHS of the equation, evaluated exactly in the surd field.
+
+    The right side is summed per coefficient tag first, so each tag costs
+    one product.
+    """
     ssq = point.ssq
-    total = SurdScalar(0, 0, ssq)
-    c2, q = 8 * point.t2, 16 * point.t4
-    bt = None
-    if any(tag is CoefTag.BT for _m, tag in eq.rhs):
-        bt = _value(assignment, M2, ssq) * (64 * point.t4)
+    one, zero = SurdScalar(1, 0, ssq), SurdScalar(0, 0, ssq)
+    value = lambda m: _value(assignment, m, one, zero)
+    sums = {}
     for m, tag in eq.rhs:
-        v = _value(assignment, m, ssq)
-        if tag is CoefTag.C2:
-            total = total + v * c2
-        elif tag is CoefTag.Q:
-            total = total + v * q
-        elif tag is CoefTag.QNEG:
-            total = total - v * q
-        elif tag is CoefTag.BT:
-            total = total + bt * v
+        v = value(m)
+        sums[tag] = sums[tag] + v if tag in sums else v
+    t2, t4 = point.t2, point.t4
+    scale = {CoefTag.C2: 8 * t2, CoefTag.Q: 16 * t4, CoefTag.QNEG: -16 * t4}
+    if CoefTag.BT in sums:
+        scale[CoefTag.BT] = value(M2) * (64 * t4)
+    total = zero
+    for tag, v in sums.items():
+        total = total + v * scale[tag]
     for x, y in eq.lhs:
-        total = total - _value(assignment, x, ssq) * _value(assignment, y, ssq)
+        total = total - value(x) * value(y)
     return total

@@ -1,4 +1,6 @@
 import math
+import operator
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +15,7 @@ from dirac2mm.algebra import (
     rat,
     rational_sqrt,
 )
+from reference import SurdScalar as ReferenceSurd
 
 rationals = st.fractions(
     min_value=F(-50), max_value=F(50), max_denominator=20
@@ -79,6 +82,88 @@ class TestSurdScalar:
         x = SurdScalar(a, b, p.ssq)
         exact = float(a) + float(b) * math.sqrt(float(p.ssq))
         assert x.to_float() == pytest.approx(exact, rel=1e-12)
+
+
+# irrational and perfect-square radicands; the squares make (a, b) redundant
+DIFFERENTIAL_RADICANDS = (F(2), F(3), F(17, 4), F(33, 2), F(4), F(9), F(25, 4))
+
+
+def _components(x):
+    return (x.a, x.b, x.ssq, type(x.a), type(x.b), type(x.ssq))
+
+
+def _outcome(f, *args):
+    """f's result, or the type of the exception it raised."""
+    try:
+        return f(*args)
+    except (ZeroDivisionError, ValueError) as exc:
+        return type(exc)
+
+
+class TestAgainstReference:
+    """The integer SurdScalar against the Fraction-pair one of tests/reference.py."""
+
+    ARITHMETIC = {
+        "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "neg": lambda x, _: -x, "inverse": lambda x, _: x.inverse(), "reduced": lambda x, _: x.reduced(),
+    }
+    QUERIES = {
+        "norm": lambda x, _: (x.norm(), type(x.norm())), "==": operator.eq, "hash": lambda x, _: hash(x),
+        "is_zero": lambda x, _: x.is_zero(), "rational_value": lambda x, _: x.rational_value(),
+        "repr": lambda x, _: repr(x),
+    }
+    OPS = sorted(ARITHMETIC) + sorted(QUERIES) + ["to_float", "roundtrip"]
+
+    def test_seeded_operations_match(self):
+        rng = random.Random(20261019)
+
+        def fresh(ssq):
+            part = lambda: F(0) if rng.random() < 0.25 else F(rng.randint(-40, 40), rng.randint(1, 12))
+            a, b = part(), part()
+            return SurdScalar(a, b, ssq), ReferenceSurd(a, b, ssq)
+
+        count = dict.fromkeys(self.OPS, 0)
+        for _ in range(200):
+            ssq = rng.choice(DIFFERENTIAL_RADICANDS)
+            pool = [fresh(ssq) for _ in range(6)]
+            for _ in range(50):
+                op = rng.choice(self.OPS)
+                count[op] += 1
+                (x, rx), (y, ry) = rng.choice(pool), rng.choice(pool)
+                if rng.random() < 0.3:
+                    y = ry = rng.choice([rng.randint(-9, 9), F(rng.randint(-9, 9), rng.randint(1, 9))])
+                if op in self.ARITHMETIC:
+                    f = self.ARITHMETIC[op]
+                    got, want = _outcome(f, x, y), _outcome(f, rx, ry)
+                    if isinstance(want, type):
+                        assert got is want, (op, rx, ry)
+                        continue
+                    assert _components(got) == _components(want), (op, rx, ry)
+                    if max(c.numerator.bit_length() + c.denominator.bit_length() for c in (want.a, want.b)) < 400:
+                        pool[rng.randrange(len(pool))] = (got, want)
+                elif op in self.QUERIES:
+                    f = self.QUERIES[op]
+                    assert _outcome(f, x, y) == _outcome(f, rx, ry), (op, rx, ry)
+                elif op == "to_float":
+                    # the reference cancels: its error is a few ulp of |a| + |b| s
+                    scale = abs(float(rx.a)) + abs(float(rx.b)) * math.sqrt(float(rx.ssq))
+                    assert abs(x.to_float() - rx.to_float()) <= 4 * math.ulp(scale), rx
+                elif ry != 0:
+                    # one value reached by two paths: equal, with one hash and one reduced form
+                    z, rz = (x * y) / y, (rx * ry) / ry
+                    assert (z == x, z - x == 0, hash(z) == hash(x), rz == rx) == (True, True, True, True)
+                    assert _components(z.reduced()) == _components(rz.reduced())
+                if rng.random() < 0.1:
+                    pool[rng.randrange(len(pool))] = fresh(ssq)
+        assert sum(count.values()) == 10_000 and min(count.values()) > 400, count
+
+    def test_radicand_is_compared_by_value(self):
+        x, y = SurdScalar(1, 2, F(17, 4)), SurdScalar(3, -1, F(34, 8))
+        assert x.ssq is not y.ssq
+        assert _components(x * y) == _components(ReferenceSurd(1, 2, F(17, 4)) * ReferenceSurd(3, -1, F(17, 4)))
+        with pytest.raises(RadicandMismatch, match=r"^radicands differ: 17/4 vs 5$"):
+            x - SurdScalar(0, 1, 5)
+        assert x != SurdScalar(1, 2, 5)
 
 
 class TestCouplingPoint:

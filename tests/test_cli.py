@@ -56,6 +56,18 @@ class TestMoments:
         assert (code, out) == (1, "")
         assert err == "error: no tabulated closed form for m_{10} (degree 10 > 8)\n"
 
+    @pytest.mark.parametrize("t4, index, decimal", [("1e-30", "2", "0.125"), ("1e-300", "4", "0.03125")])
+    def test_decimal_near_the_gaussian_point(self, capsys, t4, index, decimal):
+        # a and b s cancel to 30 and 300 digits; the decimal is the limit at t4 = 0
+        code, out, _ = run(capsys, "moments", "--t2", "1", "--t4", t4, "--index", index)
+        assert code == 0
+        assert out.endswith(f" = {decimal}\n")
+
+    def test_value_outside_the_float_range_names_it(self, capsys):
+        code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1e400", "--index", "4")
+        assert (code, out) == (1, "")
+        assert err == "error: a nonzero value outside the float range 5e-324 <= |x| <= 1.8e308 has no float\n"
+
     @pytest.mark.parametrize("label", ["m_{0,2}", "2,0", "m_{-1,3}", "m_{2,2,}"])
     def test_bad_run_lengths_exit_code(self, capsys, label):
         code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", label)
@@ -76,6 +88,11 @@ class TestDirac:
         assert code == 0
         assert "d_6 = 19/128" in out
         assert "d_6 (from word moments) = 19/128" in out
+
+    def test_sixth_moment_near_the_gaussian_point(self, capsys):
+        code, out, _ = run(capsys, "dirac", "--ell", "6", "--t2", "1", "--t4", "1/100000000")
+        assert code == 0
+        assert [line.rsplit(" = ", 1)[1] for line in out.splitlines()] == ["1.18749992875"] * 2
 
     @pytest.mark.parametrize("t2", ["-1", "0"])
     def test_nonpositive_t2_exit_code(self, capsys, t2):
@@ -113,6 +130,10 @@ class TestSde:
         assert code == 0
         payload = json.loads(out)
         assert len(payload) == 4
+
+    def test_empty_word(self, capsys):
+        # m_[A] vanishes by parity and no A splits the empty word
+        assert run(capsys, "sde", "--word", "") == (0, "0 = 0\n", "")
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "sde", "--word", "BAB", "--format", "latex")

@@ -302,6 +302,30 @@ class TestDirac:
                 cf.dirac_moment(ell, CouplingPoint(t2, 1))
 
 
+def _isqrt_bracket(ssq, bits=100):
+    """(lo, hi) with lo <= sqrt(ssq) < hi, hi - lo under 2^-bits of sqrt(ssq)."""
+    u, v = ssq.numerator, ssq.denominator
+    k = max(0, bits + 2 - (u * v).bit_length() // 2)
+    r = math.isqrt(u * v << 2 * k)
+    assert r.bit_length() > bits
+    return F(r, v << k), F(r + 1, v << k)
+
+
+@pytest.mark.parametrize("ratio", [F(1, 10**4), F(1, 10**8), F(1, 10**12), F(1, 10**30)])
+@pytest.mark.parametrize("t2", [F(1), F(3, 2)])
+def test_to_float_near_the_gaussian_point(t2, ratio):
+    # a + b s cancels to about t4/t2^2 of its parts here; to_float must not
+    p = CouplingPoint(t2, ratio * t2 * t2)
+    lo, hi = _isqrt_bracket(p.ssq)
+    values = [cf.moment(CanonicalMoment(runs), p) for runs in cf._MOMENT_TABLE]
+    values += [cf.dirac_moment(ell, p) for ell in cf.DIRAC_INDICES]
+    for x in values:
+        f = x.to_float()
+        ends = sorted((x.a + x.b * lo, x.a + x.b * hi))
+        slack = 4 * F(math.ulp(f))
+        assert ends[0] - slack <= F(f) <= ends[1] + slack, (x, f, float(ends[0]))
+
+
 class TestRescaling:
     def test_exact_when_root_is_rational(self):
         for t2, t4 in ((2, 16), (1, 16), (F(1, 2), 81), (3, F(1, 16)), (2, F(9, 4))):
