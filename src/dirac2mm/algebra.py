@@ -264,13 +264,27 @@ class SurdScalar:
         return red._p == 0 and red._q == 0
 
     def __eq__(self, other):
-        if isinstance(other, SurdScalar) and other._ssq is not self._ssq and other._ssq != self._ssq:
-            return False
-        x, y = self.reduced(), self._check(other).reduced()
-        return x._p == y._p and x._q == y._q and x._d == y._d
+        """Equality of values.
+
+        A rational value equals the same int, Fraction or rational SurdScalar
+        over any radicand; an irrational one equals only itself over an equal
+        radicand.  Anything else is NotImplemented, so Python answers False.
+        """
+        if isinstance(other, SurdScalar):
+            y = other.reduced()
+        elif isinstance(other, (int, Fraction)):
+            y = self._like(other.numerator, 0, other.denominator)
+        else:
+            return NotImplemented
+        x = self.reduced()
+        if x._q or y._q:
+            return x._q == y._q and x._p == y._p and x._d == y._d and x._ssq == y._ssq
+        return x._p == y._p and x._d == y._d
 
     def __hash__(self):
         red = self.reduced()
+        if red._q == 0:
+            return hash(Fraction(red._p, red._d))     # as the equal int or Fraction
         return hash((red.a, red.b, self._ssq))
 
     def to_float(self) -> float:

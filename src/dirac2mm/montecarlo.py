@@ -15,14 +15,13 @@ runs batched over chains.  Estimates come with batch-mean standard errors.
 Every tr D^ell, in the action and in the Dirac estimators, is the trace
 polynomial of ``closedform.dirac_trace_polynomial``.  A proposal moves one
 letter X with the other, Y, fixed; each letter has a preallocated buffer of
-seven slots per chain, I, X', X'^2, Y, Y^2, X'Y and (X'Y)^H.  A proposal
-fills X' with one addition and X'^2, X'Y and (X'Y)^H with two matrix
-products and a conjugate transpose, and reads the action, a quadratic form
+seven slots per chain, I, X', Y, X'^2, YX', Y^2 and X'Y.  A proposal fills X'
+with one addition, X'^2 and YX' with one stacked product [X'; Y] X', and X'Y
+with the conjugate transpose of YX', and reads the action, a quadratic form
 in tr of words of length <= 4, off one real Gram product of the buffer.  An
 accepted X' and its square are copied into the other letter's Y and Y^2
-slots, so the fixed letter is never rebuilt.  The estimators read the
-trace of each word off one Gram product of its halves.  ``dirac_operator``
-is the dense reference.
+slots, so the fixed letter is never rebuilt.  The estimators read Re tr of
+each word as one einsum of its two halves over a chain's samples.
 """
 
 from __future__ import annotations
@@ -101,30 +100,23 @@ class EstimateWithError:
 
 @lru_cache(maxsize=256)
 def _plan(words: tuple) -> tuple:
-    """Products to build (shortest first), the halves to stack, and each word's (left, right) halves' rows."""
-    halves = [(w[: len(w) // 2], w[len(w) // 2 :]) for w in words]
-    stack = sorted({h for pair in halves for h in pair})
-    products = sorted({h[:k] for h in stack for k in range(2, len(h) + 1)}, key=len)
-    row = {h: i for i, h in enumerate(stack)}
-    return products, stack, np.array([row[u] for u, _v in halves]), np.array([row[v] for _u, v in halves])
+    """Products to build (shortest first), and each word's (left, right) halves."""
+    halves = tuple((w[: len(w) // 2], w[len(w) // 2 :]) for w in words)
+    products = sorted({h[:k] for pair in halves for h in pair for k in range(2, len(h) + 1)}, key=len)
+    return products, halves
 
 
 def _word_traces(A, B, plan) -> np.ndarray:
-    """Re tr of each planned word, (..., N, N) -> (..., words), off one Gram product of the stacked halves.
+    """Re tr of each planned word, (..., N, N) -> (..., words), as sum_ij X_u[i, j] X_v[j, i] of its halves.
 
-    With the halves X_h stacked and flattened, and their transposes conjugated,
-    gram[..., u, v] = Re sum_ij X_u[i, j] X_v[j, i] = Re tr(X_u X_v), as one
-    real matrix product; the empty half is the identity.
+    Each word is one einsum over the batch: no Gram product per sample and no
+    copy of a half.  The empty half is the identity.
     """
-    products, stack, iu, iv = plan
+    products, halves = plan
     P = {"": np.broadcast_to(np.eye(A.shape[-1]), A.shape), "A": A, "B": B}
     for h in products:
         P[h] = P[h[:-1]] @ P[h[-1]]
-    H = np.stack([P[h] for h in stack], axis=-3)
-    left = H.reshape(*H.shape[:-2], -1)
-    right = np.conjugate(H.swapaxes(-1, -2), out=np.empty_like(H)).reshape(left.shape)
-    gram = left.view(float) @ right.view(float).swapaxes(-1, -2)
-    return gram[..., iu, iv]
+    return np.stack([np.einsum("...ij,...ji->...", P[u], P[v]).real for u, v in halves], axis=-1)
 
 
 def _trace_pairs(ells: tuple, sig: Signature) -> tuple:
@@ -152,12 +144,13 @@ def _dirac_traces(A, B, sig: Signature, ells: tuple) -> np.ndarray:
 
 
 # slots of a letter's buffer for the moving letter X and the fixed one Y; the
-# last is (XY)^H = YX, so one Gram product of the buffer with itself reads
-# every word of length <= 4 off gram[u, v] = Re tr(slot_u slot_v^H).  The
-# columns stop before the last slot, which every word also reads as a row:
-# numpy sends a square product of a buffer with its own transpose to BLAS
-# syrk, three times slower than gemm at this size.
-SLOTS = ("", "X", "XX", "Y", "YY", "XY", "YX")
+# last is (YX)^H = XY, so one Gram product of the buffer with itself reads
+# every word of length <= 4 off gram[u, v] = Re tr(slot_u slot_v^H).  X, Y and
+# XX, YX are neighbours, so one product [X; Y] X fills both.  The columns stop
+# before the last slot, which every word also reads as a row: numpy sends a
+# square product of a buffer with its own transpose to BLAS syrk, three times
+# slower than gemm at this size.
+SLOTS = ("", "X", "Y", "XX", "YX", "YY", "XY")
 COLS = len(SLOTS) - 1
 
 
@@ -186,54 +179,38 @@ def _action_plan(sig: Signature, letter: str) -> tuple:
 
 
 class _LetterBuffer:
-    """The slots I, X, X^2, Y, Y^2, XY, (XY)^H of each chain for one moving letter X.
+    """The slots I, X, Y, X^2, YX, Y^2, XY of each chain for one moving letter X.
 
+    The buffer is slot-major, (slots, C, N, N): the operands and outputs of the
+    product [X; Y] X and of the conjugate transpose lie in disjoint address
+    ranges, so numpy rules out overlap from the ranges alone and copies no
+    operand, as it would for the interleaved views of a chain-major buffer.
     ``moved`` (X, X^2) and ``held`` (Y, Y^2) are the slot pairs an accepted
     move copies from one letter's buffer to the other's.
     """
 
     def __init__(self, X, Y, sig: Signature, letter: str, t2: float, t4: float):
-        self.buf = np.zeros((X.shape[0], len(SLOTS), *X.shape[1:]), dtype=complex)
-        self.buf[:, 0] = np.eye(X.shape[-1])
-        self.X, self.X2, self.Y, self.Y2, self.XY, self.YX = (self.buf[:, k] for k in range(1, 7))
-        self.moved, self.held = self.buf[:, 1:3], self.buf[:, 3:5]
+        self.buf = np.zeros((len(SLOTS), *X.shape), dtype=complex)
+        self.buf[0] = np.eye(X.shape[-1])
+        self.X, self.Y, self.YX, self.XY = self.buf[1], self.buf[2], self.buf[4], self.buf[6]
+        self.pair, self.products = self.buf[1:3], self.buf[3:5]
+        self.moved, self.held = self.buf[1:4:2], self.buf[2:6:3]
         self.X[...] = X
         self.Y[...] = Y
-        np.matmul(self.Y, self.Y, out=self.Y2)
-        self.rows = self.buf.reshape(*self.buf.shape[:2], -1).view(float)
+        np.matmul(self.Y, self.Y, out=self.buf[5])
+        self.rows = self.buf.reshape(len(SLOTS), len(X), -1).view(float).swapaxes(0, 1)
         self.cols = self.rows[:, :COLS].swapaxes(-1, -2)
+        self.gram = np.empty((len(X), len(SLOTS), COLS))
+        self.entries = self.gram.reshape(len(X), -1)
         self.iu, self.iv, coef = _action_plan(sig, letter)
         self.weights = np.array([t2, t4]) @ coef
 
     def action(self) -> np.ndarray:
-        """Action of each chain, (C,), after X^2, XY and (XY)^H are rebuilt from the X and Y slots."""
-        np.matmul(self.X, self.X, out=self.X2)
-        np.matmul(self.X, self.Y, out=self.XY)
-        np.conjugate(self.XY.swapaxes(-1, -2), out=self.YX)
-        gram = (self.rows @ self.cols).reshape(len(self.buf), -1)
-        return (gram.take(self.iu, axis=1) * gram.take(self.iv, axis=1)) @ self.weights
-
-
-def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
-    """Dense Dirac operator: sigma3 x Phi_A + sigma1 x Phi_B, size 2 N^2.
-
-    Each letter acts by anticommutator when its sign is +1 and commutator
-    when it is -1.  O(N^6) to use; the tests' reference for the trace
-    polynomial.
-    """
-    A = np.asarray(A, dtype=complex)
-    B = np.asarray(B, dtype=complex)
-    n = A.shape[0]
-    eye = np.eye(n)
-
-    def rep(M, eps):
-        left = np.kron(M, eye)
-        right = np.kron(eye, M.T)
-        return left + right if eps == 1 else left - right
-
-    sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
-    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return np.kron(sigma3, rep(A, sig.eps1)) + np.kron(sigma1, rep(B, sig.eps2))
+        """Action of each chain, (C,), after X^2, YX and XY are rebuilt from the X and Y slots."""
+        np.matmul(self.pair, self.X, out=self.products)
+        np.conjugate(self.YX.swapaxes(-1, -2), out=self.XY)
+        np.matmul(self.rows, self.cols, out=self.gram)
+        return (self.entries.take(self.iu, axis=1) * self.entries.take(self.iv, axis=1)) @ self.weights
 
 
 @dataclass
@@ -251,31 +228,33 @@ class ChainResult:
         self.healthy = bool(np.all((self.acceptance > 0.2) & (self.acceptance < 0.7)))
 
 
-def _draw_block(gen: np.random.Generator, size: int, cfg: SamplerConfig, scales: np.ndarray) -> tuple:
-    """Proposals of ``size`` steps of all chains, drawn at once.
+def _draw_block(gen: np.random.Generator, cfg: SamplerConfig, scales: np.ndarray,
+                z: np.ndarray, steps: np.ndarray) -> tuple:
+    """Proposals of ``len(z)`` steps of all chains, drawn at once into the caller's buffers.
 
-    Returns the letter each step moves (0: A, 1: B), the Hermitian steps
-    (size, C, N, N) at each chain's scale, traceless on commutator letters,
-    and the log-uniforms (size, C) of the acceptance tests.
+    ``z`` (real) and ``steps`` (complex) are (size, C, N, N).  Returns the
+    letter each step moves (0: A, 1: B), ``steps`` filled with the Hermitian
+    steps at each chain's scale, traceless on commutator letters, and the
+    log-uniforms (size, C) of the acceptance tests.
     """
-    C, n, sig = cfg.chains, cfg.n, cfg.signature
+    size, C, n, _ = z.shape
+    sig = cfg.signature
     if cfg.update_targets == "AB":
         targets = (gen.random(size) >= 0.5).astype(np.intp)
     else:
         targets = np.zeros(size, dtype=np.intp)
     # z + z^T and z - z^T of one real Gaussian matrix z are independent; halved,
     # they are the real and imaginary parts of a Hermitian step with variance 1/2
-    # off the diagonal and 1 on it, from N^2 draws per matrix
-    z = gen.standard_normal((size, C, n, n))
-    steps = np.empty(z.shape, dtype=complex)
+    # off the diagonal and 1 on it, from N^2 draws per matrix.  z is scaled
+    # first, on its N^2 real entries rather than the step's 2 N^2.
+    gen.standard_normal(out=z)
+    z *= (scales / 2.0)[:, None, None]
     np.add(z, z.swapaxes(-1, -2), out=steps.real)
     np.subtract(z, z.swapaxes(-1, -2), out=steps.imag)
-    steps *= scales[:, None, None] / 2.0
     traceless = np.array([sig.eps1 == -1, sig.eps2 == -1])
     if traceless.any():
-        diag = np.arange(n)
-        mean = steps[..., diag, diag].real.mean(axis=-1, keepdims=True)
-        steps[..., diag, diag] -= traceless[targets, None, None] * mean
+        diag = steps.reshape(size, C, n * n)[..., :: n + 1].real   # a view; the imaginary diagonal is 0
+        diag -= traceless[targets, None, None] * diag.mean(axis=-1, keepdims=True)
     return targets, steps, np.log(gen.random((size, C)))
 
 
@@ -305,17 +284,23 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
     samples_a = np.empty((kept, C, n, n), dtype=complex)
     samples_b = np.empty((kept, C, n, n), dtype=complex)
     accept_count = np.zeros(C)
+    accepted = np.empty((BLOCK, C), dtype=bool)
+    masks = accepted[:, :, None, None]    # each step's acceptance, broadcast over a slot pair
+    dS = np.empty(C)
+    # one block's normals and steps, allocated once: freed and reallocated every
+    # block, they kept the heap from shrinking and raised the peak RSS
+    z = np.empty((BLOCK, C, n, n))
+    step_buf = np.empty((BLOCK, C, n, n), dtype=complex)
 
     for start in range(0, cfg.steps, BLOCK):
         size = min(BLOCK, cfg.steps - start)
-        targets, steps, log_u = _draw_block(gen, size, cfg, scales)
-        accepted = np.empty((size, C), dtype=bool)
-        for j, target in enumerate(targets):
+        targets, steps, log_u = _draw_block(gen, cfg, scales, z[:size], step_buf[:size])
+        for j, target in enumerate(targets.tolist()):
             buf, other = bufs[target], bufs[1 - target]
             np.add(other.Y, steps[j], out=buf.X)
             S_new = buf.action()
-            accept = np.less(log_u[j], S - S_new, out=accepted[j])
-            np.copyto(other.held, buf.moved, where=accept[:, None, None, None])
+            accept = np.less(log_u[j], np.subtract(S, S_new, out=dS), out=accepted[j])
+            np.copyto(other.held, buf.moved, where=masks[j])
             np.copyto(S, S_new, where=accept)
             post = start + j + 1 - cfg.burn_in
             if post > 0 and post % cfg.thinning == 0:
@@ -323,7 +308,7 @@ def run_chain(cfg: SamplerConfig) -> ChainResult:
                 samples_b[post // cfg.thinning - 1] = B
 
         burn = min(max(cfg.burn_in - start, 0), size)
-        accept_count += accepted[burn:].sum(axis=0)
+        accept_count += accepted[burn:size].sum(axis=0)
         if burn == BLOCK:
             scales *= np.exp(1.2 * (accepted.mean(axis=0) - 0.4))
             np.clip(scales, 1e-5, 1e3, out=scales)

@@ -4,6 +4,10 @@
 each operation written out in ``Fraction`` arithmetic: the form
 ``dirac2mm.algebra.SurdScalar`` had before it moved to integers over one
 denominator.  ``test_algebra`` runs both side by side.
+
+``dirac_operator`` is the dense 2 N^2 x 2 N^2 Dirac operator, the
+``test_montecarlo`` reference for the trace polynomial and the sampler's
+letter kernel.
 """
 
 from __future__ import annotations
@@ -12,7 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from dirac2mm.algebra import RadicandMismatch, rat, rational_sqrt
+from dirac2mm.closedform import Signature
 
 
 @dataclass(frozen=True)
@@ -117,15 +124,20 @@ class SurdScalar:
         return red.a == 0 and red.b == 0
 
     def __eq__(self, other):
-        if isinstance(other, SurdScalar) and other.ssq != self.ssq:
-            return False
-        o = self._check(other)
-        x, y = self.reduced(), o.reduced()
-        return x.a == y.a and x.b == y.b
+        if isinstance(other, SurdScalar):
+            y = other.reduced()
+        elif isinstance(other, (int, Fraction)):
+            y = SurdScalar(other, 0, self.ssq)
+        else:
+            return NotImplemented
+        x = self.reduced()
+        if x.b != 0 or y.b != 0:
+            return x.a == y.a and x.b == y.b and x.ssq == y.ssq
+        return x.a == y.a
 
     def __hash__(self):
         red = self.reduced()
-        return hash((red.a, red.b, self.ssq))
+        return hash(red.a) if red.b == 0 else hash((red.a, red.b, self.ssq))
 
     def to_float(self) -> float:
         if self.ssq < 0:
@@ -138,3 +150,24 @@ class SurdScalar:
             return f"{red.a}"
         sign = "+" if red.b >= 0 else "-"
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red.ssq}))"
+
+
+def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
+    """Dense Dirac operator: sigma3 x Phi_A + sigma1 x Phi_B, size 2 N^2.
+
+    Each letter acts by anticommutator when its sign is +1 and commutator
+    when it is -1.  O(N^6) to use.
+    """
+    A = np.asarray(A, dtype=complex)
+    B = np.asarray(B, dtype=complex)
+    n = A.shape[0]
+    eye = np.eye(n)
+
+    def rep(M, eps):
+        left = np.kron(M, eye)
+        right = np.kron(eye, M.T)
+        return left + right if eps == 1 else left - right
+
+    sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
+    sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return np.kron(sigma3, rep(A, sig.eps1)) + np.kron(sigma1, rep(B, sig.eps2))

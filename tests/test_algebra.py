@@ -63,6 +63,31 @@ class TestSurdScalar:
         x = s9(3, 1)   # value 6
         assert (s9(12, 0) / x).rational_value() == 2
 
+    @pytest.mark.parametrize("other", [None, 0.5, "abc", "1", 1.0, [1]])
+    def test_equality_with_a_non_rational_is_false(self, other):
+        # not an int, a Fraction or a SurdScalar: NotImplemented, so == answers False and != True
+        x = SurdScalar(1, 0, 2)
+        assert (x == other, x != other, other == x) == (False, True, False)
+        assert x in [other, x] and other not in [x]
+
+    def test_rational_values_are_equal_across_radicands(self):
+        one2, one3 = SurdScalar(1, 0, 2), SurdScalar(1, 0, 3)
+        assert one2 == 1 and one3 == 1 and one2 == one3 and one2 == F(1) and F(1) == one3
+        assert s9(0, 1) == SurdScalar(3, 0, 2) == 3      # s = 3 when ssq = 9
+        assert SurdScalar(F(1, 2), 0, 5) != SurdScalar(F(1, 3), 0, 5)
+
+    def test_irrational_values_need_an_equal_radicand(self):
+        assert SurdScalar(1, 1, 2) == SurdScalar(1, 1, F(4, 2))
+        assert SurdScalar(1, 1, 2) != SurdScalar(1, 1, 3)
+        assert SurdScalar(1, 1, 2) != 1 and SurdScalar(0, 1, 2) != SurdScalar(0, 0, 2)
+
+    def test_rational_values_hash_as_their_fraction(self):
+        assert SurdScalar(1, 0, 2) in {1}
+        assert hash(SurdScalar(F(1, 2), 0, 7)) == hash(F(1, 2)) == hash(SurdScalar(F(1, 2), 0, 3))
+        assert hash(s9(0, 1)) == hash(3)
+        assert len({SurdScalar(1, 0, 2), SurdScalar(1, 0, 3), F(1), 1}) == 1
+        assert len({SurdScalar(1, 1, 2), SurdScalar(1, 1, 3)}) == 2
+
     @given(a=rationals, b=rationals, c=rationals, d=rationals, e=rationals, f=rationals, ssq=nonsquare_ssq)
     @settings(max_examples=150, deadline=None)
     def test_field_axioms(self, a, b, c, d, e, f, ssq):

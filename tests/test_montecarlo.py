@@ -8,6 +8,7 @@ import pytest
 from dirac2mm.algebra import CouplingPoint
 from dirac2mm.closedform import Signature
 from dirac2mm import montecarlo as mc
+from reference import dirac_operator
 
 P11 = CouplingPoint(1, 1)
 
@@ -40,7 +41,7 @@ class TestAction:
         for sig in Signature:
             for n in (2, 3, 5):
                 A, B = random_hermitian(rng, n), random_hermitian(rng, n)
-                D = mc.dirac_operator(A, B, sig)
+                D = dirac_operator(A, B, sig)
                 direct = t2 * np.trace(D @ D).real + t4 * np.trace(np.linalg.matrix_power(D, 4)).real
                 assert action(A, B, sig, t2, t4) == pytest.approx(direct, rel=1e-12)
 
@@ -63,7 +64,7 @@ class TestAction:
                 X, Y = Y, X
             got = mc._LetterBuffer(X, Y, sig, letter, t2, t4).action()
             for (A, B), s in zip(pairs, got):
-                D = mc.dirac_operator(A, B, sig)
+                D = dirac_operator(A, B, sig)
                 D2 = D @ D
                 direct = t2 * np.trace(D2).real + t4 * np.einsum("ij,ji->", D2, D2).real
                 assert s == pytest.approx(direct, rel=1e-12), (n, s, direct)
@@ -159,7 +160,8 @@ class TestProposal:
     def block(self):
         cfg = mc.SamplerConfig(n=6, point=P11, signature=Signature.S11, seed=1, chains=8)
         gen = np.random.default_rng(cfg.seed)
-        return mc._draw_block(gen, mc.BLOCK, cfg, np.ones(cfg.chains))
+        shape = (mc.BLOCK, cfg.chains, cfg.n, cfg.n)
+        return mc._draw_block(gen, cfg, np.ones(cfg.chains), np.empty(shape), np.empty(shape, dtype=complex))
 
     def test_shapes(self, block):
         targets, steps, log_u = block
@@ -325,7 +327,7 @@ def dense_traces(result, samples):
     sig = result.config.signature
     out = {2: [], 4: [], 6: []}
     for t, c in samples:
-        D = mc.dirac_operator(result.samples_a[t, c], result.samples_b[t, c], sig)
+        D = dirac_operator(result.samples_a[t, c], result.samples_b[t, c], sig)
         D2 = D @ D
         D4 = D2 @ D2
         for ell, (X, Y) in {2: (D, D), 4: (D2, D2), 6: (D4, D2)}.items():
@@ -348,6 +350,23 @@ def test_dirac_traces_match_dense_operator(short_chain, signature_chains):
             np.testing.assert_allclose([row[column] for row in rows], want[ell], rtol=1e-12)
         tr_a2 = np.einsum("tij,tji->t", r.samples_a[:, 0], r.samples_a[:, 0]).real
         np.testing.assert_allclose([row[1] for row in rows], tr_a2, rtol=1e-12)
+
+
+@pytest.mark.parametrize("sig", list(Signature))
+def test_virial_identity_at_finite_n(sig):
+    # S = t2 tr D^2 + t4 tr D^4 is homogeneous of degrees 2 and 4 in the d real
+    # coordinates sampled, so under exp(-S), E[x . grad S] = E[2 t2 tr D^2 + 4 t4 tr D^4]
+    # = d exactly at every N: 2 N^2, less one per commutator letter, whose trace is not
+    # sampled.  At this length a kernel with t4 off by 10 % reads z < -7 on every signature.
+    n, t2, t4 = 4, 1, 1
+    cfg = mc.SamplerConfig(n=n, point=CouplingPoint(t2, t4), signature=sig, steps=36_000,
+                           burn_in=2000, thinning=10, seed=11, chains=8)
+    r = mc.run_chain(cfg)
+    kept = r.samples_a.shape[0] * cfg.chains
+    d2, d4 = (mc.dirac_trace_series(r, ell, max_samples=kept) * n**2 for ell in (2, 4))
+    est = mc._batch_mean_error(2 * t2 * d2 + 4 * t4 * d4)
+    dof = 2 * n**2 - (sig.eps1 == -1) - (sig.eps2 == -1)
+    assert abs(est.mean - dof) < 4 * est.std_error, (est.mean, est.std_error, dof)
 
 
 class TestCommutatorSignatures:
@@ -400,6 +419,6 @@ def test_dirac_operator_shape_and_hermiticity():
     rng = np.random.default_rng(2)
     A, B = random_hermitian(rng, 3), random_hermitian(rng, 3)
     for sig in Signature:
-        D = mc.dirac_operator(A, B, sig)
+        D = dirac_operator(A, B, sig)
         assert D.shape == (18, 18)
         assert np.allclose(D, D.conj().T, atol=1e-13)
