@@ -17,7 +17,6 @@ from .words import (
     CanonicalMoment,
     canonicalize,
     parse_moment_label,
-    splits_at,
     vanishes_by_parity,
 )
 from .sde import SdeEquation, CoefTag, generate_equation, generate_system, residual
@@ -57,8 +56,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CouplingPoint", "MomentSeries", "SurdScalar", "rat",
-    "CanonicalMoment", "canonicalize", "parse_moment_label",
-    "splits_at", "vanishes_by_parity",
+    "CanonicalMoment", "canonicalize", "parse_moment_label", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",
     "MomentTable", "gaussian_moment", "solve_series", "verify_closed_forms",
     "CancellationReport", "CellKind", "UnstableMap", "cancellation_report",

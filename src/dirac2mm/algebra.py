@@ -5,7 +5,11 @@ Every closed-form quantity of the quartic 2-matrix model lives in the real
 quadratic extension Q(s) with s**2 = t2**2 + 8*t4.  ``SurdScalar`` implements
 that field exactly, never approximately: a value a + b*s is kept as integers
 (p + q*s)/d over one denominator, so each operation is a few integer
-products and one gcd, and its components a and b read as Fractions.
+products and one gcd, and its components a and b read as Fractions.  A sum
+of products, sum of c*x*y, is one operation too
+(``SurdScalar.sum_of_products``): it is accumulated in integers and reduced
+by a single gcd at the end, which is how loop-equation residuals, the
+degree-10 completion and the Dirac word sums are evaluated at a point.
 ``MomentSeries`` holds the coefficients of a power series in the quartic
 coupling t4, truncated at some order, at a fixed rational t2: the value in
 which the perturbative solver, the map enumerator and the closed forms'
@@ -89,6 +93,14 @@ class CouplingPoint:
         """Radicand t2**2 + 8*t4 of the surd field attached to this point."""
         return self.t2 * self.t2 + 8 * self.t4
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.t2, self.t4))
+
+    def __hash__(self):
+        """The dataclass hash of (t2, t4), computed once: points key the per-point caches."""
+        return self._hash
+
     def require_real_surd(self) -> None:
         if self.ssq < 0:
             raise ValueError(f"t2^2 + 8 t4 = {self.ssq} < 0: surd is not real")
@@ -123,7 +135,9 @@ class SurdScalar:
     coupling points cannot be combined silently.  When ``ssq`` happens to be
     a perfect rational square the representation is redundant ((3, 0) and
     (0, 1) both denote 3 when ssq = 9); equality and inversion reduce to the
-    canonical rational form first.
+    canonical rational form first.  ``sum_of_products`` evaluates a whole
+    sum of c*x*y in integers with one gcd at the end; it and ``*`` share
+    the one product formula of the field (``_product``).
     """
 
     __slots__ = ("_p", "_q", "_d", "_ssq", "_u", "_v")
@@ -157,6 +171,43 @@ class SurdScalar:
         x = object.__new__(cls)
         x._ssq, x._u, x._v = ssq, ssq.numerator, ssq.denominator
         return x._reduce(p, q, d)
+
+    @classmethod
+    def sum_of_products(cls, terms, ssq) -> "SurdScalar":
+        """The sum of c*x*y over ``terms`` of (c, x, y), reduced once.
+
+        c is an int or Fraction; x and y are SurdScalars over ``ssq``, or
+        None for 1.  The sum is accumulated as integers (P + Q*s)/D, a
+        denominator multiplied in only where it differs from D, and reduced
+        by one gcd at the end, so a term costs a few integer products.
+        """
+        ssq = rat(ssq)
+        P, Q, D = 0, 0, 1
+        for c, x, y in terms:
+            if x is None:
+                x, y = y, None
+            if type(c) is not int and type(c) is not Fraction:
+                c = rat(c)
+            if x is None:
+                p, q, d = c.numerator, 0, c.denominator
+            else:
+                if x._ssq is not ssq and x._ssq != ssq:
+                    raise RadicandMismatch(f"radicands differ: {ssq} vs {x._ssq}")
+                if y is None:
+                    p, q, d = x._p, x._q, x._d
+                else:
+                    if y._ssq is not ssq and y._ssq != ssq:
+                        raise RadicandMismatch(f"radicands differ: {ssq} vs {y._ssq}")
+                    p, q, d = _product(x, y)
+                n = c.numerator
+                if n != 1:
+                    p, q = p * n, q * n
+                d *= c.denominator
+            if d == D:
+                P, Q = P + p, Q + q
+            else:
+                P, Q, D = P * d + p * D, Q * d + q * D, D * d
+        return cls._from_ints(P, Q, D, ssq)
 
     # -- constructors -------------------------------------------------
 
@@ -229,9 +280,7 @@ class SurdScalar:
             r = other if type(other) is int else rat(other)
             n = r.numerator
             return self._like(self._p * n, self._q * n, self._d * r.denominator)
-        o = self._check(other)
-        p, q, v = self._p, self._q, self._v
-        return self._like(p * o._p * v + q * o._q * self._u, (p * o._q + q * o._p) * v, self._d * o._d * v)
+        return self._like(*_product(self, self._check(other)))
 
     def _norm_numerator(self) -> int:
         return self._p * self._p * self._v - self._q * self._q * self._u
@@ -326,6 +375,12 @@ class SurdScalar:
             return f"{red.a}"
         sign = "+" if red._q >= 0 else "-"
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red._ssq}))"
+
+
+def _product(x: SurdScalar, y: SurdScalar) -> tuple:
+    """(p, q, d) of x*y, unreduced: (p1 p2 v + q1 q2 u, (p1 q2 + q1 p2) v, d1 d2 v) with ssq = u/v."""
+    p1, q1, p2, q2, v = x._p, x._q, y._p, y._q, x._v
+    return p1 * p2 * v + q1 * q2 * x._u, (p1 * q2 + q1 * p2) * v, x._d * y._d * v
 
 
 class TruncationError(ValueError):

@@ -169,6 +169,7 @@ def _build_table() -> dict:
 
 
 _MOMENT_TABLE = _build_table()
+_TABLE_MOMENTS = tuple((CanonicalMoment(runs), runs) for runs in _MOMENT_TABLE)
 
 MAX_TABLE_DEGREE = 8
 
@@ -345,32 +346,35 @@ def branch_assignment(point: CouplingPoint) -> dict:
     referenced by the degree-7-word equations are completed exactly from
     ``completion_system()``, reduced over Q once: at each point only the
     right sides are formed, checked against its consistency row and mapped
-    to the solution.  The system has rank 9, and its 3 free coordinates are
-    set to zero, which any residual check is insensitive to.  The table and
-    that completion close the equations of words up to degree 7 and no
-    further: degree 9 would need degree-12 moments.
+    to the solution, each as one fused sum of products.  The factor
+    1/(16 t4) is folded into the right sides' three coefficients once per
+    point, so the rows keep their point-free rational coefficients.  The
+    system has rank 9, and its 3 free coordinates are set to zero, which
+    any residual check is insensitive to.  The table and that completion
+    close the equations of words up to degree 7 and no further: degree 9
+    would need degree-12 moments.
     """
     point.require_physical()
-    ssq = point.ssq
-    vals = {CanonicalMoment(runs): _as_surd(runs, point) for runs in _MOMENT_TABLE}
+    ssq, t2, t4 = point.ssq, point.t2, point.t4
+    vals = {m: _as_surd(runs, point) for m, runs in _TABLE_MOMENTS}
     system = completion_system()
-    one, zero = SurdScalar(1, 0, ssq), SurdScalar(0, 0, ssq)
-    c2, bt = 8 * point.t2, vals[M2] * (64 * point.t4)
+    # right side over 16 t4: (lhs - 8 t2 m_[WA] - 64 t4 m_2 m_[WA]) / (16 t4)
+    scale, c2, bt = 1 / (16 * t4), -t2 / (2 * t4), -4
+    value = lambda m: None if m.is_empty() else vals[m]
     rhs = []
-    value = lambda m: one if m.is_empty() else vals[m]
     for eq in system.equations:
-        acc = sum((value(x) * value(y) for x, y in eq.lhs), zero)
+        terms = [(scale, value(x), value(y)) for x, y in eq.lhs]
         for m, tag in eq.rhs:
             if tag is CoefTag.C2:
-                acc = acc - vals[m] * c2
+                terms.append((c2, vals[m], None))
             elif tag is CoefTag.BT:
-                acc = acc - bt * vals[m]
-        rhs.append(acc)
-    apply = lambda row: sum((rhs[j] * v for j, v in row), zero)
+                terms.append((bt, vals[M2], vals[m]))
+        rhs.append(SurdScalar.sum_of_products(terms, ssq))
+    apply = lambda row: SurdScalar.sum_of_products([(v, rhs[j], None) for j, v in row], ssq)
     if any(not apply(row).is_zero() for row in system.consistency):
         raise ArithmeticError("inconsistent completion system")
     for m, row in zip(system.unknowns, system.solve):
-        vals[m] = apply(row) * (1 / (16 * point.t4))
+        vals[m] = apply(row)
     return vals
 
 
@@ -385,18 +389,36 @@ def _check_ell(ell: int) -> int:
 
 
 def dirac_moment(ell: int, point: CouplingPoint) -> SurdScalar:
-    """Exact closed form of the normalized Dirac trace power d_ell."""
+    """Exact closed form of the normalized Dirac trace power d_ell, (a + b s) / den."""
     ell = _check_ell(ell)
     point.require_physical()
-    t2, t4, ssq = point.t2, point.t4, point.ssq
-    s = SurdScalar.s(ssq)
-    r = lambda x: SurdScalar.rational(x, ssq)
+    t2, t4 = point.t2, point.t4
     if ell == 2:
-        return (s - r(t2)) / r(4 * t4)
-    if ell == 4:
-        return (r(t2 * t2 + 4 * t4) - r(t2) * s) / r(8 * t4 * t4)
-    num = r(-(t2**3) - 6 * t2 * t4) + (r(t2 * t2) + r(2 * t4)) * s
-    return r(19) * num / r(256 * t4**3)
+        a, b, den = -t2, 1, 4 * t4
+    elif ell == 4:
+        a, b, den = t2 * t2 + 4 * t4, -t2, 8 * t4 * t4
+    else:
+        a, b, den = -19 * (t2**3 + 6 * t2 * t4), 19 * (t2 * t2 + 2 * t4), 256 * t4**3
+    return SurdScalar(a / den, b / den, point.ssq)
+
+
+@lru_cache(maxsize=None)
+def _dirac_word_sum(ell: int) -> tuple:
+    """(runs, terms) of d_ell's word sum, formed once per ell.
+
+    Each term (c, i, j) is c m_x m_y for the tabulated moments runs[i] and
+    runs[j], index -1 standing for m_empty = 1; the pairs of
+    ``dirac_trace_polynomial`` are canonicalized and merged, and those
+    with a parity-odd moment or a zero coefficient drop out.
+    """
+    pairs = Counter()
+    for (u, v), c in dirac_trace_polynomial(ell, Signature.S20):
+        x, y = sorted((canonicalize(u), canonicalize(v)), key=lambda m: m.runs)
+        if not (vanishes_by_parity(x) or vanishes_by_parity(y)):
+            pairs[x.runs, y.runs] += c
+    runs = sorted({r for pair in pairs for r in pair if r})
+    index = {r: i for i, r in enumerate(runs)} | {(): -1}
+    return tuple(runs), tuple((c, index[x], index[y]) for (x, y), c in pairs.items() if c)
 
 
 def dirac_from_words(ell: int, point: CouplingPoint) -> SurdScalar:
@@ -404,15 +426,12 @@ def dirac_from_words(ell: int, point: CouplingPoint) -> SurdScalar:
 
     m_empty = 1; pairs with a parity-odd moment drop out, and with them every
     signature-dependent sign.  E.g. d_4 = 8 m_4 + 16 m_{2,2} - 8 m_{1,1,1,1} + 32 m_2^2.
+    At a point the sum is one fused sum of products of table values.
     """
-    pairs = Counter()
-    for (u, v), c in dirac_trace_polynomial(_check_ell(ell), Signature.S20):
-        x, y = sorted((canonicalize(u), canonicalize(v)), key=lambda m: m.runs)
-        if not (vanishes_by_parity(x) or vanishes_by_parity(y)):
-            pairs[x, y] += c
-    values = {x: moment(x, point) for x in set().union(*pairs)}
-    terms = ((values[x] * values[y] if x.runs else values[y]) * c for (x, y), c in pairs.items())
-    return sum(terms, SurdScalar(0, 0, point.ssq))
+    runs, terms = _dirac_word_sum(_check_ell(ell))
+    point.require_physical()
+    values = [_as_surd(r, point) for r in runs] + [None]
+    return SurdScalar.sum_of_products([(c, values[i], values[j]) for c, i, j in terms], point.ssq)
 
 
 def rescale_dirac(ell: int, point: CouplingPoint):

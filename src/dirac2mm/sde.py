@@ -13,12 +13,18 @@ where [.] canonicalizes the concatenated cyclic word.  The five insertion
 words are the terms of the gradient of the effective potential; the two
 double-trace contributions merge into the single 64 t4 m_2 coefficient
 because the second moments of the two matrices coincide.
+
+An equation's terms are planned once, on its first evaluation: the moments
+it reads and its products c*x*y, those that vanish by parity dropped.  At a
+point, ``residual`` looks each moment up once and evaluates the plan as one
+fused sum of products in Q(s) (``SurdScalar.sum_of_products``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .algebra import CouplingPoint, SurdScalar, exact_int
@@ -69,6 +75,33 @@ class SdeEquation:
 
     def is_trivial(self) -> bool:
         return not self.lhs and not self.rhs
+
+    @cached_property     # kept in the instance __dict__, outside the compared fields
+    def _plan(self) -> tuple:
+        """(moments, terms) of ``residual``, formed on the first evaluation.
+
+        ``moments`` lists each moment the residual reads, once, in the order
+        it is looked up; a term (tag, i, j) is coefficient(tag) times the
+        values of moments[i] and moments[j], index -1 standing for 1.  The
+        tag None marks a left-side product, subtracted.  Terms with a moment
+        that vanishes by parity are left out.
+        """
+        moments: list[CanonicalMoment] = []
+
+        def index(m: CanonicalMoment) -> int:
+            if m.is_empty():
+                return -1
+            if m not in moments:
+                moments.append(m)
+            return moments.index(m)
+
+        rhs = [(tag, index(m)) for m, tag in self.rhs if not vanishes_by_parity(m)]
+        m2 = index(M2) if any(tag is CoefTag.BT for tag, _ in rhs) else -1    # looked up after the right side's moments
+        terms = [(tag, i, m2 if tag is CoefTag.BT else -1) for tag, i in rhs]
+        for x, y in self.lhs:
+            if not (vanishes_by_parity(x) or vanishes_by_parity(y)):
+                terms.append((None, index(x), index(y)))
+        return tuple(moments), tuple(terms)
 
     # -- rendering -------------------------------------------------------
 
@@ -213,40 +246,29 @@ class MissingMoment(KeyError):
     """An equation referenced a moment absent from the assignment."""
 
 
-def _value(assignment, m: CanonicalMoment, one: SurdScalar, zero: SurdScalar) -> SurdScalar:
-    if m.is_empty():
-        return one
-    if vanishes_by_parity(m):
-        return zero
-    try:
-        v = assignment[m]
-    except KeyError:
-        raise MissingMoment(f"assignment missing value for {m.label()}") from None
-    if isinstance(v, SurdScalar):
-        return v
-    return SurdScalar(v, 0, one.ssq)
+@lru_cache(maxsize=16)
+def _coefficients(point: CouplingPoint) -> dict:
+    """Each tag's coefficient at ``point``, formed once; None, a left-side product, is -1."""
+    t2, t4 = point.t2, point.t4
+    return {CoefTag.C2: 8 * t2, CoefTag.Q: 16 * t4, CoefTag.QNEG: -16 * t4, CoefTag.BT: 64 * t4, None: -1}
 
 
 def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], point: CouplingPoint) -> SurdScalar:
     """RHS - LHS of the equation, evaluated exactly in the surd field.
 
-    The right side is summed per coefficient tag first, so each tag costs
-    one product.
+    The equation's terms are planned once (``SdeEquation._plan``); here each
+    moment is looked up once, an int or Fraction value taken as rational,
+    and the terms are summed as one fused sum of products.
     """
     ssq = point.ssq
-    one, zero = SurdScalar(1, 0, ssq), SurdScalar(0, 0, ssq)
-    value = lambda m: _value(assignment, m, one, zero)
-    sums = {}
-    for m, tag in eq.rhs:
-        v = value(m)
-        sums[tag] = sums[tag] + v if tag in sums else v
-    t2, t4 = point.t2, point.t4
-    scale = {CoefTag.C2: 8 * t2, CoefTag.Q: 16 * t4, CoefTag.QNEG: -16 * t4}
-    if CoefTag.BT in sums:
-        scale[CoefTag.BT] = value(M2) * (64 * t4)
-    total = zero
-    for tag, v in sums.items():
-        total = total + v * scale[tag]
-    for x, y in eq.lhs:
-        total = total - value(x) * value(y)
-    return total
+    moments, terms = eq._plan
+    values = []
+    for m in moments:
+        try:
+            v = assignment[m]
+        except KeyError:
+            raise MissingMoment(f"assignment missing value for {m.label()}") from None
+        values.append(v if isinstance(v, SurdScalar) else SurdScalar(v, 0, ssq))
+    values.append(None)      # index -1: the empty moment, 1
+    coefficient = _coefficients(point)
+    return SurdScalar.sum_of_products([(coefficient[tag], values[i], values[j]) for tag, i, j in terms], ssq)

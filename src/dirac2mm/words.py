@@ -48,20 +48,6 @@ def word_letters(w) -> str:
     return letters
 
 
-def orbit(letters: str) -> set[str]:
-    """Full rotation x reversal x swap orbit of a letter string (brute force).
-
-    Nothing in the package calls it: it stays public as the tests'
-    reference for the canonical forms.
-    """
-    out = set()
-    for base in (letters, letters[::-1]):
-        for var in (base, base.translate(_SWAP)):
-            for k in range(max(1, len(var))):
-                out.add(var[k:] + var[:k])
-    return out
-
-
 def _min_rotation(w: str) -> str:
     """Least rotation of any string by comparing every rotation; "" for ""."""
     return min((w[i:] + w[:i] for i in range(len(w))), default="")
@@ -208,20 +194,6 @@ def canonicalize(w: str) -> CanonicalMoment:
     lookup stays cheap inside the loop-equation recursion.
     """
     return _canonical_from_string(w)
-
-
-def splits_at(w: str, letter: str) -> list[tuple[str, str]]:
-    """(prefix, suffix) pairs around each occurrence of ``letter`` in w.
-
-    These are the factorized trace pairs on the left side of the loop
-    equation of w: one pair per occurrence, in positional order.  The
-    loop equations split their words themselves (``sde.lhs_pairs``); this
-    stays public as the tests' brute-force reference.
-    """
-    w = word_letters(w)
-    if letter not in (A, B):
-        raise ValueError(f"letter must be A or B, got {letter!r}")
-    return [(w[:p], w[p + 1 :]) for p, c in enumerate(w) if c == letter]
 
 
 def vanishes_by_parity(c: CanonicalMoment) -> bool:

@@ -5,6 +5,16 @@ each operation written out in ``Fraction`` arithmetic: the form
 ``dirac2mm.algebra.SurdScalar`` had before it moved to integers over one
 denominator.  ``test_algebra`` runs both side by side.
 
+``residual`` is a loop equation's residual evaluated operation by
+operation in ``dirac2mm.algebra.SurdScalar``, each moment looked up and
+parity-tested as it is met: the form ``dirac2mm.sde.residual`` had before
+it became one fused sum of products.  ``test_sde`` compares the two values.
+
+``orbit`` and ``splits_at`` are the brute-force rotation x reversal x swap
+orbit of a letter string and its splits at each occurrence of a letter, the
+``test_words`` and ``test_sde`` references for the canonical forms and the
+left sides of the loop equations.
+
 ``dirac_operator`` is the dense 2 N^2 x 2 N^2 Dirac operator, the
 ``test_montecarlo`` reference for the trace polynomial and the sampler's
 letter kernel.
@@ -18,8 +28,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from dirac2mm import algebra
 from dirac2mm.algebra import RadicandMismatch, rat, rational_sqrt
 from dirac2mm.closedform import Signature
+from dirac2mm.sde import M2, CoefTag, MissingMoment
+from dirac2mm.words import vanishes_by_parity, word_letters
 
 
 @dataclass(frozen=True)
@@ -171,3 +184,64 @@ def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:
     sigma3 = np.array([[1.0, 0.0], [0.0, -1.0]])
     sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
     return np.kron(sigma3, rep(A, sig.eps1)) + np.kron(sigma1, rep(B, sig.eps2))
+
+
+def _value(assignment, m, one, zero):
+    if m.is_empty():
+        return one
+    if vanishes_by_parity(m):
+        return zero
+    try:
+        v = assignment[m]
+    except KeyError:
+        raise MissingMoment(f"assignment missing value for {m.label()}") from None
+    if isinstance(v, algebra.SurdScalar):
+        return v
+    return algebra.SurdScalar(v, 0, one.ssq)
+
+
+def residual(eq, assignment, point):
+    """RHS - LHS of the equation in the surd field, one operation at a time.
+
+    The right side is summed per coefficient tag first, so each tag costs
+    one product.
+    """
+    ssq = point.ssq
+    one, zero = algebra.SurdScalar(1, 0, ssq), algebra.SurdScalar(0, 0, ssq)
+    value = lambda m: _value(assignment, m, one, zero)
+    sums = {}
+    for m, tag in eq.rhs:
+        v = value(m)
+        sums[tag] = sums[tag] + v if tag in sums else v
+    t2, t4 = point.t2, point.t4
+    scale = {CoefTag.C2: 8 * t2, CoefTag.Q: 16 * t4, CoefTag.QNEG: -16 * t4}
+    if CoefTag.BT in sums:
+        scale[CoefTag.BT] = value(M2) * (64 * t4)
+    total = zero
+    for tag, v in sums.items():
+        total = total + v * scale[tag]
+    for x, y in eq.lhs:
+        total = total - value(x) * value(y)
+    return total
+
+
+def orbit(letters: str) -> set[str]:
+    """Full rotation x reversal x swap orbit of a letter string (brute force)."""
+    out = set()
+    for base in (letters, letters[::-1]):
+        for var in (base, base.translate(str.maketrans("AB", "BA"))):
+            for k in range(max(1, len(var))):
+                out.add(var[k:] + var[:k])
+    return out
+
+
+def splits_at(w: str, letter: str) -> list[tuple[str, str]]:
+    """(prefix, suffix) pairs around each occurrence of ``letter`` in w.
+
+    These are the factorized trace pairs on the left side of the loop
+    equation of w: one pair per occurrence, in positional order.
+    """
+    w = word_letters(w)
+    if letter not in ("A", "B"):
+        raise ValueError(f"letter must be A or B, got {letter!r}")
+    return [(w[:p], w[p + 1 :]) for p, c in enumerate(w) if c == letter]

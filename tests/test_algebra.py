@@ -191,6 +191,48 @@ class TestAgainstReference:
         assert x != SurdScalar(1, 2, 5)
 
 
+class TestSumOfProducts:
+    """The fused sum of c*x*y against the term-by-term sum of tests/reference.py."""
+
+    def test_seeded_term_lists_match(self):
+        rng = random.Random(20261020)
+
+        def operand(ssq):
+            if rng.random() < 0.25:
+                return None, None
+            part = lambda: F(0) if rng.random() < 0.25 else F(rng.randint(-40, 40), rng.randint(1, 12))
+            a, b = part(), part()
+            return SurdScalar(a, b, ssq), ReferenceSurd(a, b, ssq)
+
+        refused = 0
+        for _ in range(10_000):
+            ssq = rng.choice(DIFFERENTIAL_RADICANDS)
+            terms, want = [], ReferenceSurd(0, 0, ssq)
+            for _ in range(rng.randint(0, 6)):
+                c = rng.choice([rng.randint(-9, 9), F(rng.randint(-40, 40), rng.randint(1, 12))])
+                (x, rx), (y, ry) = operand(ssq), operand(ssq)
+                terms.append((c, x, y))
+                want = want + ReferenceSurd(c, 0, ssq) * (rx if rx is not None else 1) * (ry if ry is not None else 1)
+            got = SurdScalar.sum_of_products(terms, ssq)
+            assert _components(got) == _components(want), terms
+            assert got == SurdScalar(want.a, want.b, ssq) and hash(got) == hash(want), terms
+            if terms and rng.random() < 0.05:
+                other = ssq + rng.randint(1, 3)
+                c, x, y = terms[rng.randrange(len(terms))]
+                terms.append((c, SurdScalar(1, 1, other), y) if rng.random() < 0.5 else (c, x, SurdScalar(1, 1, other)))
+                with pytest.raises(RadicandMismatch, match=rf"^radicands differ: {ssq} vs {other}$"):
+                    SurdScalar.sum_of_products(terms, ssq)
+                refused += 1
+        assert refused > 300
+
+    def test_empty_sum_and_constant_terms(self):
+        zero = SurdScalar.sum_of_products([], 2)
+        assert _components(zero) == (F(0), F(0), F(2), F, F, F)
+        assert SurdScalar.sum_of_products([(3, None, None), (F(1, 2), None, None)], 2) == F(7, 2)
+        with pytest.raises(TypeError):
+            SurdScalar.sum_of_products([(0.5, None, None)], 2)
+
+
 class TestCouplingPoint:
     def test_ssq(self):
         assert CouplingPoint(1, 1).ssq == 9

@@ -94,6 +94,21 @@ class TestDirac:
         assert code == 0
         assert [line.rsplit(" = ", 1)[1] for line in out.splitlines()] == ["1.18749992875"] * 2
 
+    @pytest.mark.parametrize("t2, t4, digest", [
+        ("1", "1", "152c683f704827aabc63937dd249392819d66eab4c9e068903a0cc45d05138f4"),
+        ("3/2", "7/32", "824cf510869da9edd0791a003a908fff8bd8c6c5493f5d73c88811820b3518a6"),
+        ("2", "3", "3c51563fec56695b725cb0399a162d40ff577537729236399071925456992d9f"),
+    ])
+    def test_stdout_is_pinned(self, capsys, t2, t4, digest):
+        # SHA-256 of the stdout of ell = 2, 4, 6 in turn, closed form and
+        # word sum, frozen from the term-by-term word sum in Q(s)
+        out = ""
+        for ell in ("2", "4", "6"):
+            code, text, _ = run(capsys, "dirac", "--ell", ell, "--t2", t2, "--t4", t4)
+            assert code == 0
+            out += text
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("t2", ["-1", "0"])
     def test_nonpositive_t2_exit_code(self, capsys, t2):
         code, out, err = run(capsys, "dirac", "--ell", "6", "--t2", t2, "--t4", "1")

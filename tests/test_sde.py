@@ -2,12 +2,13 @@ import collections
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction as F
 from itertools import product
 
 import pytest
 
-from dirac2mm.algebra import CouplingPoint, SurdScalar
+from dirac2mm.algebra import CouplingPoint, RadicandMismatch, SurdScalar
 from dirac2mm.sde import (
     M2,
     CoefTag,
@@ -18,8 +19,9 @@ from dirac2mm.sde import (
     residual,
     single_block_words,
 )
-from dirac2mm.words import canonicalize, parse_moment_label, splits_at
+from dirac2mm.words import canonicalize, parse_moment_label
 from dirac2mm import closedform, sde
+from reference import residual as reference_residual, splits_at
 
 
 def rhs_map(eq):
@@ -63,7 +65,7 @@ class TestGenerateEquation:
     def test_swap_covariance(self):
         # differentiating the swapped word in the second letter reproduces
         # the original equation once every moment is canonicalized
-        from dirac2mm.words import splits_at, vanishes_by_parity
+        from dirac2mm.words import vanishes_by_parity
 
         def b_derivative_equation(v: str):
             lhs = []
@@ -179,6 +181,62 @@ class TestResidual:
         # equation of AAB is trivial, so empty assignment suffices
         p = CouplingPoint(1, 1)
         assert residual(generate_equation("AAB"), {}, p).is_zero()
+
+    def test_missing_moment_names_the_first_one_looked_up(self):
+        p = CouplingPoint(1, 1)
+        with pytest.raises(MissingMoment, match=re.escape("assignment missing value for m_{1,1,1,1}")):
+            residual(generate_equation("A"), {}, p)
+        vals = closedform.branch_assignment(p)
+        partial = {m: v for m, v in vals.items() if m != M2}
+        with pytest.raises(MissingMoment, match=re.escape("assignment missing value for m_{2}")):
+            residual(generate_equation("A"), partial, p)
+        partial = {m: v for m, v in vals.items() if m.runs != (3, 1, 1, 1)}
+        with pytest.raises(MissingMoment, match=re.escape("assignment missing value for m_{3,1,1,1}")):
+            residual(generate_equation("AAA"), partial, p)
+
+    def test_values_over_another_radicand_are_refused(self):
+        p = CouplingPoint(1, 1)
+        other = {m: SurdScalar(v.a, v.b, 5) for m, v in closedform.branch_assignment(p).items()}
+        for word in ("A", "BAB", "AAAAA"):
+            with pytest.raises(RadicandMismatch, match=r"^radicands differ: 9 vs 5$"):
+                residual(generate_equation(word), other, p)
+
+    def test_int_and_fraction_values_are_accepted(self):
+        p = CouplingPoint(1, F(1, 2))      # ssq = 5
+        rng = random.Random(4)
+        for eq in generate_system(5):
+            plain = {}
+            for pair in eq.lhs:
+                plain.update((m, rng.choice([rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 9))])) for m in pair)
+            for m, _tag in eq.rhs:
+                plain[m] = rng.choice([rng.randint(-5, 5), F(rng.randint(-9, 9), rng.randint(1, 9))])
+            plain[M2] = F(rng.randint(1, 9), rng.randint(1, 9))
+            surd = {m: SurdScalar(v, 0, p.ssq) for m, v in plain.items()}
+            got, want = residual(eq, plain, p), residual(eq, surd, p)
+            assert (got.a, got.b, got.ssq) == (want.a, want.b, want.ssq), eq.source_word
+            assert type(got) is SurdScalar
+
+
+def test_residual_values_equal_the_term_by_term_reference():
+    # the fused sum against tests/reference.residual on perturbed branch
+    # values: every residual of the 20 equations, component by component;
+    # (3/2, 7/32) and (1, 3) have the square radicands 4 and 25
+    rng = random.Random(23)
+    points = [CouplingPoint(F(rng.randint(1, 25), rng.randint(1, 5)), F(rng.randint(1, 25), rng.randint(1, 5)))
+              for _ in range(22)] + [CouplingPoint(F(3, 2), F(7, 32)), CouplingPoint(1, 3)]
+    equations = generate_system(7)
+    nonzero = 0
+    for p in points:
+        vals = dict(closedform.branch_assignment(p))
+        for m in rng.sample(sorted(vals, key=lambda m: m.runs), rng.randint(1, 6)):
+            shift = SurdScalar(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(-9, 9), rng.randint(1, 9)), p.ssq)
+            vals[m] = vals[m] + shift
+        for eq in equations:
+            got, want = residual(eq, vals, p), reference_residual(eq, vals, p)
+            assert (got.a, got.b, got.ssq, type(got)) == (want.a, want.b, want.ssq, type(want)), (p, eq.source_word)
+            assert got == want and hash(got) == hash(want)
+            nonzero += not want.is_zero()
+    assert nonzero > len(points) * 5
 
 
 def test_render_latex():

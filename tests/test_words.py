@@ -14,12 +14,11 @@ from dirac2mm.words import (
     CanonicalMoment,
     canonicalize,
     iter_canonical_moments,
-    orbit,
     parse_moment_label,
-    splits_at,
     vanishes_by_parity,
     word_letters,
 )
+from reference import orbit, splits_at
 
 word_strings = st.text(alphabet="AB", min_size=0, max_size=12)
 
