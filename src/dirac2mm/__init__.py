@@ -20,7 +20,7 @@ from .words import (
     vanishes_by_parity,
 )
 from .sde import SdeEquation, CoefTag, generate_equation, generate_system, residual
-from .solver import MomentTable, gaussian_moment, solve_series, verify_closed_forms
+from .solver import MomentTable, solve_series, verify_closed_forms
 from .mapenum import (
     CancellationReport,
     CellKind,
@@ -58,7 +58,7 @@ __all__ = [
     "CouplingPoint", "MomentSeries", "SurdScalar", "rat",
     "CanonicalMoment", "canonicalize", "parse_moment_label", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",
-    "MomentTable", "gaussian_moment", "solve_series", "verify_closed_forms",
+    "MomentTable", "solve_series", "verify_closed_forms",
     "CancellationReport", "CellKind", "UnstableMap", "cancellation_report",
     "enumerate_gluings", "moment_coefficient",
     "Signature", "branch_assignment", "critical_point", "dirac_from_words",

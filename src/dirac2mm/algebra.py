@@ -4,12 +4,12 @@ truncated power series.
 Every closed-form quantity of the quartic 2-matrix model lives in the real
 quadratic extension Q(s) with s**2 = t2**2 + 8*t4.  ``SurdScalar`` implements
 that field exactly, never approximately: a value a + b*s is kept as integers
-(p + q*s)/d over one denominator, so each operation is a few integer
-products and one gcd, and its components a and b read as Fractions.  A sum
-of products, sum of c*x*y, is one operation too
-(``SurdScalar.sum_of_products``): it is accumulated in integers and reduced
-by a single gcd at the end, which is how loop-equation residuals, the
-degree-10 completion and the Dirac word sums are evaluated at a point.
+(p + q*s)/d over one denominator, and its components a and b read as
+Fractions.  Values are combined in integers in one place only, the sum of
+products sum of c*x*y (``SurdScalar.sum_of_products``): it is accumulated
+in integers and reduced by a single gcd at the end.  ``+``, ``-`` and ``*``
+are sums of one or two terms, and loop-equation residuals, the degree-10
+completion and the Dirac word sums are each one sum at a point.
 ``MomentSeries`` holds the coefficients of a power series in the quartic
 coupling t4, truncated at some order, at a fixed rational t2: the value in
 which the perturbative solver, the map enumerator and the closed forms'
@@ -129,15 +129,15 @@ class SurdScalar:
     """Exact element a + b*s of Q(s), with s**2 equal to the fixed ``ssq``.
 
     The value is held as integers (p + q*s)/d over one denominator, reduced
-    so that gcd(p, q, d) = 1 and d > 0; with ssq = u/v, an operation is a few
-    integer products and one gcd.  ``a``, ``b`` and ``ssq`` read as Fractions.
-    The radicand travels with the value, so scalars built at different
-    coupling points cannot be combined silently.  When ``ssq`` happens to be
-    a perfect rational square the representation is redundant ((3, 0) and
-    (0, 1) both denote 3 when ssq = 9); equality and inversion reduce to the
-    canonical rational form first.  ``sum_of_products`` evaluates a whole
-    sum of c*x*y in integers with one gcd at the end; it and ``*`` share
-    the one product formula of the field (``_product``).
+    so that gcd(p, q, d) = 1 and d > 0; ``a``, ``b`` and ``ssq`` read as
+    Fractions.  The radicand travels with the value, so scalars built at
+    different coupling points cannot be combined silently.  When ``ssq``
+    happens to be a perfect rational square the representation is redundant
+    ((3, 0) and (0, 1) both denote 3 when ssq = 9); equality and inversion
+    reduce to the canonical rational form first.  ``sum_of_products``
+    evaluates a whole sum of c*x*y in integers with one gcd at the end; it
+    holds the field's only sum and product formulas, and ``+``, ``-`` and
+    ``*`` call it with one or two terms.
     """
 
     __slots__ = ("_p", "_q", "_d", "_ssq", "_u", "_v")
@@ -159,12 +159,6 @@ class SurdScalar:
         self._p, self._q, self._d = p, q, d
         return self
 
-    def _like(self, p: int, q: int, d: int) -> "SurdScalar":
-        """(p + q*s)/d over this value's radicand, reduced."""
-        x = object.__new__(SurdScalar)
-        x._ssq, x._u, x._v = self._ssq, self._u, self._v
-        return x._reduce(p, q, d)
-
     @classmethod
     def _from_ints(cls, p: int, q: int, d: int, ssq: Fraction) -> "SurdScalar":
         """(p + q*s)/d over the radicand ``ssq``, reduced; d != 0."""
@@ -176,12 +170,14 @@ class SurdScalar:
     def sum_of_products(cls, terms, ssq) -> "SurdScalar":
         """The sum of c*x*y over ``terms`` of (c, x, y), reduced once.
 
-        c is an int or Fraction; x and y are SurdScalars over ``ssq``, or
-        None for 1.  The sum is accumulated as integers (P + Q*s)/D, a
-        denominator multiplied in only where it differs from D, and reduced
-        by one gcd at the end, so a term costs a few integer products.
+        c is a rational that ``rat`` reads; x and y are SurdScalars over
+        ``ssq``, or None for 1.  The sum is accumulated as integers
+        (P + Q*s)/D, a denominator multiplied in only where it differs from
+        D, and reduced by one gcd at the end, so a term costs a few integer
+        products.
         """
         ssq = rat(ssq)
+        u, v = ssq.numerator, ssq.denominator
         P, Q, D = 0, 0, 1
         for c, x, y in terms:
             if x is None:
@@ -198,7 +194,9 @@ class SurdScalar:
                 else:
                     if y._ssq is not ssq and y._ssq != ssq:
                         raise RadicandMismatch(f"radicands differ: {ssq} vs {y._ssq}")
-                    p, q, d = _product(x, y)
+                    # the one product formula of the field, with ssq = u/v
+                    p1, q1, p2, q2 = x._p, x._q, y._p, y._q
+                    p, q, d = p1 * p2 * v + q1 * q2 * u, (p1 * q2 + q1 * p2) * v, x._d * y._d * v
                 n = c.numerator
                 if n != 1:
                     p, q = p * n, q * n
@@ -244,7 +242,7 @@ class SurdScalar:
         if r is None:
             return self
         e = r.denominator
-        return self._like(self._p * e + self._q * r.numerator, 0, self._d * e)
+        return self._from_ints(self._p * e + self._q * r.numerator, 0, self._d * e, self._ssq)
 
     def rational_value(self) -> Fraction:
         red = self.reduced()
@@ -254,33 +252,20 @@ class SurdScalar:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _check(self, other) -> "SurdScalar":
-        if isinstance(other, SurdScalar):
-            if other._ssq is not self._ssq and other._ssq != self._ssq:
-                raise RadicandMismatch(f"radicands differ: {self._ssq} vs {other._ssq}")
-            return other
-        r = rat(other)
-        return self._like(r.numerator, 0, r.denominator)
-
     def __add__(self, other):
-        o = self._check(other)
-        d, e = self._d, o._d
-        return self._like(self._p * e + o._p * d, self._q * e + o._q * d, d * e)
+        term = (1, other, None) if isinstance(other, SurdScalar) else (other, None, None)
+        return SurdScalar.sum_of_products(((1, self, None), term), self._ssq)
 
     def __neg__(self):
-        return self._like(-self._p, -self._q, self._d)
+        return self._from_ints(-self._p, -self._q, self._d, self._ssq)
 
     def __sub__(self, other):
-        o = self._check(other)
-        d, e = self._d, o._d
-        return self._like(self._p * e - o._p * d, self._q * e - o._q * d, d * e)
+        term = (-1, other, None) if isinstance(other, SurdScalar) else (-rat(other), None, None)
+        return SurdScalar.sum_of_products(((1, self, None), term), self._ssq)
 
     def __mul__(self, other):
-        if not isinstance(other, SurdScalar):
-            r = other if type(other) is int else rat(other)
-            n = r.numerator
-            return self._like(self._p * n, self._q * n, self._d * r.denominator)
-        return self._like(*_product(self, self._check(other)))
+        term = (1, self, other) if isinstance(other, SurdScalar) else (other, self, None)
+        return SurdScalar.sum_of_products((term,), self._ssq)
 
     def _norm_numerator(self) -> int:
         return self._p * self._p * self._v - self._q * self._q * self._u
@@ -296,13 +281,17 @@ class SurdScalar:
         if n == 0:
             # only possible when ssq is a rational square; divide in Q
             v = self.rational_value()
-            return self._like(v.denominator, 0, v.numerator)
+            return self._from_ints(v.denominator, 0, v.numerator, self._ssq)
         dv = self._d * self._v
-        return self._like(self._p * dv, -self._q * dv, n)
+        return self._from_ints(self._p * dv, -self._q * dv, n, self._ssq)
 
     def __truediv__(self, other):
-        o = self._check(other)
-        return self * o.inverse()
+        """self * other.inverse(); the radicands are compared before the inversion."""
+        if not isinstance(other, SurdScalar):
+            other = SurdScalar.rational(other, self._ssq)
+        elif other._ssq is not self._ssq and other._ssq != self._ssq:
+            raise RadicandMismatch(f"radicands differ: {self._ssq} vs {other._ssq}")
+        return self * other.inverse()
 
     # -- comparisons & conversions --------------------------------------
 
@@ -322,7 +311,7 @@ class SurdScalar:
         if isinstance(other, SurdScalar):
             y = other.reduced()
         elif isinstance(other, (int, Fraction)):
-            y = self._like(other.numerator, 0, other.denominator)
+            y = self._from_ints(other.numerator, 0, other.denominator, self._ssq)
         else:
             return NotImplemented
         x = self.reduced()
@@ -377,12 +366,6 @@ class SurdScalar:
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red._ssq}))"
 
 
-def _product(x: SurdScalar, y: SurdScalar) -> tuple:
-    """(p, q, d) of x*y, unreduced: (p1 p2 v + q1 q2 u, (p1 q2 + q1 p2) v, d1 d2 v) with ssq = u/v."""
-    p1, q1, p2, q2, v = x._p, x._q, y._p, y._q, x._v
-    return p1 * p2 * v + q1 * q2 * x._u, (p1 * q2 + q1 * p2) * v, x._d * y._d * v
-
-
 class TruncationError(ValueError):
     """Raised when a series coefficient beyond its truncation order is asked for."""
 
@@ -418,6 +401,8 @@ class MomentSeries:
         return cls.constant(0, t2, order)
 
     def coefficient(self, k: int) -> Fraction:
+        if exact_int(k, "k") < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         if k > self.order:
             raise TruncationError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]

@@ -244,6 +244,8 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     t4^q (all degree-8 branch values have a simple pole).
     """
     t2 = positive_t2(t2, "moment_series")
+    if exact_int(order, "order") < 0:
+        raise ValueError(f"order must be >= 0, got {order}")
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     if c.is_empty():

@@ -401,6 +401,8 @@ def n1_marginal_ks(point: CouplingPoint, samples: int = 100_000, seed: int = 7) 
     zero), whose stationary density is exp(-8 t2 x^2 - 32 t4 x^4); the
     target CDF is its trapezoid integral on a fixed grid (``_n1_cdf``).
     """
+    if exact_int(samples, "samples") < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     thinning = 4
     cfg = SamplerConfig(
         n=1,

@@ -5,10 +5,9 @@ equation of w isolates 8 t2 * m_c, so each order-k coefficient follows from
 strictly earlier data: lower-degree series at order k (the factorized left
 side) and higher-degree series at order k-1 (the quartic insertions).  At
 order 0 only the left side remains, so the Gaussian moments follow from
-m_[] = 1 alone; ``gaussian_moment`` (non-crossing pairing counts) is kept as
-the independent reference for them.  When several words determine the same
-moment, all determinations must agree exactly; that agreement is checked at
-every order and is the module's strongest internal invariant.
+m_[] = 1 alone.  When several words determine the same moment, all
+determinations must agree exactly; that agreement is checked at every order
+and is the module's strongest internal invariant.
 
 The recursion runs once, at t2 = 1 and in integers: M[c][k] =
 8^(deg c / 2 + 2k) * m_c,k is an integer, and every term of the loop
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import MomentSeries, exact_int, positive_t2
 from .words import (
@@ -39,37 +37,6 @@ from .words import (
     vanishes_by_parity,
 )
 from .sde import M2, CoefTag, insertions, lhs_pairs
-
-ZERO = Fraction(0)
-
-
-@lru_cache(maxsize=None)
-def _noncrossing_pairings(letters: str) -> int:
-    """Number of non-crossing pairings of a letter string matching colours."""
-    n = len(letters)
-    if n == 0:
-        return 1
-    if n % 2 != 0:
-        return 0
-    total = 0
-    first = letters[0]
-    for j in range(1, n, 2):
-        if letters[j] == first:
-            total += _noncrossing_pairings(letters[1:j]) * _noncrossing_pairings(letters[j + 1 :])
-    return total
-
-
-def gaussian_moment(c: CanonicalMoment | str, t2) -> Fraction:
-    """Gaussian (order-zero) moment: pairing count times (8 t2)^(-deg/2)."""
-    t2 = positive_t2(t2, "gaussian_moment")
-    if not isinstance(c, CanonicalMoment):
-        c = canonicalize(c)
-    if c.is_empty():
-        return Fraction(1)
-    if vanishes_by_parity(c):
-        return ZERO
-    count = _noncrossing_pairings(c.rep_word())
-    return Fraction(count) / (8 * t2) ** (c.degree // 2)
 
 
 class InconsistentSystem(ArithmeticError):
@@ -128,6 +95,8 @@ class MomentTable:
             return MomentSeries.constant(1, self.t2, self.order)
         if vanishes_by_parity(c):
             return MomentSeries.zero(self.t2, self.order)
+        if c.degree > self.max_degree:
+            raise KeyError(f"{c.label()} has degree {c.degree}, above the table's D = {self.max_degree}")
         return self.moments[c]
 
     def as_json(self) -> dict:

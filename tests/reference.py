@@ -15,6 +15,11 @@ orbit of a letter string and its splits at each occurrence of a letter, the
 ``test_words`` and ``test_sde`` references for the canonical forms and the
 left sides of the loop equations.
 
+``gaussian_moment`` is the order-zero moment from the count of
+non-crossing colour-matching pairings, the ``test_solver`` and
+``test_mapenum`` reference for the recursion's and the enumerator's
+order 0.
+
 ``dirac_operator`` is the dense 2 N^2 x 2 N^2 Dirac operator, the
 ``test_montecarlo`` reference for the trace polynomial and the sampler's
 letter kernel.
@@ -25,14 +30,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from dirac2mm import algebra
-from dirac2mm.algebra import RadicandMismatch, rat, rational_sqrt
+from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
 from dirac2mm.closedform import Signature
 from dirac2mm.sde import M2, CoefTag, MissingMoment
-from dirac2mm.words import vanishes_by_parity, word_letters
+from dirac2mm.words import CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,35 @@ class SurdScalar:
             return f"{red.a}"
         sign = "+" if red.b >= 0 else "-"
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red.ssq}))"
+
+
+@lru_cache(maxsize=None)
+def _noncrossing_pairings(letters: str) -> int:
+    """Number of non-crossing pairings of a letter string matching colours."""
+    n = len(letters)
+    if n == 0:
+        return 1
+    if n % 2 != 0:
+        return 0
+    total = 0
+    first = letters[0]
+    for j in range(1, n, 2):
+        if letters[j] == first:
+            total += _noncrossing_pairings(letters[1:j]) * _noncrossing_pairings(letters[j + 1 :])
+    return total
+
+
+def gaussian_moment(c: CanonicalMoment | str, t2) -> Fraction:
+    """Gaussian (order-zero) moment: pairing count times (8 t2)^(-deg/2)."""
+    t2 = positive_t2(t2, "gaussian_moment")
+    if not isinstance(c, CanonicalMoment):
+        c = canonicalize(c)
+    if c.is_empty():
+        return Fraction(1)
+    if vanishes_by_parity(c):
+        return Fraction(0)
+    count = _noncrossing_pairings(c.rep_word())
+    return Fraction(count) / (8 * t2) ** (c.degree // 2)
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:

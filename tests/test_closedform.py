@@ -218,6 +218,17 @@ class TestMomentSeries:
         with pytest.raises(ValueError, match="moment_series needs t2 > 0"):
             cf.moment_series(word, t2, 2)
 
+    @pytest.mark.parametrize("word", ["", "AB", "AA", "AAAA", "ABAB"])
+    @pytest.mark.parametrize("order, text", [
+        (-1, "order must be >= 0, got -1"), (-3, "order must be >= 0, got -3"),
+        (True, "order must be an integer, got True"), (2.0, "order must be an integer, got 2.0"),
+        ("2", "order must be an integer, got '2'"),
+    ])
+    def test_bad_order_refused_before_shortcuts(self, word, order, text):
+        with pytest.raises(ValueError) as info:
+            cf.moment_series(word, 1, order)
+        assert str(info.value) == text
+
     def test_expansions_are_pinned(self):
         # SHA-256 of the repr (or the pole message) of every table entry, the
         # empty moment, m_{1,1,1,1} and one parity-zero moment at four t2 and

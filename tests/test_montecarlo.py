@@ -409,6 +409,16 @@ def test_n1_cdf_matches_quadrature(t2, t4):
     np.testing.assert_allclose(mc._n1_cdf(t2, t4, xs), want, rtol=0, atol=1e-7)
 
 
+@pytest.mark.parametrize("samples, text", [
+    (0, "samples must be >= 1, got 0"), (-5, "samples must be >= 1, got -5"),
+    (2.5, "samples must be an integer, got 2.5"), (True, "samples must be an integer, got True"),
+])
+def test_ks_check_refuses_a_bad_sample_count(samples, text):
+    with pytest.raises(ValueError) as info:
+        mc.n1_marginal_ks(P11, samples=samples)
+    assert str(info.value) == text
+
+
 def test_ks_check_fast():
     dist, n = mc.n1_marginal_ks(P11, samples=20_000, seed=7)
     assert n >= 20_000

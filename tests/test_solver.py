@@ -8,11 +8,11 @@ from dirac2mm import words
 from dirac2mm.sde import CoefTag
 from dirac2mm.solver import (
     InconsistentSystem,
-    gaussian_moment,
     solve_series,
     verify_closed_forms,
 )
 from dirac2mm.words import CanonicalMoment, _canonical_from_string, canonicalize, iter_canonical_moments
+from reference import gaussian_moment
 
 M1111 = CanonicalMoment((1, 1, 1, 1))
 
@@ -98,6 +98,13 @@ class TestSolveSeries:
     def test_bad_degree_or_order_rejected(self, D, K):
         with pytest.raises(ValueError, match="D must|K must"):
             solve_series(D, K, 1)
+
+    def test_moment_above_the_table_degree_is_named(self, table):
+        for word, degree in (("AAAAAAAA", 8), ("AABBAABB", 8), ("AAAAAAAAAA", 10)):
+            label = canonicalize(word).label()
+            with pytest.raises(KeyError) as info:
+                table.series(word)
+            assert info.value.args == (f"{label} has degree {degree}, above the table's D = 6",)
 
     def test_all_degrees_present(self, table):
         for d in (2, 4, 6):
