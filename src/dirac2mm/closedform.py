@@ -215,6 +215,17 @@ def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     )
 
 
+def _table_runs(c: CanonicalMoment) -> tuple:
+    """The key of c's class in the table; c may be built from other runs of it, like (2, 4)."""
+    if c.runs in _MOMENT_TABLE:
+        return c.runs
+    runs = canonicalize(c.rep_word()).runs
+    if runs in _MOMENT_TABLE:
+        return runs
+    beyond = f" (degree {c.degree} > {MAX_TABLE_DEGREE})" if c.degree > MAX_TABLE_DEGREE else ""
+    raise UnknownMoment(f"no tabulated closed form for {c.label()}{beyond}")
+
+
 def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
     """Exact branch value of a moment of degree <= 8.
 
@@ -227,11 +238,7 @@ def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
         return SurdScalar(1, 0, point.ssq)
     if vanishes_by_parity(c):
         return SurdScalar(0, 0, point.ssq)
-    if c.runs not in _MOMENT_TABLE:
-        raise UnknownMoment(
-            f"no tabulated closed form for {c.label()} (degree {c.degree} > {MAX_TABLE_DEGREE})"
-        )
-    return _as_surd(c.runs, point)
+    return _as_surd(_table_runs(c), point)
 
 
 def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
@@ -252,9 +259,7 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
         return MomentSeries.constant(1, t2, order)
     if vanishes_by_parity(c) or c.runs == (1, 1, 1, 1):
         return MomentSeries.zero(t2, order)
-    if c.runs not in _MOMENT_TABLE:
-        raise UnknownMoment(f"no tabulated closed form for {c.label()}")
-    q, den, monomials = _MOMENT_TABLE[c.runs]
+    q, den, monomials = _MOMENT_TABLE[_table_runs(c)]
     work = order + q
     s = [t2]
     for n in range(1, work + 1):

@@ -14,6 +14,12 @@ words are the terms of the gradient of the effective potential; the two
 double-trace contributions merge into the single 64 t4 m_2 coefficient
 because the second moments of the two matrices coincide.
 
+``moment_equations`` gives the left sides and insertions of every word w
+with [wA] = c at once, from c's rep word: the arc between two A's serves
+the equations of both, and strings are formed so that equal classes mostly
+meet equal strings, which the canonicalization cache answers.  It and
+``lhs_pairs`` share one split rule, ``_kept_split``.
+
 An equation's terms are planned once, on its first evaluation: the moments
 it reads and its products c*x*y, those that vanish by parity dropped.  At a
 point, ``residual`` looks each moment up once and evaluates the plan as one
@@ -173,19 +179,25 @@ def _odd(letters: str) -> bool:
     return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
 
 
+def _kept_split(letters_between: int, a_between: int) -> bool:
+    """Whether cutting the cyclic word wA at its appended A and at one more A
+    leaves two halves even in length and in A, given the counts of one half
+    and wA even in both; otherwise one half vanishes by parity."""
+    return letters_between % 2 == 0 and a_between % 2 == 0
+
+
 def lhs_pairs(w: str) -> list:
     """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped.
 
-    Both halves are even in length and in A exactly when the split A has an
-    even position and an even number of A before it, and w itself is odd in
-    length and in A; otherwise one half vanishes by parity.
+    The left half of the split at position p holds p letters, ``before`` of
+    them A; with w odd in length and in A, ``_kept_split`` decides.
     """
     if len(w) % 2 == 0 or w.count(A) % 2 == 0:
         return []
     lhs = []
     p, before = w.find(A), 0
     while p >= 0:
-        if p % 2 == 0 and before % 2 == 0:
+        if _kept_split(p, before):
             lhs.append((canonicalize(w[:p]), canonicalize(w[p + 1 :])))
         p, before = w.find(A, p + 1), before + 1
     return lhs
@@ -194,6 +206,54 @@ def lhs_pairs(w: str) -> list:
 def insertions(w: str) -> list:
     """(m_[w insertion], tag) of the quartic insertions of w, in rendering order."""
     return [(canonicalize(w + insertion), tag) for insertion, tag in _INSERTIONS]
+
+
+def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
+    """(w, lhs pairs, insertions) of each distinct word w with [wA] = c, in order.
+
+    The word of the A at p is rep[p+1:] + rep[:p]; A's past the rep's period
+    repeat earlier words.  Where the word of p splits at the A at q, its pair
+    is the classes of the two arcs of rep between p and q, each built as the
+    rotation "A"*s + middle (middle the letters between the two A-runs), and
+    the word of q gets the pair swapped.  An insertion replaces the A at p in
+    rep, a rotation of w + insertion.  The shapes are those of ``lhs_pairs``
+    and ``insertions``; insertions are left empty without ``with_insertions``.
+    """
+    rep = c.rep_word()
+    period = (rep + rep).find(rep, 1)
+    sites = []   # each A as (position, start and end of its A-run)
+    start = 0
+    for i, r in enumerate(c.runs):
+        if i % 2 == 0:
+            sites.extend((p, start, start + r) for p in range(start, start + r))
+        start += r
+
+    def arc(x, y):
+        (p, _, end), (q, head, _) = x, y
+        if head <= p < q:        # q follows p in one run: only A's between
+            return A * (q - p - 1)
+        middle = rep[end:head] if end <= head else rep[end:] + rep[:head]
+        return A * (end - p - 1 + q - head) + middle
+
+    count = rep.count(A, 0, period)    # one word per A before the period
+    pairs = [[] for _ in range(count)]
+    for i in range(count):
+        for j in range(i + 1, len(sites)):
+            x, y = sites[i], sites[j]
+            if _kept_split(y[0] - x[0] - 1, j - i - 1):    # letters and A's of the arc x -> y
+                left, right = canonicalize(arc(x, y)), canonicalize(arc(y, x))
+                pairs[i].append((left, right))
+                if j < count:
+                    pairs[j].append((right, left))
+    out = []
+    for i in range(count):
+        p = sites[i][0]
+        before, after = rep[:p], rep[p + 1 :]
+        terms = []
+        if with_insertions:
+            terms = [(canonicalize(before + ins + after), tag) for ins, tag in _INSERTIONS]
+        out.append((after + before, pairs[i], terms))
+    return out
 
 
 def generate_equation(w: str) -> SdeEquation:

@@ -20,7 +20,8 @@ The recursion needs moments of degree up to D + 2K at order 0, one degree
 band less per order; the working table is extended internally so any
 (D, K) request is closed automatically.  The top band is read only at
 order 0, so its insertions are never built and its left sides are dropped
-once used.
+once used.  The equations of each moment come from its rep word at once
+(``sde.moment_equations``), not word by word.
 """
 
 from __future__ import annotations
@@ -30,28 +31,16 @@ from fractions import Fraction
 
 from .algebra import MomentSeries, exact_int, positive_t2
 from .words import (
-    A,
     CanonicalMoment,
     canonicalize,
     iter_canonical_moments,
     vanishes_by_parity,
 )
-from .sde import M2, CoefTag, insertions, lhs_pairs
+from .sde import M2, CoefTag, moment_equations
 
 
 class InconsistentSystem(ArithmeticError):
     """Two loop equations determined different values for one coefficient."""
-
-
-def _recipe_words(c: CanonicalMoment):
-    """The distinct words w with [wA] = c, each giving one determination."""
-    rep = c.rep_word()
-    seen = set()
-    for p, letter in enumerate(rep):
-        w = rep[p + 1 :] + rep[:p]
-        if letter == A and w not in seen:
-            seen.add(w)
-            yield w
 
 
 def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list[tuple]:
@@ -63,12 +52,12 @@ def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list
     the insertions do not enter.
     """
     out = []
-    for w in _recipe_words(c):
-        pairs = tuple((index[x.runs], index[y.runs]) for x, y in lhs_pairs(w))
-        terms = insertions(w) if with_insertions else ()
-        plus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q)
-        minus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.QNEG)
-        out.append((pairs, plus, minus))
+    for _, pairs, terms in moment_equations(c, with_insertions):
+        out.append((
+            tuple((index[x.runs], index[y.runs]) for x, y in pairs),
+            tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q),
+            tuple(index[m.runs] for m, tag in terms if tag is CoefTag.QNEG),
+        ))
     return out
 
 
@@ -97,7 +86,10 @@ class MomentTable:
             return MomentSeries.zero(self.t2, self.order)
         if c.degree > self.max_degree:
             raise KeyError(f"{c.label()} has degree {c.degree}, above the table's D = {self.max_degree}")
-        return self.moments[c]
+        try:
+            return self.moments[c]
+        except KeyError:     # built from runs that are not its class's, like (1, 1, 1, 3)
+            return self.moments[canonicalize(c.rep_word())]
 
     def as_json(self) -> dict:
         return {
@@ -128,6 +120,10 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     """
     D, K = exact_int(D, "D"), exact_int(K, "K")
     t2 = positive_t2(t2, "solve_series")
+    if type(enforce_vanishing_alternating) is not bool:
+        raise ValueError(
+            f"enforce_vanishing_alternating must be True or False, got {enforce_vanishing_alternating!r}"
+        )
     if D < 2 or D % 2 != 0:
         raise ValueError("D must be an even integer >= 2")
     if K < 0:

@@ -24,8 +24,9 @@ A word is a plain ``str`` of the letters A and B, the empty string being
 the empty word; there is no other word type.  ``word_letters`` validates
 and upper-cases a word at each public entry point, and ``canonicalize``
 validates a string the first time it sees it.  The loop equations meet each
-necklace in many rotations, so a new string costs only its least rotation
-and the orbit minimum is computed once per necklace.
+necklace in many rotations, so a new string costs only its least rotation;
+its class was recorded when its degree was enumerated, which computes the
+orbit minimum of each even necklace once.
 """
 
 from __future__ import annotations
@@ -125,14 +126,21 @@ def _necklace(letters: str) -> str:
     return _least_rotation(letters, max(map(len, (letters + letters).split(B))))
 
 
+# The class of each even necklace of every degree enumerated so far, filled
+# by _canonical_moments alone, so a lookup never enumerates a degree.
+_NECKLACE_CLASSES: dict = {}
+
+
 # Both caches are bounded so that deep solves keep a fixed footprint.
-# solve_series(8, 4) canonicalizes 12,023 distinct strings, which fall into
-# 2,115 necklaces and 913 classes, so neither cache evicts there; only a new
-# necklace pays for the orbit minimum and a new CanonicalMoment.
+# solve_series(8, 4) canonicalizes 5,195 distinct strings, and the necklace
+# of each has a recorded class, so neither cache evicts there and only a
+# necklace of a degree not enumerated pays for its orbit minimum here.
 @lru_cache(maxsize=1 << 16)
 def _canonical_from_string(letters: str) -> "CanonicalMoment":
     letters = word_letters(letters)   # validated once per distinct string
-    return _canonical_from_necklace(_necklace(letters))
+    necklace = _necklace(letters)
+    c = _NECKLACE_CLASSES.get(necklace)
+    return c if c is not None else _canonical_from_necklace(necklace)
 
 
 @lru_cache(maxsize=1 << 15)
@@ -193,7 +201,11 @@ def canonicalize(w: str) -> CanonicalMoment:
     A word is validated on its first canonicalization only, so the cached
     lookup stays cheap inside the loop-equation recursion.
     """
-    return _canonical_from_string(w)
+    try:
+        return _canonical_from_string(w)
+    except TypeError:    # unhashable, such as a list of letters
+        pass
+    return _canonical_from_string(word_letters(w))
 
 
 def vanishes_by_parity(c: CanonicalMoment) -> bool:
@@ -226,14 +238,20 @@ def _necklaces(n: int):
 
 @lru_cache(maxsize=64)   # one entry per degree in use
 def _canonical_moments(degree: int) -> tuple:
+    """The classes of one degree, recording the class of each even necklace."""
     if degree == 0:
         return (CanonicalMoment(()),)
     out = []
     for s in _necklaces(degree):
         a = s.count(A)
-        if a % 2 or (degree - a) % 2 or s != _canonical_rep(s):
+        if a % 2 or (degree - a) % 2:
             continue
-        out.append(CanonicalMoment(_runs_of(s)))
+        rep = _canonical_rep(s)
+        if rep == s:
+            out.append(CanonicalMoment(_runs_of(s)))
+            _NECKLACE_CLASSES[s] = out[-1]
+        else:    # rep is a necklace listed before s
+            _NECKLACE_CLASSES[s] = _NECKLACE_CLASSES[rep]
     return tuple(sorted(out, key=lambda c: c.runs))
 
 

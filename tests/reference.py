@@ -15,6 +15,12 @@ orbit of a letter string and its splits at each occurrence of a letter, the
 ``test_words`` and ``test_sde`` references for the canonical forms and the
 left sides of the loop equations.
 
+``recipe_words`` and ``recipes_for`` build the solver's determinations of a
+moment word by word, each recipe word split by ``sde.lhs_pairs`` and its
+insertions canonicalized by ``sde.insertions``: the form
+``dirac2mm.solver._recipes_for`` had before it built them from the moment's
+A-runs.  ``test_solver`` compares the two.
+
 ``gaussian_moment`` is the order-zero moment from the count of
 non-crossing colour-matching pairings, the ``test_solver`` and
 ``test_mapenum`` reference for the recursion's and the enumerator's
@@ -37,8 +43,8 @@ import numpy as np
 from dirac2mm import algebra
 from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
 from dirac2mm.closedform import Signature
-from dirac2mm.sde import M2, CoefTag, MissingMoment
-from dirac2mm.words import CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
+from dirac2mm.sde import M2, CoefTag, MissingMoment, insertions, lhs_pairs
+from dirac2mm.words import A, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,34 @@ class SurdScalar:
             return f"{red.a}"
         sign = "+" if red.b >= 0 else "-"
         return f"({red.a} {sign} {abs(red.b)}*sqrt({red.ssq}))"
+
+
+def recipe_words(c: CanonicalMoment):
+    """The distinct words w with [wA] = c, each giving one determination."""
+    rep = c.rep_word()
+    seen = set()
+    for p, letter in enumerate(rep):
+        w = rep[p + 1 :] + rep[:p]
+        if letter == A and w not in seen:
+            seen.add(w)
+            yield w
+
+
+def recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list[tuple]:
+    """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
+
+    Every entry is a row index into the solver's integer table, looked up in
+    ``index`` by run tuple; without ``with_insertions`` both insertion tuples
+    are empty.
+    """
+    out = []
+    for w in recipe_words(c):
+        pairs = tuple((index[x.runs], index[y.runs]) for x, y in lhs_pairs(w))
+        terms = insertions(w) if with_insertions else ()
+        plus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q)
+        minus = tuple(index[m.runs] for m, tag in terms if tag is CoefTag.QNEG)
+        out.append((pairs, plus, minus))
+    return out
 
 
 @lru_cache(maxsize=None)

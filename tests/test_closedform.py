@@ -46,6 +46,15 @@ class TestMoment:
         with pytest.raises(cf.UnknownMoment):
             cf.moment(parse_moment_label("m_{10}"), P11)
 
+    def test_moment_built_from_other_runs_of_its_class(self):
+        # (2, 4) spells m_{4,2} and (1, 1, 1, 3) spells m_{3,1,1,1}; a class
+        # beyond the table names its degree
+        assert cf.moment(CanonicalMoment((2, 4)), P11) == cf.moment(parse_moment_label("m_{4,2}"), P11)
+        assert cf.moment(CanonicalMoment((1, 1, 1, 3)), P11) == cf.moment("AAABAB", P11)
+        with pytest.raises(cf.UnknownMoment) as info:
+            cf.moment(CanonicalMoment((2, 8)), P11)
+        assert info.value.args == ("no tabulated closed form for m_{2,8} (degree 10 > 8)",)
+
     def test_nonpositive_t4_raises(self):
         with pytest.raises(ValueError):
             cf.moment("AA", CouplingPoint(1, 0))
@@ -208,6 +217,12 @@ class TestMomentSeries:
         assert s.coeffs == (F(1, 8), F(-1, 4), F(1), F(-5))
         s4 = cf.moment_series("AAAA", 1, 1)
         assert s4.coeffs == (F(1, 32), F(-1, 8))
+
+    def test_moment_built_from_other_runs_of_its_class(self):
+        assert cf.moment_series(CanonicalMoment((2, 4)), F(3, 2), 3) == cf.moment_series("AAAABB", F(3, 2), 3)
+        with pytest.raises(cf.UnknownMoment) as info:
+            cf.moment_series(CanonicalMoment((2, 8)), 1, 2)
+        assert info.value.args == ("no tabulated closed form for m_{2,8} (degree 10 > 8)",)
 
     def test_degree_eight_pole_is_flagged(self):
         with pytest.raises(cf.PoleAtGaussianPoint):

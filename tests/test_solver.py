@@ -5,14 +5,21 @@ from fractions import Fraction as F
 import pytest
 
 from dirac2mm import words
-from dirac2mm.sde import CoefTag
+from dirac2mm.sde import CoefTag, moment_equations
 from dirac2mm.solver import (
     InconsistentSystem,
+    _recipes_for,
     solve_series,
     verify_closed_forms,
 )
-from dirac2mm.words import CanonicalMoment, _canonical_from_string, canonicalize, iter_canonical_moments
-from reference import gaussian_moment
+from dirac2mm.words import (
+    CanonicalMoment,
+    _canonical_from_string,
+    canonicalize,
+    iter_canonical_moments,
+    parse_moment_label,
+)
+from reference import gaussian_moment, recipe_words, recipes_for
 
 M1111 = CanonicalMoment((1, 1, 1, 1))
 
@@ -80,6 +87,11 @@ class TestSolveSeries:
             "d4ea4ecc286590714633c478f1c2e0d90f639e17f2c8b6fe84bf1452464a7efb"
         )
 
+    @pytest.mark.parametrize("flag", ["no", 1, 0, None])
+    def test_enforcement_flag_must_be_a_bool(self, flag):
+        with pytest.raises(ValueError, match=r"enforce_vanishing_alternating must be True or False"):
+            solve_series(4, 2, 1, enforce_vanishing_alternating=flag)
+
     def test_general_t2(self):
         table = solve_series(D=2, K=1, t2=2)
         assert table.series("AA").coeffs == (F(1, 16), F(-1, 32))
@@ -105,6 +117,11 @@ class TestSolveSeries:
             with pytest.raises(KeyError) as info:
                 table.series(word)
             assert info.value.args == (f"{label} has degree {degree}, above the table's D = 6",)
+
+    def test_moment_built_from_other_runs_of_its_class(self, table):
+        # (1, 1, 1, 3) spells m_{3,1,1,1}, (2, 4) spells m_{4,2}
+        for runs, label in (((1, 1, 1, 3), "m_{3,1,1,1}"), ((2, 4), "m_{4,2}")):
+            assert table.series(CanonicalMoment(runs)) is table.moments[parse_moment_label(label)]
 
     def test_all_degrees_present(self, table):
         for d in (2, 4, 6):
@@ -140,15 +157,17 @@ class TestDeterminationConsistency:
         # determination of m_{2,2} differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_pairs = solver_mod.lhs_pairs
+        true_equations = solver_mod.moment_equations
 
-        def tampered(w):
-            pairs = true_pairs(w)
-            if w == "ABB":
-                pairs = [p for p in pairs if p != (CanonicalMoment(()), canonicalize("BB"))]
-            return pairs
+        def tampered(c, with_insertions):
+            out = []
+            for w, pairs, terms in true_equations(c, with_insertions):
+                if w == "ABB":
+                    pairs = [p for p in pairs if p != (CanonicalMoment(()), canonicalize("BB"))]
+                out.append((w, pairs, terms))
+            return out
 
-        monkeypatch.setattr(solver_mod, "lhs_pairs", tampered)
+        monkeypatch.setattr(solver_mod, "moment_equations", tampered)
         message = "order 0 of m_{2,2}: determinations disagree: [Fraction(0, 1), Fraction(1, 64)]"
         with pytest.raises(InconsistentSystem) as caught:
             solver_mod.solve_series(D=4, K=0, t2=1)
@@ -159,19 +178,45 @@ class TestDeterminationConsistency:
         # and makes its determination of m_{2,2} at order 1 differ from BBA's
         import dirac2mm.solver as solver_mod
 
-        true_insertions = solver_mod.insertions
+        true_equations = solver_mod.moment_equations
 
-        def tampered(w):
-            terms = true_insertions(w)
-            if w == "ABB":
-                terms = [entry for entry in terms if entry[1] is not CoefTag.Q]
-            return terms
+        def tampered(c, with_insertions):
+            out = []
+            for w, pairs, terms in true_equations(c, with_insertions):
+                if w == "ABB":
+                    terms = [entry for entry in terms if entry[1] is not CoefTag.Q]
+                out.append((w, pairs, terms))
+            return out
 
-        monkeypatch.setattr(solver_mod, "insertions", tampered)
+        monkeypatch.setattr(solver_mod, "moment_equations", tampered)
         message = "order 1 of m_{2,2}: determinations disagree: [Fraction(-1, 108), Fraction(-17, 1296)]"
         with pytest.raises(InconsistentSystem) as caught:
             solver_mod.solve_series(D=4, K=1, t2=F(3, 2))
         assert str(caught.value) == message
+
+
+class TestRecipes:
+    def test_match_the_word_by_word_reference(self):
+        # every moment of degree <= 14: the same recipe words in the same
+        # order, each with the same multiset of pairs and of insertions
+        moments = [CanonicalMoment(())] + [c for d in range(2, 17, 2) for c in iter_canonical_moments(d)]
+        index = {c.runs: i for i, c in enumerate(moments)}
+        checked = 0
+        for c in moments[1:]:
+            if c.degree > 14:
+                break
+            assert [w for w, _, _ in moment_equations(c, True)] == list(recipe_words(c)), c.label()
+            got, want = _recipes_for(c, index, True), recipes_for(c, index, True)
+            assert [tuple(map(sorted, r)) for r in got] == [tuple(map(sorted, r)) for r in want], c.label()
+            checked += len(got)
+        assert checked == 2175
+
+    def test_top_band_has_no_insertions(self):
+        c = canonicalize("AABAAB")
+        assert all(terms == [] for _, _, terms in moment_equations(c, False))
+        assert [pairs for _, pairs, _ in moment_equations(c, False)] == [
+            pairs for _, pairs, _ in moment_equations(c, True)
+        ]
 
 
 class TestVerifyClosedForms:

@@ -126,6 +126,32 @@ class TestCanonicalize:
             assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters), letters
 
 
+class TestNecklaceClasses:
+    def test_recorded_class_of_every_even_necklace(self):
+        # degrees <= 16: each even necklace's recorded class is that of its
+        # orbit minimum
+        for d in range(2, 17, 2):
+            iter_canonical_moments(d)
+            even = [s for s in words._necklaces(d) if s.count("A") % 2 == 0]
+            assert even and all(s in words._NECKLACE_CLASSES for s in even), d
+            for s in even:
+                rep = words._canonical_rep(s)
+                assert words._NECKLACE_CLASSES[s].rep_word() == rep, s
+                assert words._NECKLACE_CLASSES[s].runs == words._runs_of(rep), s
+
+    def test_a_long_word_enumerates_nothing(self):
+        # its class comes from its own orbit minimum, one necklace-cache miss
+        enumerated = words._canonical_moments.cache_info()
+        recorded = len(words._NECKLACE_CLASSES)
+        misses = words._canonical_from_necklace.cache_info().misses
+        letters = "AB" * 7 + "A" * 12 + "BBA" * 4 + "BA"
+        assert len(letters) == 40
+        assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters)
+        assert words._canonical_moments.cache_info() == enumerated
+        assert len(words._NECKLACE_CLASSES) == recorded
+        assert words._canonical_from_necklace.cache_info().misses == misses + 1
+
+
 def brute_force_classes(degree: int) -> list:
     """Run lengths of every orbit minimum with even letter counts over all 2^degree strings, sorted."""
     out = set()
@@ -192,6 +218,10 @@ class TestTypes:
         with pytest.raises(ValueError, match=re.escape("word must use letters A/B only, got 'AXB'")):
             word_letters("AXB")
         assert word_letters("abA") == "ABA"
+
+    def test_a_list_of_letters_is_not_a_word(self):
+        with pytest.raises(ValueError, match=re.escape("word must use letters A/B only, got ['A', 'B']")):
+            canonicalize(["A", "B"])
 
     @pytest.mark.parametrize("entry", sorted(WORD_ENTRY_POINTS))
     def test_every_entry_point_validates_words(self, entry):
