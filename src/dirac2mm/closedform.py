@@ -577,7 +577,11 @@ def susceptibility_expansion(t2, num_terms: int = 4) -> SusceptibilityExpansion:
 
 
 def moment_table_rows(point: CouplingPoint):
-    """CSV-ready rows (index, degree, a, b, ssq, decimal) of the tabulated moments."""
+    """CSV-ready rows (index, degree, a, b, ssq, decimal) of the tabulated moments.
+
+    An unphysical point is refused before the header row is yielded.
+    """
+    point.require_physical()
     yield ("index", "degree", "a", "b", "ssq", "decimal")
     for runs in sorted(_MOMENT_TABLE, key=lambda r: (sum(r), r)):
         c = CanonicalMoment(runs)

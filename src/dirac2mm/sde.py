@@ -17,8 +17,9 @@ because the second moments of the two matrices coincide.
 ``moment_equations`` gives the left sides and insertions of every word w
 with [wA] = c at once, from c's rep word: the arc between two A's serves
 the equations of both, and strings are formed so that equal classes mostly
-meet equal strings, which the canonicalization cache answers.  It and
-``lhs_pairs`` share one split rule, ``_kept_split``.
+meet equal strings, which the canonicalization cache answers.  It is the
+one builder of the equations: the solver reads every entry of a class, and
+``generate_equation(w)`` the entry of w, from a rotation of wA.
 
 An equation's terms are planned once, on its first evaluation: the moments
 it reads and its products c*x*y, those that vanish by parity dropped.  At a
@@ -34,7 +35,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .algebra import CouplingPoint, SurdScalar, exact_int
-from .words import A, B, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
+from .words import A, B, CanonicalMoment, _runs_of, canonicalize, vanishes_by_parity, word_letters
 
 M2 = CanonicalMoment((2,))
 
@@ -174,50 +175,20 @@ class SdeEquation:
         return (tuple(sorted((x.runs, y.runs) for x, y in self.lhs)), c2, quartic, bt)
 
 
-def _odd(letters: str) -> bool:
-    """True iff the word's moment vanishes by parity (an odd letter count)."""
-    return len(letters) % 2 != 0 or letters.count(A) % 2 != 0
-
-
-def _kept_split(letters_between: int, a_between: int) -> bool:
-    """Whether cutting the cyclic word wA at its appended A and at one more A
-    leaves two halves even in length and in A, given the counts of one half
-    and wA even in both; otherwise one half vanishes by parity."""
-    return letters_between % 2 == 0 and a_between % 2 == 0
-
-
-def lhs_pairs(w: str) -> list:
-    """Factorized pairs (m_[left], m_[right]) of w split at each A, parity zeros dropped.
-
-    The left half of the split at position p holds p letters, ``before`` of
-    them A; with w odd in length and in A, ``_kept_split`` decides.
-    """
-    if len(w) % 2 == 0 or w.count(A) % 2 == 0:
-        return []
-    lhs = []
-    p, before = w.find(A), 0
-    while p >= 0:
-        if _kept_split(p, before):
-            lhs.append((canonicalize(w[:p]), canonicalize(w[p + 1 :])))
-        p, before = w.find(A, p + 1), before + 1
-    return lhs
-
-
-def insertions(w: str) -> list:
-    """(m_[w insertion], tag) of the quartic insertions of w, in rendering order."""
-    return [(canonicalize(w + insertion), tag) for insertion, tag in _INSERTIONS]
-
-
 def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
     """(w, lhs pairs, insertions) of each distinct word w with [wA] = c, in order.
 
-    The word of the A at p is rep[p+1:] + rep[:p]; A's past the rep's period
-    repeat earlier words.  Where the word of p splits at the A at q, its pair
-    is the classes of the two arcs of rep between p and q, each built as the
-    rotation "A"*s + middle (middle the letters between the two A-runs), and
-    the word of q gets the pair swapped.  An insertion replaces the A at p in
-    rep, a rotation of w + insertion.  The shapes are those of ``lhs_pairs``
-    and ``insertions``; insertions are left empty without ``with_insertions``.
+    Only c's runs are read, through the word rep they spell: a rotation of
+    wA that starts an A-run, not necessarily the least one.  The word of the
+    A at p is rep[p+1:] + rep[:p]; A's past the rep's period repeat earlier
+    words.  Its pairs are the classes (left, right) of its splits at each A,
+    those with a half odd in length or in A dropped: where the word of p
+    splits at the A at q, the pair is the classes of the two arcs of rep
+    between p and q, each built as the rotation "A"*s + middle (middle the
+    letters between the two A-runs), and the word of q gets the pair
+    swapped.  An insertion replaces the A at p in rep, a rotation of
+    w + insertion; insertions are (moment, tag) in rendering order, and are
+    left empty without ``with_insertions``.
     """
     rep = c.rep_word()
     period = (rep + rep).find(rep, 1)
@@ -240,7 +211,9 @@ def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
     for i in range(count):
         for j in range(i + 1, len(sites)):
             x, y = sites[i], sites[j]
-            if _kept_split(y[0] - x[0] - 1, j - i - 1):    # letters and A's of the arc x -> y
+            # rep is even in length and in A, so both arcs are iff the arc
+            # x -> y is: its y[0] - x[0] - 1 letters and j - i - 1 A's
+            if (y[0] - x[0] - 1) % 2 == 0 and (j - i - 1) % 2 == 0:
                 left, right = canonicalize(arc(x, y)), canonicalize(arc(y, x))
                 pairs[i].append((left, right))
                 if j < count:
@@ -257,15 +230,24 @@ def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
 
 
 def generate_equation(w: str) -> SdeEquation:
-    """The large-N loop equation obtained from the word w."""
+    """The large-N loop equation obtained from the word w.
+
+    It is the entry of ``moment_equations`` at the appended A of wA, rotated
+    to start after its last B: the A's before the appended one are w's
+    trailing A's, and their count modulo the number of entries gives the
+    entry.
+    """
     w = word_letters(w)
-    rhs = ()
-    # every insertion has the letter parity of a single A, so the whole
-    # right side vanishes together with m_[wA]
-    if not _odd(w + A):
-        wa = canonicalize(w + A)
-        rhs = ((wa, CoefTag.C2), *insertions(w), (wa, CoefTag.BT))
-    return SdeEquation(lhs=lhs_pairs(w), rhs=rhs, source_word=w, rhs_display=rhs)
+    wa = canonicalize(w + A)
+    # every insertion has the letter parity of wA, and where wA is odd in
+    # length or in A so is one half of each split: the equation vanishes
+    if vanishes_by_parity(wa):
+        return SdeEquation(lhs=(), rhs=(), source_word=w)
+    k = w.rfind(B) + 1
+    entries = moment_equations(CanonicalMoment(_runs_of(w[k:] + A + w[:k])), True)
+    _, lhs, insertions = entries[(len(w) - k) % len(entries)]
+    rhs = ((wa, CoefTag.C2), *insertions, (wa, CoefTag.BT))
+    return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=rhs)
 
 
 def single_block_words(max_degree: int):

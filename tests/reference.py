@@ -13,11 +13,14 @@ it became one fused sum of products.  ``test_sde`` compares the two values.
 ``orbit`` and ``splits_at`` are the brute-force rotation x reversal x swap
 orbit of a letter string and its splits at each occurrence of a letter, the
 ``test_words`` and ``test_sde`` references for the canonical forms and the
-left sides of the loop equations.
+left sides of the loop equations.  ``lhs_pairs`` and ``insertions`` are a
+word's loop-equation left side from ``splits_at`` and its quartic
+insertions, each string canonicalized: the form ``dirac2mm.sde`` had
+before ``generate_equation`` read them off ``sde.moment_equations``.
 
 ``recipe_words`` and ``recipes_for`` build the solver's determinations of a
-moment word by word, each recipe word split by ``sde.lhs_pairs`` and its
-insertions canonicalized by ``sde.insertions``: the form
+moment word by word, each recipe word split by ``lhs_pairs`` and its
+insertions canonicalized by ``insertions``: the form
 ``dirac2mm.solver._recipes_for`` had before it built them from the moment's
 A-runs.  ``test_solver`` compares the two.
 
@@ -43,7 +46,7 @@ import numpy as np
 from dirac2mm import algebra
 from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
 from dirac2mm.closedform import Signature
-from dirac2mm.sde import M2, CoefTag, MissingMoment, insertions, lhs_pairs
+from dirac2mm.sde import M2, CoefTag, MissingMoment
 from dirac2mm.words import A, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 
@@ -314,3 +317,16 @@ def splits_at(w: str, letter: str) -> list[tuple[str, str]]:
     if letter not in ("A", "B"):
         raise ValueError(f"letter must be A or B, got {letter!r}")
     return [(w[:p], w[p + 1 :]) for p, c in enumerate(w) if c == letter]
+
+
+def lhs_pairs(w: str) -> list:
+    """(m_[left], m_[right]) of each split of w at an A, in positional order,
+    those with a half that vanishes by parity dropped."""
+    pairs = [(canonicalize(left), canonicalize(right)) for left, right in splits_at(w, A)]
+    return [(x, y) for x, y in pairs if not (vanishes_by_parity(x) or vanishes_by_parity(y))]
+
+
+def insertions(w: str) -> list:
+    """(m_[w insertion], tag) of the four quartic insertions of w, in rendering order."""
+    words = (("AAA", CoefTag.Q), ("BAB", CoefTag.QNEG), ("ABB", CoefTag.Q), ("BBA", CoefTag.Q))
+    return [(canonicalize(w + insertion), tag) for insertion, tag in words]

@@ -29,6 +29,12 @@ class TestMoments:
         assert out.splitlines()[0] == "index,degree,a,b,ssq,decimal"
         assert len(out.splitlines()) == 21
 
+    @pytest.mark.parametrize("point", [("--t2", "1", "--t4=-1/5"), ("--t2=0", "--t4", "1")])
+    def test_table_at_an_unphysical_point_writes_nothing(self, capsys, point):
+        code, out, err = run(capsys, "moments", *point, "--all")
+        assert (code, out) == (1, "")
+        assert "t2 > 0 and t4 > 0" in err
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "moments", "--t2", "1", "--t4", "0", "--index", "2")
         assert code == 1

@@ -239,6 +239,10 @@ class TestVerifyClosedForms:
         assert first == {"m_{2}": 2, "m_{4}": 1, "m_{2,2}": 1, "m_{1,1,1,1}": 1}
         assert all(len(r.closed_coeffs) == 3 for r in records)
 
+    def test_a_table_above_the_closed_forms_degree_stops_at_it(self):
+        # the closed forms end at degree 8, so a degree-10 table is compared through degree 8
+        assert verify_closed_forms(solve_series(10, 1, 1)) == verify_closed_forms(solve_series(8, 1, 1))
+
     def test_denominator_corruption_detected(self):
         # writing the degree-6 denominator with its doubled misprint makes
         # the first reported divergence move to order 0 for m_6
