@@ -40,11 +40,14 @@ def rat(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def exact_int(x, name: str) -> int:
-    """Coerce an integer argument to int; bools and non-integral types are refused."""
+def exact_int(x, name: str, low: int | None = None) -> int:
+    """An integer argument as int; bools, non-integers and values below ``low`` are refused."""
     if isinstance(x, bool) or not isinstance(x, Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if low is not None and x < low:
+        raise ValueError(f"{name} must be >= {low}, got {x}")
+    return x
 
 
 def positive_t2(t2, who: str) -> Fraction:
@@ -401,9 +404,7 @@ class MomentSeries:
         return cls.constant(0, t2, order)
 
     def coefficient(self, k: int) -> Fraction:
-        if exact_int(k, "k") < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if k > self.order:
+        if exact_int(k, "k", 0) > self.order:
             raise TruncationError(f"coefficient {k} beyond truncation order {self.order}")
         return self.coeffs[k]
 

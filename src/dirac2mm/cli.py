@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .algebra import CouplingPoint, rat
+from .algebra import CouplingPoint, exact_int, rat
 from .words import canonicalize, parse_moment_label, word_letters
 from . import closedform, mapenum, montecarlo, solver, verification
 from .sde import generate_equation, generate_system
@@ -88,7 +88,7 @@ def cmd_enumerate(args) -> int:
     if args.report_cancellation:
         if args.t2 is not None:
             raise ValueError("--t2 does not apply to --report-cancellation: the census sums cell weights with no propagator")
-        mapenum._check_order(args.order)   # a bad order is named before a bad word
+        exact_int(args.order, "order k", 0)   # a bad order is named before a bad word
         if canonicalize(w) != canonicalize("ABAB"):
             raise ValueError(f"--report-cancellation counts the gluings of ABAB only, got {args.word!r}")
         rep = mapenum.cancellation_report(args.order)
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("dirac", help="closed-form Dirac moments d_ell")
-    p.add_argument("--ell", type=int, required=True, choices=(2, 4, 6))
+    p.add_argument("--ell", type=int, required=True, choices=closedform.DIRAC_INDICES)
     p.add_argument("--t2", required=True)
     p.add_argument("--t4", required=True)
     p.set_defaults(func=cmd_dirac)

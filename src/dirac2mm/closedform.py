@@ -13,6 +13,11 @@ Gaussian-based perturbative expansion computed by ``solver`` /
 initial data, so the two agree only through low orders; the degree-8 entries of the branch even carry a simple pole at t4 = 0.
 ``solver.verify_closed_forms`` quantifies the divergence order by order.
 
+On the branch d_4 = 4 / (t2 + s)^2.  At the critical coupling -t2^2 / 8 the
+surd vanishes, and s = sqrt(8 (t4 - critical)) makes the leading correction
+to d_4 a (t4 - critical)^(1/2) term, so gamma = 1/2
+(``susceptibility_expansion``).
+
 Everything here is exact field arithmetic in Q(s), s = sqrt(t2^2 + 8 t4),
 except the free energies, which are plain floating point.
 """
@@ -251,13 +256,12 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     t4^q (all degree-8 branch values have a simple pole).
     """
     t2 = positive_t2(t2, "moment_series")
-    if exact_int(order, "order") < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    order = exact_int(order, "order", 0)
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     if c.is_empty():
         return MomentSeries.constant(1, t2, order)
-    if vanishes_by_parity(c) or c.runs == (1, 1, 1, 1):
+    if vanishes_by_parity(c):
         return MomentSeries.zero(t2, order)
     q, den, monomials = _MOMENT_TABLE[_table_runs(c)]
     work = order + q
@@ -449,8 +453,7 @@ def rescale_dirac(ell: int, point: CouplingPoint):
     float.  Contract: equals dirac_moment(ell, point).
     """
     ell = _check_ell(ell)
-    if point.t4 <= 0:
-        raise ValueError("rescale_dirac needs t4 > 0")
+    point.require_physical()
     root = rational_sqrt(point.t4)
     if root is not None:
         inner = CouplingPoint(point.t2 / root, 1)
@@ -541,36 +544,21 @@ class SusceptibilityExpansion:
 def susceptibility_expansion(t2, num_terms: int = 4) -> SusceptibilityExpansion:
     """Exact expansion of d_4 / d_4(critical) about the critical coupling.
 
-    Writing u = t4 - critical and v = sqrt(u), the surd collapses to
-    sqrt(8) v, so the ratio is a rational function of v with coefficients in
-    Q(sqrt 2); dividing the two polynomials exactly yields the series.  The
-    leading terms at t2 = 1 are 1, -4 sqrt(2) v, 24 v^2, -64 sqrt(2) v^3.
+    On the branch d_4 = 4 / (t2 + s)^2, and s = 0 at the critical coupling.
+    Writing v = sqrt(t4 - critical), s = sqrt(8) v, so the ratio is
+    1 / (1 + sqrt(8) v / t2)^2, whose v^n coefficient is
+    (n + 1) (-sqrt(8) / t2)^n = (n + 1) (-2 / t2)^n 2^(n/2), in Q(sqrt 2).
+    The leading terms at t2 = 1 are 1, -4 sqrt(2) v, 24 v^2, -64 sqrt(2) v^3.
     """
     t2 = positive_t2(t2, "susceptibility_expansion")
-    num_terms = exact_int(num_terms, "num_terms")
-    if num_terms < 2:
-        raise ValueError("num_terms must be >= 2")
-    tc = critical_point(t2)
-    two = Fraction(2)
-    r = lambda x: SurdScalar.rational(x, two)
-    s2 = SurdScalar.s(two)
-    zero = r(0)
-    # numerator t2^2/2 - 2 sqrt(2) t2 v + 4 v^2, denominator 8 (v^2 + tc)^2 / d4(tc)
-    num = [r(t2 * t2 / 2), s2 * (-2 * t2), r(4)] + [zero] * max(0, num_terms - 3)
-    den = [r(8 * tc * tc * 4 / (t2 * t2)), zero, r(16 * tc * 4 / (t2 * t2)), zero, r(8 * 4 / (t2 * t2))]
-    den += [zero] * max(0, num_terms - len(den))
-    inv0 = den[0].inverse()
-    series = []
-    for k in range(num_terms):
-        acc = num[k] if k < len(num) else zero
-        for j in range(k):
-            acc = acc - series[j] * (den[k - j] if k - j < len(den) else zero)
-        series.append(acc * inv0)
-    terms = tuple((Fraction(k, 2), series[k]) for k in range(num_terms))
+    terms = []
+    for n in range(exact_int(num_terms, "num_terms", 2)):
+        c = (n + 1) * (-2 / t2) ** n * 2 ** (n // 2)
+        terms.append((Fraction(n, 2), SurdScalar(0, c, 2) if n % 2 else SurdScalar(c, 0, 2)))
     leading_half = next(
         (e for e, c in terms if e.denominator == 2 and not c.is_zero()), Fraction(1, 2)
     )
-    return SusceptibilityExpansion(t2=t2, terms=terms, gamma=1 - leading_half)
+    return SusceptibilityExpansion(t2=t2, terms=tuple(terms), gamma=1 - leading_half)
 
 
 # -- exports -------------------------------------------------------------------

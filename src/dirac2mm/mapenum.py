@@ -159,16 +159,9 @@ class _Layout:
         self.weight = prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
 
 
-def _check_order(k) -> int:
-    k = exact_int(k, "order k")
-    if k < 0:
-        raise ValueError(f"order k must be >= 0, got {k}")
-    return k
-
-
 def _layouts(w: str, k: int):
     """The layout of each k-cell multiset whose colour counts are both even."""
-    for kinds in itertools.combinations_with_replacement(list(CellKind), _check_order(k)):
+    for kinds in itertools.combinations_with_replacement(list(CellKind), exact_int(k, "order k", 0)):
         layout = _Layout(w, kinds)
         if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0:
             yield layout
@@ -360,7 +353,7 @@ def moment_coefficient(w: str, k: int, t2) -> Fraction:
     """
     w = word_letters(w)
     t2 = positive_t2(t2, "moment_coefficient")
-    scale = (8 * t2) ** ((len(w) + 4 * _check_order(k)) // 2)
+    scale = (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k", 0)) // 2)
     memo = {}
     return sum(layout.weight * _planar_count(layout, memo) for layout in _layouts(w, k)) / scale
 

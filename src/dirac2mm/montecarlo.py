@@ -53,16 +53,10 @@ class SamplerConfig:
     update_targets: str = "AB"   # which matrices the walk updates ("AB" or "A")
 
     def __post_init__(self):
-        for name in ("n", "steps", "burn_in", "thinning", "chains", "seed"):
-            object.__setattr__(self, name, exact_int(getattr(self, name), name))
-        if self.n < 1:
-            raise ValueError("matrix size must be >= 1")
+        for name, low in (("n", 1), ("steps", None), ("burn_in", None), ("thinning", 1), ("chains", 1), ("seed", 0)):
+            object.__setattr__(self, name, exact_int(getattr(self, name), name, low))
         if not (self.steps > self.burn_in >= 0):
             raise ValueError("need steps > burn_in >= 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.thinning < 1 or self.chains < 1:
-            raise ValueError("thinning and chains must be >= 1")
         if (self.steps - self.burn_in) // self.thinning == 0:
             raise ValueError("no samples kept; increase steps or reduce thinning")
         if self.update_targets not in ("AB", "A"):
@@ -70,8 +64,7 @@ class SamplerConfig:
         if not isinstance(self.signature, Signature):
             raise ValueError(f"signature must be Signature.S20, S11 or S02, got {self.signature!r}; "
                              "Signature.parse reads '2,0', '1,1' or '0,2'")
-        if self.point.t2 <= 0 or self.point.t4 <= 0:
-            raise ValueError("sampler needs t2 > 0 and t4 > 0")
+        self.point.require_physical()
         float_range("sampler", both=[("t2", self.point.t2), ("t4", self.point.t4)])
         # at n = 1, X (x) 1 - 1 (x) X^T = 0: a moving commutator letter drops out of D
         flat = [x for x, eps in zip(self.update_targets, (self.signature.eps1, self.signature.eps2)) if eps == -1]
@@ -355,8 +348,7 @@ def estimate_moment(result: ChainResult, w: str) -> EstimateWithError:
 def dirac_trace_series(result: ChainResult, ell: int, max_samples: int = 2000) -> np.ndarray:
     """(T', C) series of (1/N^2) tr D^ell on at most ``max_samples`` evenly spaced samples."""
     T, C, n, _ = result.samples_a.shape
-    if exact_int(max_samples, "max_samples") < C:
-        raise ValueError(f"max_samples must be >= chains = {C}, got {max_samples}")
+    max_samples = exact_int(max_samples, "max_samples", C)     # at least one sample per chain
     stride = -(-T // (max_samples // C))     # ceiling: at most max_samples // C rows
     A, B = result.samples_a[::stride], result.samples_b[::stride]
     return _dirac_traces(A, B, result.config.signature, (_check_ell(ell),))[..., 0] / n**2
@@ -401,8 +393,7 @@ def n1_marginal_ks(point: CouplingPoint, samples: int = 100_000, seed: int = 7) 
     zero), whose stationary density is exp(-8 t2 x^2 - 32 t4 x^4); the
     target CDF is its trapezoid integral on a fixed grid (``_n1_cdf``).
     """
-    if exact_int(samples, "samples") < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    samples = exact_int(samples, "samples", 1)
     thinning = 4
     cfg = SamplerConfig(
         n=1,

@@ -272,9 +272,7 @@ def generate_system(max_word_degree: int) -> list[SdeEquation]:
     structurally identical equations; those duplicates are merged.  Ordered
     by source-word degree, then by canonical content.
     """
-    max_word_degree = exact_int(max_word_degree, "max_word_degree")
-    if max_word_degree < 1:
-        raise ValueError("max_word_degree must be >= 1")
+    max_word_degree = exact_int(max_word_degree, "max_word_degree", 1)
     seen = {}
     for w in single_block_words(max_word_degree):
         eq = generate_equation(w)

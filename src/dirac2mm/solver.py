@@ -118,7 +118,7 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     overdetermined: when its determinations conflict, the first (canonical
     word) one is used and the conflict is recorded on the returned table.
     """
-    D, K = exact_int(D, "D"), exact_int(K, "K")
+    D, K = exact_int(D, "D"), exact_int(K, "K", 0)
     t2 = positive_t2(t2, "solve_series")
     if type(enforce_vanishing_alternating) is not bool:
         raise ValueError(
@@ -126,8 +126,6 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
         )
     if D < 2 or D % 2 != 0:
         raise ValueError("D must be an even integer >= 2")
-    if K < 0:
-        raise ValueError("K must be >= 0")
 
     degree_cap = [D + 2 * (K - k) for k in range(K + 1)]
     all_moments = [CanonicalMoment(())]

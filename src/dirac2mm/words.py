@@ -258,17 +258,16 @@ def _canonical_moments(degree: int) -> tuple:
 def iter_canonical_moments(degree: int) -> list:
     """Canonical moment classes of the exact given degree with even A- and
     B-degree (the ones parity does not kill), sorted."""
-    degree = exact_int(degree, "degree")
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
-    return list(_canonical_moments(degree))
+    return list(_canonical_moments(exact_int(degree, "degree", 0)))
 
 
 def parse_moment_label(text: str) -> CanonicalMoment:
     """Parse 'm_{3,1,1,1}', '3,1,1,1' or a plain word like 'AABB'.
 
     Run lengths must be positive integers; the single run '0' (as in 'm_0',
-    the label of the empty word) denotes the constant moment.
+    the label of the empty word) denotes the constant moment.  The runs
+    alternate A, B, A, B, ..., so an odd number of them other than one is
+    refused, as ``CanonicalMoment`` refuses it.
     """
     t = text.strip()
     if t.startswith("m_"):
@@ -280,4 +279,4 @@ def parse_moment_label(text: str) -> CanonicalMoment:
     parts = [x.strip() for x in t.split(",")]
     if not all(x.isdecimal() and int(x) > 0 for x in parts):
         raise ValueError(f"moment label {text!r}: run lengths must be positive integers")
-    return canonicalize("".join((A if i % 2 == 0 else B) * int(r) for i, r in enumerate(parts)))
+    return canonicalize(CanonicalMoment(map(int, parts)).rep_word())

@@ -32,6 +32,12 @@ order 0.
 ``dirac_operator`` is the dense 2 N^2 x 2 N^2 Dirac operator, the
 ``test_montecarlo`` reference for the trace polynomial and the sampler's
 letter kernel.
+
+``susceptibility_series`` divides d_4 / d_4(critical), typed in as two
+polynomials in v = sqrt(t4 - critical), term by term in
+``dirac2mm.algebra.SurdScalar`` over Q(sqrt 2): the form
+``dirac2mm.closedform.susceptibility_expansion`` had before it wrote each
+coefficient off d_4 = 4 / (t2 + s)^2.  ``test_closedform`` compares the two.
 """
 
 from __future__ import annotations
@@ -235,6 +241,27 @@ def gaussian_moment(c: CanonicalMoment | str, t2) -> Fraction:
         return Fraction(0)
     count = _noncrossing_pairings(c.rep_word())
     return Fraction(count) / (8 * t2) ** (c.degree // 2)
+
+
+def susceptibility_series(t2, num_terms: int) -> list:
+    """The v^k coefficients, k < num_terms, of d_4 / d_4(critical) by long division."""
+    t2 = positive_t2(t2, "susceptibility_series")
+    tc = -t2 * t2 / 8
+    two = Fraction(2)
+    r = lambda x: algebra.SurdScalar.rational(x, two)
+    zero = r(0)
+    # numerator t2^2/2 - 2 sqrt(2) t2 v + 4 v^2, denominator 8 (v^2 + tc)^2 / d4(tc)
+    num = [r(t2 * t2 / 2), algebra.SurdScalar.s(two) * (-2 * t2), r(4)] + [zero] * max(0, num_terms - 3)
+    den = [r(8 * tc * tc * 4 / (t2 * t2)), zero, r(16 * tc * 4 / (t2 * t2)), zero, r(8 * 4 / (t2 * t2))]
+    den += [zero] * max(0, num_terms - len(den))
+    inv0 = den[0].inverse()
+    series = []
+    for k in range(num_terms):
+        acc = num[k]
+        for j in range(k):
+            acc = acc - series[j] * den[k - j]
+        series.append(acc * inv0)
+    return series
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:

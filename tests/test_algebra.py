@@ -310,6 +310,42 @@ def test_nonpositive_t2_is_refused_by_name(name, t2):
         _t2_entry_points()[name](t2)
 
 
+def _floor_entry_points():
+    from dirac2mm import closedform, mapenum, montecarlo, sde, solver, words
+
+    p11 = CouplingPoint(1, 1)
+    config = lambda field: lambda x: montecarlo.SamplerConfig(n=4, point=p11, **{field: x})
+    # name -> (call with the argument, the argument's name, its floor)
+    return {
+        "MomentSeries.coefficient": (MomentSeries(1, [1, 2]).coefficient, "k", 0),
+        "moment_series": (lambda x: closedform.moment_series("AA", 1, x), "order", 0),
+        "susceptibility_expansion": (lambda x: closedform.susceptibility_expansion(1, x), "num_terms", 2),
+        "generate_system": (sde.generate_system, "max_word_degree", 1),
+        "solve_series": (lambda x: solver.solve_series(2, x, 1), "K", 0),
+        "iter_canonical_moments": (words.iter_canonical_moments, "degree", 0),
+        "moment_coefficient": (lambda x: mapenum.moment_coefficient("AA", x, 1), "order k", 0),
+        "cancellation_report": (mapenum.cancellation_report, "order k", 0),
+        "n1_marginal_ks": (lambda x: montecarlo.n1_marginal_ks(p11, samples=x), "samples", 1),
+        "SamplerConfig.n": (lambda x: montecarlo.SamplerConfig(n=x, point=p11), "n", 1),
+        "SamplerConfig.thinning": (config("thinning"), "thinning", 1),
+        "SamplerConfig.chains": (config("chains"), "chains", 1),
+        "SamplerConfig.seed": (config("seed"), "seed", 0),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3", "floor"])
+@pytest.mark.parametrize("entry", sorted(_floor_entry_points()))
+def test_integer_arguments_are_refused_in_one_form(entry, bad):
+    call, name, low = _floor_entry_points()[entry]
+    if bad == "floor":
+        bad, text = low - 1, f"{name} must be >= {low}, got {low - 1}"
+    else:
+        text = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is ValueError and str(info.value) == text
+
+
 @pytest.mark.parametrize("text", ["1/0", "-3/0"])
 def test_rat_refuses_a_zero_denominator(text):
     with pytest.raises(ValueError, match=f"^cannot read '{text}' as a rational: its denominator is zero$"):

@@ -81,8 +81,19 @@ class TestMoments:
         assert out == ""
         assert label in err and "positive" in err
 
+    def test_odd_run_count_exit_code(self, capsys):
+        # used to print m_{4,1} = 0
+        code, out, err = run(capsys, "moments", "--t2", "1", "--t4", "1", "--index", "3,1,1")
+        assert (code, out) == (1, "")
+        assert err == "error: alternating cyclic runs need even q, got (3, 1, 1)\n"
+
 
 class TestDirac:
+    def test_ell_choices_are_the_closed_forms_indices(self, capsys):
+        code, out, err = run(capsys, "dirac", "--ell", "8", "--t2", "1", "--t4", "1")
+        assert (code, out) == (1, "")
+        assert "invalid choice: 8 (choose from 2, 4, 6)" in err
+
     def test_value_and_cross_check(self, capsys):
         code, out, _ = run(capsys, "dirac", "--ell", "4", "--t2", "1", "--t4", "1")
         assert code == 0
@@ -237,6 +248,13 @@ class TestEnumerate:
         assert code == 1
         assert out == ""
         assert err.strip() == "error: order k must be >= 0, got -1"
+
+    @pytest.mark.parametrize("extra", [[], ["--report-cancellation"]])
+    @pytest.mark.parametrize("order", ["true", "1.5", "x"])
+    def test_non_integer_order_exit_code(self, capsys, extra, order):
+        code, out, err = run(capsys, "enumerate", "--word", "ABAB", "--order", order, *extra)
+        assert (code, out) == (1, "")
+        assert f"argument --order: invalid int value: '{order}'" in err
 
 
 class TestMc:

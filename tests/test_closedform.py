@@ -11,6 +11,7 @@ from dirac2mm.algebra import CouplingPoint, SurdScalar
 from dirac2mm.sde import M2, CoefTag, generate_system, residual
 from dirac2mm.words import CanonicalMoment, canonicalize, parse_moment_label
 from dirac2mm import closedform as cf
+import reference
 
 P11 = CouplingPoint(1, 1)
 
@@ -373,6 +374,14 @@ class TestRescaling:
         p = CouplingPoint(2, 1)
         assert cf.rescale_dirac(2, p) == cf.dirac_moment(2, p)
 
+    @pytest.mark.parametrize("t2, t4", [(0, 4), (-3, 4), (-1, 2), (1, 0), (1, -1)])
+    def test_unphysical_point_is_reported_as_given(self, t2, t4):
+        # t2 <= 0 used to reach dirac_moment at (t2 / sqrt(t4), 1), and name that point
+        p = CouplingPoint(t2, t4)
+        with pytest.raises(ValueError) as info:
+            cf.rescale_dirac(4, p)
+        assert str(info.value) == f"physical evaluation needs t2 > 0 and t4 > 0, got {p!r}"
+
 
 class TestFreeEnergy:
     @pytest.mark.parametrize("t2", ["1e-400", "1e200"])
@@ -476,6 +485,22 @@ class TestCriticality:
             d4c = 4.0
             series_val = sum(c.to_float() * float(u) ** (float(e)) for e, c in exp.terms)
             assert d4 / d4c == pytest.approx(series_val, abs=1e4 * float(u) ** 3)
+
+    @pytest.mark.parametrize("point", random_points(12, seed=27) + [CouplingPoint(F(3, 2), F(7, 32))])
+    def test_d4_is_four_over_t2_plus_s_squared(self, point):
+        # exactly, in Q(s); at (3/2, 7/32) the radicand is 4 and s = 2 is rational
+        ssq = point.ssq
+        root = SurdScalar.rational(point.t2, ssq) + SurdScalar.s(ssq)
+        assert cf.dirac_moment(4, point) == SurdScalar.rational(4, ssq) / (root * root)
+
+    @pytest.mark.parametrize("num_terms", range(2, 10))
+    @pytest.mark.parametrize("t2", [1, F(3, 2), F(2, 7), 5])
+    def test_expansion_matches_the_long_division(self, t2, num_terms):
+        exp = cf.susceptibility_expansion(t2, num_terms)
+        want = reference.susceptibility_series(t2, num_terms)
+        assert [e for e, _ in exp.terms] == [F(k, 2) for k in range(num_terms)]
+        for (_, got), ref in zip(exp.terms, want):
+            assert (got.a, got.b, got.ssq) == (ref.a, ref.b, ref.ssq)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^signature must be Signature\.S20, S11 or S02, got "):
             mc.SamplerConfig(n=2, point=P11, signature=bad)
 
+    @pytest.mark.parametrize("t2, t4", [(1, 0), (1, F(-1, 2)), (0, 1), (-2, 3)])
+    def test_unphysical_point_is_reported_as_given(self, t2, t4):
+        p = CouplingPoint(t2, t4)
+        with pytest.raises(ValueError) as info:
+            mc.SamplerConfig(n=4, point=p)
+        assert str(info.value) == f"physical evaluation needs t2 > 0 and t4 > 0, got {p!r}"
+
     def test_refuses_runs_that_keep_no_sample(self):
         # 9 post-burn-in steps at thinning 10 keep nothing: refused before any step runs
         with pytest.raises(ValueError, match="no samples kept; increase steps or reduce thinning"):
@@ -240,7 +247,7 @@ class TestChain:
 
     @pytest.mark.parametrize("max_samples", [0, -5, 3])
     def test_dirac_series_refuses_empty_subset(self, short_chain, max_samples):
-        with pytest.raises(ValueError, match=f"max_samples must be >= chains = 4, got {max_samples}"):
+        with pytest.raises(ValueError, match=f"^max_samples must be >= 4, got {max_samples}$"):
             mc.dirac_trace_series(short_chain, 2, max_samples=max_samples)
 
     def test_dirac_series_keeps_at_most_max_samples(self):

@@ -253,6 +253,15 @@ class TestTypes:
         with pytest.raises(ValueError, match=re.escape(repr(label))):
             parse_moment_label(label)
 
+    @pytest.mark.parametrize("label, runs", [
+        ("3,1,1", (3, 1, 1)), ("m_{2,1,1}", (2, 1, 1)), ("1,1,1,1,1", (1, 1, 1, 1, 1)),
+    ])
+    def test_odd_run_count_is_refused(self, label, runs):
+        # 3,1,1 used to read as AAABA, of class m_{4,1}
+        with pytest.raises(ValueError) as info:
+            parse_moment_label(label)
+        assert str(info.value) == f"alternating cyclic runs need even q, got {runs}"
+
     def test_degrees(self):
         c = parse_moment_label("m_{3,1,1,1}")
         assert (c.degree, c.a_degree, c.b_degree) == (6, 4, 2)
