@@ -5,8 +5,9 @@ hierarchy inside the quadratic-surd ansatz, under the closure constraint
 m_{1,1,1,1} = 0: we call it the *algebraic branch*.  Its entries satisfy
 every generated loop equation with exactly zero residual.  The degree-10
 values needed by the degree-7-word equations are completed at runtime: that
-linear system is 16 t4 times one integer matrix, reduced over Q once
-(``completion_system``), so each point only forms and maps a right side.
+linear system is 16 t4 times one integer matrix, whose reduction over Q is
+stored as a literal (``completion_system``), so each point only forms and
+maps a right side.
 Note that the algebraic branch is a different object from the
 Gaussian-based perturbative expansion computed by ``solver`` /
 ``mapenum``: the closure constraint is incompatible with the Gaussian
@@ -290,14 +291,15 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
 
 @dataclass(frozen=True)
 class CompletionSystem:
-    """The degree-10 completion 16 t4 M x = rhs, reduced once over Q.
+    """The degree-10 completion 16 t4 M x = rhs, reduced over Q.
 
     Every degree-10 moment enters the degree-7-word loop equations with
     coefficient +-16 t4, so M is one integer matrix (a row per equation, a
     column per unknown) and a point changes only the right side.  Reducing
     [M | I] gives ``solve`` (x = solve rhs / (16 t4), free coordinates 0)
     and the left-null rows ``consistency``, which every right side must
-    satisfy.
+    satisfy.  The reduction does not depend on the point, so it is stored
+    as a literal.
     """
 
     equations: tuple      # the SdeEquations of the rows
@@ -314,40 +316,36 @@ class CompletionSystem:
         return len(self.unknowns) - self.rank
 
 
+# The reduction of [M | I] over Q, which the tests re-derive by Gauss-Jordan
+# elimination: each unknown's runs with 10 x its row of ``solve`` over the
+# ten equations, () for a free coordinate, and 10 x the one left-null row.
+_COMPLETION_SOLVE = (
+    ((3, 1, 3, 3), (4, 2, -2, 0, 0, 2, -4, 2, 0, 2)),
+    ((3, 2, 3, 2), (6, -2, 2, 0, 20, -12, 4, -2, 10, -2)),
+    ((4, 1, 2, 3), (-1, 2, -2, 0, -10, 7, -4, 2, 0, 2)),
+    ((4, 1, 4, 1), (0, 0, 10, 0, 20, -10, 0, 10, 0, 10)),
+    ((5, 1, 1, 3), (1, -2, 2, 0, -10, 3, 4, -2, 0, -2)),
+    ((5, 1, 3, 1), (-2, 4, 6, 0, 10, -6, 2, 4, 0, 4)),
+    ((5, 2, 1, 2), ()),
+    ((6, 1, 2, 1), (-1, 2, -2, 0, 0, -3, 6, -8, 0, 2)),
+    ((6, 4), (1, -2, 2, 0, 0, 3, 4, -2, 0, -2)),
+    ((7, 1, 1, 1), (0, 0, 0, 0, 0, 0, 0, -10, 0, 0)),
+    ((8, 2), ()),
+    ((10,), ()),
+)
+_COMPLETION_CONSISTENCY = ((0, 0, -10, 10, 10, 0, -10, 0, 0, 0),)
+
+
 @lru_cache(maxsize=None)
 def completion_system() -> CompletionSystem:
-    """Gauss-Jordan on [M | I] over Q, pivoting on the first nonzero row."""
-    eqs = [eq for eq in generate_system(7) if len(eq.source_word) == 7]
-    quartic = {CoefTag.Q: 1, CoefTag.QNEG: -1}
-    unknowns = sorted({m for eq in eqs for m, t in eq.rhs if t in quartic}, key=lambda m: m.runs)
-    if any(m.degree != 10 for m in unknowns):
-        raise AssertionError("unexpected low-degree quartic term")
-    col = {m: i for i, m in enumerate(unknowns)}
-    n, ncols = len(eqs), len(unknowns)
-    aug = [[Fraction(0)] * ncols + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for i, eq in enumerate(eqs):
-        for m, tag in eq.rhs:
-            if tag in quartic:
-                aug[i][col[m]] += quartic[tag]
-    pivots = []
-    for c in range(ncols):
-        prow = len(pivots)
-        sel = next((r for r in range(prow, n) if aug[r][c]), None)
-        if sel is None:
-            continue
-        aug[prow], aug[sel] = aug[sel], aug[prow]
-        aug[prow] = [v / aug[prow][c] for v in aug[prow]]
-        for r in range(n):
-            if r != prow and aug[r][c]:
-                f = aug[r][c]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
-        pivots.append(c)
-    sparse = lambda row: tuple((j, v) for j, v in enumerate(row[ncols:]) if v)
-    solve = [()] * ncols
-    for i, c in enumerate(pivots):
-        solve[c] = sparse(aug[i])
-    return CompletionSystem(tuple(eqs), tuple(unknowns), tuple(solve),
-                            tuple(sparse(row) for row in aug[len(pivots):]))
+    """The system of the degree-7-word equations, read off the stored reduction."""
+    sparse = lambda row: tuple((j, Fraction(v, 10)) for j, v in enumerate(row) if v)
+    return CompletionSystem(
+        tuple(eq for eq in generate_system(7) if len(eq.source_word) == 7),
+        tuple(CanonicalMoment(runs) for runs, _ in _COMPLETION_SOLVE),
+        tuple(sparse(row) for _, row in _COMPLETION_SOLVE),
+        tuple(sparse(row) for row in _COMPLETION_CONSISTENCY),
+    )
 
 
 def branch_assignment(point: CouplingPoint) -> dict:
@@ -355,9 +353,9 @@ def branch_assignment(point: CouplingPoint) -> dict:
 
     Degrees <= 8 come from the closed-form table.  The 12 degree-10 moments
     referenced by the degree-7-word equations are completed exactly from
-    ``completion_system()``, reduced over Q once: at each point only the
-    right sides are formed, checked against its consistency row and mapped
-    to the solution, each as one fused sum of products.  The factor
+    ``completion_system()``, whose reduction over Q is stored: at each point
+    only the right sides are formed, checked against its consistency row and
+    mapped to the solution, each as one fused sum of products.  The factor
     1/(16 t4) is folded into the right sides' three coefficients once per
     point, so the rows keep their point-free rational coefficients.  The
     system has rank 9, and its 3 free coordinates are set to zero, which

@@ -38,9 +38,12 @@ chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala, ALEA 1,
 
 Every other move keeps each component planar, so every leaf it reaches is
 planar.  The number of planar leaves below a node depends only on the
-colour words of the open cycles, so ``_count`` makes the moves on colour
-words, memoised within one call, and ``moment_coefficient`` and
-``cancellation_report`` sum layout weights times these counts.
+colour words of the open cycles, whatever the word or layout it came from,
+so ``_count`` makes the moves on colour words, memoised in one module-level
+dict that every call shares, and ``moment_coefficient`` and
+``cancellation_report`` sum layout weights times these counts.  The memo is
+emptied, between two layouts and never inside a recursion, once it holds
+more than 2^16 states.
 ``_planar_matchings`` makes the same moves on dart labels for the labelled
 planar maps of ``enumerate --dump``.  ``_matchings`` is the plain brute
 force that ``enumerate_gluings`` lists every matching from.
@@ -53,6 +56,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import exact_int, positive_t2
@@ -155,16 +159,31 @@ class _Layout:
         self.n_polygons = n_poly
         self.reds = [i for i, c in enumerate(self.colors) if c == RED]
         self.blues = [i for i, c in enumerate(self.colors) if c == BLUE]
-        sym = prod(factorial(kinds.count(kind)) for kind in set(kinds))
-        self.weight = prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
+        self.weight = _weight(kinds)
+
+
+@lru_cache(maxsize=1 << 12)
+def _weight(kinds: tuple) -> Fraction:
+    """Product of the cells' factors over the 1/n! of each repeated kind."""
+    sym = prod(factorial(kinds.count(kind)) for kind in set(kinds))
+    return prod((CELLS[kind].factor for kind in kinds), start=Fraction(1, sym))
+
+
+_REDS = {kind: sum(b.count(RED) for b in cell.boundaries) for kind, cell in CELLS.items()}
 
 
 def _layouts(w: str, k: int):
-    """The layout of each k-cell multiset whose colour counts are both even."""
+    """The layout of each k-cell multiset whose colour counts are both even.
+
+    The counts are read off the kinds, so no other layout is built: every
+    cell has four darts, so its blues have the parity of its reds.
+    """
+    reds = w.count("A")
+    blues = len(w) - reds
     for kinds in itertools.combinations_with_replacement(list(CellKind), exact_int(k, "order k", 0)):
-        layout = _Layout(w, kinds)
-        if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0:
-            yield layout
+        cell_reds = sum(_REDS[kind] for kind in kinds)
+        if (reds + cell_reds) % 2 == 0 and (blues + cell_reds) % 2 == 0:
+            yield _Layout(w, kinds)
 
 
 def _matchings(layout: _Layout):
@@ -222,29 +241,40 @@ def _component(cycles) -> tuple:
     return tuple(sorted(_min_rotation(c) for c in cycles if c))
 
 
-def _planar_count(layout: _Layout, memo: dict) -> int:
+# Planar completions of each canonical state met so far, shared by every
+# call.  One moment_coefficient("AA", 7, 1) alone meets 164,568 states, so an
+# evicting cache would drop live states mid-recursion; this one is emptied
+# whole, only between layouts, once it exceeds _MEMO_CAP.
+_PLANAR_COUNTS: dict = {}
+_MEMO_CAP = 1 << 16
+
+
+def _planar_count(layout: _Layout) -> int:
     """The number of planar matchings of ``layout``, without labelled darts.
 
     The completions of a partial surface depend only on its components and
     the colour words of their open boundary cycles, so ``_count`` recurses
-    over that canonical state, memoised in ``memo``.
+    over that canonical state, memoised in ``_PLANAR_COUNTS``.
     """
+    if len(_PLANAR_COUNTS) > _MEMO_CAP:
+        _PLANAR_COUNTS.clear()
     if not layout.word:       # nothing is rooted: only the empty gluing counts
         return int(not layout.colors)
     colour = layout.colour
     return _count(tuple(sorted(
         _component(c.translate(colour) for c in comp) for comp in layout.components
-    )), memo)
+    )))
 
 
-def _count(state: tuple, memo: dict) -> int:
+def _count(state: tuple) -> int:
     """Planar completions of a sorted tuple of ``_component``s."""
+    memo = _PLANAR_COUNTS
     if state in memo:
         return memo[state]
     total = 0
     for _, cycles, rest in _moves(state, {}):
         comp = _component(cycles)     # none left: the gluing is complete
-        total += _count(tuple(sorted((*rest, comp))), memo) if comp else 1
+        total += _count(tuple(sorted((*rest, comp)))) if comp else 1
     memo[state] = total
     return total
 
@@ -263,7 +293,7 @@ def _planar_matchings(layout: _Layout) -> list:
             comp = tuple(c for c in cycles if c)
             walk((comp, *rest) if comp else rest)
 
-    if _planar_count(layout, {}):   # also refuses the layouts with no word to root them
+    if _planar_count(layout):   # also refuses the layouts with no word to root them
         walk(tuple(layout.components))
     darts = layout.reds + layout.blues
     return sorted(found, key=lambda p: [p[d] for d in darts])
@@ -348,14 +378,13 @@ def moment_coefficient(w: str, k: int, t2) -> Fraction:
 
     Planar connected gluings only; each contributes its signed cell weight
     times the propagator factor (8 t2)^(-edges), and every gluing of (w, k)
-    has (deg w + 4k) / 2 edges.  One memo serves the layouts of one call and
-    is dropped with it.
+    has (deg w + 4k) / 2 edges.  The planar counts come from the module's
+    one memo, which later calls reuse.
     """
     w = word_letters(w)
     t2 = positive_t2(t2, "moment_coefficient")
     scale = (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k", 0)) // 2)
-    memo = {}
-    return sum(layout.weight * _planar_count(layout, memo) for layout in _layouts(w, k)) / scale
+    return sum(layout.weight * _planar_count(layout) for layout in _layouts(w, k)) / scale
 
 
 @dataclass(frozen=True)
@@ -381,8 +410,7 @@ def cancellation_report(k: int) -> CancellationReport:
     whose branch closes a handle and leaves planarity).  The uncancelled
     planar maps themselves are listed by ``enumerate --dump``.
     """
-    memo = {}
-    counts = [(layout, _planar_count(layout, memo)) for layout in _layouts("ABAB", k)]
+    counts = [(layout, _planar_count(layout)) for layout in _layouts("ABAB", k)]
     signed = sum((layout.weight * n for layout, n in counts), Fraction(0))
     return CancellationReport(
         k=k,

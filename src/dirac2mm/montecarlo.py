@@ -56,7 +56,7 @@ class SamplerConfig:
         for name, low in (("n", 1), ("steps", None), ("burn_in", None), ("thinning", 1), ("chains", 1), ("seed", 0)):
             object.__setattr__(self, name, exact_int(getattr(self, name), name, low))
         if not (self.steps > self.burn_in >= 0):
-            raise ValueError("need steps > burn_in >= 0")
+            raise ValueError(f"need steps > burn_in >= 0, got steps={self.steps}, burn_in={self.burn_in}")
         if (self.steps - self.burn_in) // self.thinning == 0:
             raise ValueError("no samples kept; increase steps or reduce thinning")
         if self.update_targets not in ("AB", "A"):

@@ -270,16 +270,22 @@ def generate_system(max_word_degree: int) -> list[SdeEquation]:
 
     Words related by rotations that fix the appended-letter position give
     structurally identical equations; those duplicates are merged.  Ordered
-    by source-word degree, then by canonical content.
+    by source-word degree, then by canonical content.  Each degree's system
+    is built once per process; every call returns a fresh list of the same
+    (immutable) equations.
     """
-    max_word_degree = exact_int(max_word_degree, "max_word_degree", 1)
+    return list(_system(exact_int(max_word_degree, "max_word_degree", 1)))
+
+
+@lru_cache(maxsize=16)
+def _system(max_word_degree: int) -> tuple:
     seen = {}
     for w in single_block_words(max_word_degree):
         eq = generate_equation(w)
         key = eq.normalized_key()
         if key not in seen:
             seen[key] = eq
-    return sorted(seen.values(), key=lambda e: (len(e.source_word), e.normalized_key()))
+    return tuple(sorted(seen.values(), key=lambda e: (len(e.source_word), e.normalized_key())))
 
 
 class MissingMoment(KeyError):

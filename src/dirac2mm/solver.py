@@ -125,7 +125,7 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
             f"enforce_vanishing_alternating must be True or False, got {enforce_vanishing_alternating!r}"
         )
     if D < 2 or D % 2 != 0:
-        raise ValueError("D must be an even integer >= 2")
+        raise ValueError(f"D must be an even integer >= 2, got {D}")
 
     degree_cap = [D + 2 * (K - k) for k in range(K + 1)]
     all_moments = [CanonicalMoment(())]

@@ -49,6 +49,7 @@ def word_letters(w) -> str:
     return letters
 
 
+@lru_cache(maxsize=1 << 12)   # the gluing count meets few distinct cycles many times
 def _min_rotation(w: str) -> str:
     """Least rotation of any string by comparing every rotation; "" for ""."""
     return min((w[i:] + w[:i] for i in range(len(w))), default="")
@@ -160,7 +161,9 @@ class CanonicalMoment:
     runs: tuple
 
     def __init__(self, runs=()):
-        runs = tuple(int(r) for r in runs)
+        runs = tuple(runs)
+        if not all(type(r) is int for r in runs):    # floats, bools and strings are refused
+            runs = tuple(exact_int(r, "run length") for r in runs)
         if any(r <= 0 for r in runs):
             raise ValueError(f"run lengths must be positive, got {runs}")
         if len(runs) > 1 and len(runs) % 2 != 0:

@@ -38,6 +38,11 @@ polynomials in v = sqrt(t4 - critical), term by term in
 ``dirac2mm.algebra.SurdScalar`` over Q(sqrt 2): the form
 ``dirac2mm.closedform.susceptibility_expansion`` had before it wrote each
 coefficient off d_4 = 4 / (t2 + s)^2.  ``test_closedform`` compares the two.
+
+``completion_system`` reduces the degree-10 completion system by
+Gauss-Jordan elimination over Q: the form
+``dirac2mm.closedform.completion_system`` had before it stored the result
+as a literal.  ``test_closedform`` re-derives the literal exactly.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ import numpy as np
 
 from dirac2mm import algebra
 from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
-from dirac2mm.closedform import Signature
-from dirac2mm.sde import M2, CoefTag, MissingMoment
+from dirac2mm.closedform import CompletionSystem, Signature
+from dirac2mm.sde import M2, CoefTag, MissingMoment, generate_system
 from dirac2mm.words import A, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 
@@ -262,6 +267,41 @@ def susceptibility_series(t2, num_terms: int) -> list:
             acc = acc - series[j] * den[k - j]
         series.append(acc * inv0)
     return series
+
+
+def completion_system() -> CompletionSystem:
+    """Gauss-Jordan on [M | I] over Q, pivoting on the first nonzero row."""
+    eqs = [eq for eq in generate_system(7) if len(eq.source_word) == 7]
+    quartic = {CoefTag.Q: 1, CoefTag.QNEG: -1}
+    unknowns = sorted({m for eq in eqs for m, t in eq.rhs if t in quartic}, key=lambda m: m.runs)
+    if any(m.degree != 10 for m in unknowns):
+        raise AssertionError("unexpected low-degree quartic term")
+    col = {m: i for i, m in enumerate(unknowns)}
+    n, ncols = len(eqs), len(unknowns)
+    aug = [[Fraction(0)] * ncols + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for i, eq in enumerate(eqs):
+        for m, tag in eq.rhs:
+            if tag in quartic:
+                aug[i][col[m]] += quartic[tag]
+    pivots = []
+    for c in range(ncols):
+        prow = len(pivots)
+        sel = next((r for r in range(prow, n) if aug[r][c]), None)
+        if sel is None:
+            continue
+        aug[prow], aug[sel] = aug[sel], aug[prow]
+        aug[prow] = [v / aug[prow][c] for v in aug[prow]]
+        for r in range(n):
+            if r != prow and aug[r][c]:
+                f = aug[r][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[prow])]
+        pivots.append(c)
+    sparse = lambda row: tuple((j, v) for j, v in enumerate(row[ncols:]) if v)
+    solve = [()] * ncols
+    for i, c in enumerate(pivots):
+        solve[c] = sparse(aug[i])
+    return CompletionSystem(tuple(eqs), tuple(unknowns), tuple(solve),
+                            tuple(sparse(row) for row in aug[len(pivots):]))
 
 
 def dirac_operator(A: np.ndarray, B: np.ndarray, sig: Signature) -> np.ndarray:

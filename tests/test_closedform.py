@@ -180,6 +180,11 @@ class TestCompletion:
         assert (system.rank, system.kernel_dim, len(system.consistency)) == (9, 3, 1)
         assert cf.completion_system() is system
 
+    def test_stored_reduction_is_the_elimination_over_q(self):
+        # the literal equals Gauss-Jordan on [M | I] row for row, with every
+        # entry the same Fraction
+        assert cf.completion_system() == reference.completion_system()
+
     def test_equals_elimination_in_surd_field_component_by_component(self):
         for p in COMPLETION_POINTS:
             got, want = cf.branch_assignment(p), brute_force_assignment(p)

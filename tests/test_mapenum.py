@@ -150,10 +150,9 @@ class TestPlanarWalk:
 def _assert_count_equals_walk(degree, k):
     # the oracle is the brute-force filter: the count and the planar walk share _moves
     for c in iter_canonical_moments(degree):
-        memo = {}
         for layout in _layouts(c.rep_word(), k):
             leaves = sum(1 for p in _matchings(layout) if _analyze(layout, p)[1])
-            assert _planar_count(layout, memo) == leaves, (c.label(), layout.kinds)
+            assert _planar_count(layout) == leaves, (c.label(), layout.kinds)
 
 
 class TestPlanarCount:
@@ -172,32 +171,89 @@ class TestPlanarCount:
             for c in iter_canonical_moments(degree):
                 assert moment_coefficient(c.rep_word(), 4, 1) == table.series(c).coefficient(4)
 
-    def test_each_call_counts_with_its_own_memo(self, monkeypatch):
-        # every layout of one call shares one memo, empty at the call's start,
-        # and the module keeps nothing between calls
-        seen = []
 
-        def spy(layout, memo):
-            seen.append((memo, len(memo)))
-            return count(layout, memo)
+def _words(max_degree):
+    return ["".join(w) for d in range(max_degree + 1) for w in itertools.product("AB", repeat=d)]
 
-        def containers():
-            return {
-                name: len(v) for name, v in vars(mapenum).items()
-                if isinstance(v, (dict, list, set)) and not name.startswith("__")
-            }
 
-        count = mapenum._planar_count
+def _cold(layout):
+    """(planar count, states met) of one layout counted from an empty memo."""
+    mapenum._PLANAR_COUNTS.clear()
+    return _planar_count(layout), len(mapenum._PLANAR_COUNTS)
+
+
+class TestPlanarMemo:
+    CASES = [(w, k) for w in _words(6) for k in range(3)]
+
+    @pytest.fixture(scope="class")
+    def cold(self):
+        values = {}
+        for w, k in self.CASES:
+            mapenum._PLANAR_COUNTS.clear()
+            values[w, k] = moment_coefficient(w, k, 1)
+        return values
+
+    def test_warm_memo_gives_the_cold_values_in_either_order(self, cold):
+        for cases in (self.CASES, self.CASES[::-1]):
+            mapenum._PLANAR_COUNTS.clear()
+            assert {(w, k): moment_coefficient(w, k, 1) for w, k in cases} == cold
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_cancellation_report_is_the_same_cold_or_warm(self, k):
+        mapenum._PLANAR_COUNTS.clear()
+        report = cancellation_report(k)
+        for w, j in self.CASES:
+            moment_coefficient(w, j, 1)
+        assert cancellation_report(k) == report
+
+    def test_small_cap_keeps_the_memo_bounded_and_the_values(self, cold, monkeypatch):
+        # emptied only between layouts: each layout starts from at most the
+        # cap and adds at most the states it meets on its own
+        states = {}
+        for w, k in self.CASES:
+            for layout in _layouts(w, k):
+                states[w, layout.kinds] = _cold(layout)[1]
+        cap, count, sizes, over = 40, mapenum._planar_count, [], []
+
+        def spy(layout):
+            over.append(len(mapenum._PLANAR_COUNTS) > cap)
+            n = count(layout)
+            sizes.append(len(mapenum._PLANAR_COUNTS) - states[layout.word, layout.kinds])
+            return n
+
+        monkeypatch.setattr(mapenum, "_MEMO_CAP", cap)
         monkeypatch.setattr(mapenum, "_planar_count", spy)
-        before = containers()
-        values = []
-        for _ in range(2):
-            seen.clear()
-            values.append(moment_coefficient("ABAB", 2, 1))
-            memo = seen[0][0]
-            assert seen[0][1] == 0 and all(m is memo for m, _ in seen)
-            assert containers() == before
-        assert values == [F(-9, 256)] * 2
+        mapenum._PLANAR_COUNTS.clear()
+        assert {(w, k): moment_coefficient(w, k, 1) for w, k in self.CASES} == cold
+        assert len(sizes) == len(states) and max(sizes) <= cap
+        assert sum(over) > 1      # the memo was emptied along the way
+
+    @pytest.mark.slow
+    def test_memo_stays_bounded_after_order_six(self):
+        # AA at k = 6 leaves 42,346 states and AAAA at k = 5 50,370; ABAB at
+        # k = 5 then passes 2^16 and empties the memo between two layouts
+        mapenum._PLANAR_COUNTS.clear()
+        moment_coefficient("AA", 6, 1)
+        assert len(mapenum._PLANAR_COUNTS) == 42_346
+        moment_coefficient("AAAA", 5, 1)
+        assert len(mapenum._PLANAR_COUNTS) == 50_370
+        warm = moment_coefficient("ABAB", 5, 1)
+        size = len(mapenum._PLANAR_COUNTS)
+        assert size < 50_370
+        cold = [(layout, *_cold(layout)) for layout in _layouts("ABAB", 5)]
+        assert size <= mapenum._MEMO_CAP + max(n for _, _, n in cold)
+        assert warm == sum(layout.weight * count for layout, count, _ in cold) / F(8) ** 12
+
+    def test_layouts_are_filtered_before_they_are_built(self):
+        # the parity read off the kinds keeps what building every layout and
+        # counting its darts keeps; a word of odd length keeps nothing
+        for w in _words(7):
+            for k in range(4):
+                built = (mapenum._Layout(w, kinds) for kinds in itertools.combinations_with_replacement(list(CellKind), k))
+                want = [layout.kinds for layout in built if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0]
+                got = [layout.kinds for layout in _layouts(w, k)]
+                assert got == want, (w, k)
+                assert not (len(w) % 2 and got)
 
 
 class TestEmptyWord:

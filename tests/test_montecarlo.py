@@ -118,6 +118,11 @@ class TestConfig:
             mc.SamplerConfig(n=4, point=p)
         assert str(info.value) == f"physical evaluation needs t2 > 0 and t4 > 0, got {p!r}"
 
+    @pytest.mark.parametrize("steps, burn_in", [(100, 200), (100, 100), (100, -1)])
+    def test_out_of_order_steps_and_burn_in_are_named(self, steps, burn_in):
+        with pytest.raises(ValueError, match=rf"^need steps > burn_in >= 0, got steps={steps}, burn_in={burn_in}$"):
+            mc.SamplerConfig(n=4, point=P11, steps=steps, burn_in=burn_in)
+
     def test_refuses_runs_that_keep_no_sample(self):
         # 9 post-burn-in steps at thinning 10 keep nothing: refused before any step runs
         with pytest.raises(ValueError, match="no samples kept; increase steps or reduce thinning"):

@@ -106,6 +106,11 @@ class TestSolveSeries:
         with pytest.raises(ValueError):
             solve_series(D=2, K=1, t2=0)
 
+    @pytest.mark.parametrize("D", [3, 0, -2, 7])
+    def test_odd_or_small_degree_is_named(self, D):
+        with pytest.raises(ValueError, match=rf"^D must be an even integer >= 2, got {D}$"):
+            solve_series(D, 1, 1)
+
     @pytest.mark.parametrize("D, K", [(4, True), (True, 1), (4.0, 1), (4, 1.0), (4, -1), (-2, 1), ("4", 1)])
     def test_bad_degree_or_order_rejected(self, D, K):
         with pytest.raises(ValueError, match="D must|K must"):

@@ -236,6 +236,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             CanonicalMoment((0, 1))
 
+    @pytest.mark.parametrize("runs, bad", [((2.7, 1.2), "2.7"), ((True, True), "True"), (("3", "1"), "'3'")])
+    def test_non_integer_runs_are_refused(self, runs, bad):
+        # int() used to truncate or reinterpret these into m_{2,1}, m_{1,1} and m_{3,1}
+        with pytest.raises(ValueError, match=re.escape(f"run length must be an integer, got {bad}")):
+            CanonicalMoment(runs)
+
     def test_labels_and_parsing(self):
         c = parse_moment_label("m_{3,1,1,1}")
         assert c.label() == "m_{3,1,1,1}"
