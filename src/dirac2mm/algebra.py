@@ -54,7 +54,7 @@ def positive_t2(t2, who: str) -> Fraction:
     """t2 as a Fraction; the model's Gaussian weight needs t2 > 0."""
     t2 = rat(t2)
     if t2 <= 0:
-        raise ValueError(f"{who} needs t2 > 0")
+        raise ValueError(f"{who} needs t2 > 0, got {t2}")
     return t2
 
 

@@ -43,7 +43,7 @@ from .algebra import (
     rat,
     rational_sqrt,
 )
-from .words import CanonicalMoment, _min_rotation, canonicalize, vanishes_by_parity
+from .words import CanonicalMoment, _cycle_necklace, canonicalize, vanishes_by_parity
 from .sde import M2, CoefTag, generate_system
 
 
@@ -96,7 +96,7 @@ def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
             for right in itertools.product((False, True), repeat=ell):
                 u = "".join(x for x, r in zip(w, right) if not r)
                 v = "".join(x for x, r in zip(w, right) if r)[::-1]
-                poly[tuple(sorted((_min_rotation(u), _min_rotation(v))))] += sign * math.prod(eps[x] for x in v)
+                poly[tuple(sorted((_cycle_necklace(u), _cycle_necklace(v))))] += sign * math.prod(eps[x] for x in v)
     return tuple(sorted((pair, c) for pair, c in poly.items() if c))
 
 
@@ -222,12 +222,9 @@ def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
 
 
 def _table_runs(c: CanonicalMoment) -> tuple:
-    """The key of c's class in the table; c may be built from other runs of it, like (2, 4)."""
+    """The key of c's class in the table."""
     if c.runs in _MOMENT_TABLE:
         return c.runs
-    runs = canonicalize(c.rep_word()).runs
-    if runs in _MOMENT_TABLE:
-        return runs
     beyond = f" (degree {c.degree} > {MAX_TABLE_DEGREE})" if c.degree > MAX_TABLE_DEGREE else ""
     raise UnknownMoment(f"no tabulated closed form for {c.label()}{beyond}")
 

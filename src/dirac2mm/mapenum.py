@@ -38,9 +38,10 @@ chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala, ALEA 1,
 
 Every other move keeps each component planar, so every leaf it reaches is
 planar.  The number of planar leaves below a node depends only on the
-colour words of the open cycles, whatever the word or layout it came from,
-so ``_count`` makes the moves on colour words, memoised in one module-level
-dict that every call shares, and ``moment_coefficient`` and
+colour words of the open cycles (a blue dart spelled A, a red one B, so
+``words._necklace`` rotates them), whatever the word or layout it came
+from, so ``_count`` makes the moves on colour words, memoised in one
+module-level dict that every call shares, and ``moment_coefficient`` and
 ``cancellation_report`` sum layout weights times these counts.  The memo is
 emptied, between two layouts and never inside a recursion, once it holds
 more than 2^16 states.
@@ -60,7 +61,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .algebra import exact_int, positive_t2
-from .words import _min_rotation, word_letters
+from .words import _cycle_necklace, word_letters
 
 RED = "R"     # colour of A half-edges
 BLUE = "B"    # colour of B half-edges
@@ -155,7 +156,8 @@ class _Layout:
                 self.polygon_of.extend([n_poly] * m)
                 n_poly += 1
             self.components.append(tuple(cycles))
-        self.colour = dict(enumerate(self.colors))   # str.translate: labels to colour word
+        # str.translate: labels to colour word, blue spelled A and red B (blue first, as "B" < "R")
+        self.colour = {d: "A" if c == BLUE else "B" for d, c in enumerate(self.colors)}
         self.n_polygons = n_poly
         self.reds = [i for i, c in enumerate(self.colors) if c == RED]
         self.blues = [i for i, c in enumerate(self.colors) if c == BLUE]
@@ -238,7 +240,7 @@ def _moves(state: tuple, colour: dict) -> list:
 
 def _component(cycles) -> tuple:
     """A component of S' as the sorted least rotations of its open cycles."""
-    return tuple(sorted(_min_rotation(c) for c in cycles if c))
+    return tuple(sorted(_cycle_necklace(c) for c in cycles if c))
 
 
 # Planar completions of each canonical state met so far, shared by every

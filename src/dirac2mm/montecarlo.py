@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import CouplingPoint, exact_int, float_range
 from .closedform import Signature, _check_ell, dirac_trace_polynomial
-from .words import _min_rotation, word_letters
+from .words import _cycle_necklace, word_letters
 
 BLOCK = 100   # steps drawn at once by run_chain; also the burn-in tuning window
 
@@ -149,7 +149,7 @@ COLS = len(SLOTS) - 1
 
 def _necklace(w: str) -> str:
     """Least rotation of w or of its reverse: Re tr of Hermitian letters is constant on it."""
-    return min(_min_rotation(w), _min_rotation(w[::-1]))
+    return min(_cycle_necklace(w), _cycle_necklace(w[::-1]))
 
 
 @lru_cache(maxsize=None)

@@ -14,12 +14,12 @@ words are the terms of the gradient of the effective potential; the two
 double-trace contributions merge into the single 64 t4 m_2 coefficient
 because the second moments of the two matrices coincide.
 
-``moment_equations`` gives the left sides and insertions of every word w
-with [wA] = c at once, from c's rep word: the arc between two A's serves
+``moment_equations`` gives at once the left sides and insertions of every
+word w whose wA is a rotation of one string: the arc between two A's serves
 the equations of both, and strings are formed so that equal classes mostly
-meet equal strings, which the canonicalization cache answers.  It is the
-one builder of the equations: the solver reads every entry of a class, and
-``generate_equation(w)`` the entry of w, from a rotation of wA.
+meet equal strings, which the canonicalization cache answers.  It is the one
+builder of the equations: the solver passes a class's rep word, and
+``generate_equation(w)`` the rotation of wA that starts after its last B.
 
 An equation's terms are planned once, on its first evaluation: the moments
 it reads and its products c*x*y, those that vanish by parity dropped.  At a
@@ -30,12 +30,13 @@ fused sum of products in Q(s) (``SurdScalar.sum_of_products``).
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Mapping
 
 from .algebra import CouplingPoint, SurdScalar, exact_int
-from .words import A, B, CanonicalMoment, _runs_of, canonicalize, vanishes_by_parity, word_letters
+from .words import A, B, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 M2 = CanonicalMoment((2,))
 
@@ -175,11 +176,11 @@ class SdeEquation:
         return (tuple(sorted((x.runs, y.runs) for x, y in self.lhs)), c2, quartic, bt)
 
 
-def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
-    """(w, lhs pairs, insertions) of each distinct word w with [wA] = c, in order.
+def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
+    """(w, lhs pairs, insertions) of each distinct word w with wA a rotation of rep, in order.
 
-    Only c's runs are read, through the word rep they spell: a rotation of
-    wA that starts an A-run, not necessarily the least one.  The word of the
+    ``rep`` starts an A-run and ends with B, or is all A's: a class's rep
+    word, or another rotation of wA that starts an A-run.  The word of the
     A at p is rep[p+1:] + rep[:p]; A's past the rep's period repeat earlier
     words.  Its pairs are the classes (left, right) of its splits at each A,
     those with a half odd in length or in A dropped: where the word of p
@@ -190,14 +191,9 @@ def moment_equations(c: CanonicalMoment, with_insertions: bool) -> list[tuple]:
     w + insertion; insertions are (moment, tag) in rendering order, and are
     left empty without ``with_insertions``.
     """
-    rep = c.rep_word()
     period = (rep + rep).find(rep, 1)
-    sites = []   # each A as (position, start and end of its A-run)
-    start = 0
-    for i, r in enumerate(c.runs):
-        if i % 2 == 0:
-            sites.extend((p, start, start + r) for p in range(start, start + r))
-        start += r
+    # each A as (position, start and end of its A-run)
+    sites = [(p, s, e) for s, e in map(re.Match.span, re.finditer("A+", rep)) for p in range(s, e)]
 
     def arc(x, y):
         (p, _, end), (q, head, _) = x, y
@@ -244,7 +240,7 @@ def generate_equation(w: str) -> SdeEquation:
     if vanishes_by_parity(wa):
         return SdeEquation(lhs=(), rhs=(), source_word=w)
     k = w.rfind(B) + 1
-    entries = moment_equations(CanonicalMoment(_runs_of(w[k:] + A + w[:k])), True)
+    entries = moment_equations(w[k:] + A + w[:k], True)
     _, lhs, insertions = entries[(len(w) - k) % len(entries)]
     rhs = ((wa, CoefTag.C2), *insertions, (wa, CoefTag.BT))
     return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=rhs)

@@ -52,7 +52,7 @@ def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list
     the insertions do not enter.
     """
     out = []
-    for _, pairs, terms in moment_equations(c, with_insertions):
+    for _, pairs, terms in moment_equations(c.rep_word(), with_insertions):
         out.append((
             tuple((index[x.runs], index[y.runs]) for x, y in pairs),
             tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q),
@@ -86,10 +86,7 @@ class MomentTable:
             return MomentSeries.zero(self.t2, self.order)
         if c.degree > self.max_degree:
             raise KeyError(f"{c.label()} has degree {c.degree}, above the table's D = {self.max_degree}")
-        try:
-            return self.moments[c]
-        except KeyError:     # built from runs that are not its class's, like (1, 1, 1, 3)
-            return self.moments[canonicalize(c.rep_word())]
+        return self.moments[c]
 
     def as_json(self) -> dict:
         return {

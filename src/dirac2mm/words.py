@@ -5,14 +5,18 @@ invariance), whole-word reversal (moments of Hermitian matrices are real) and
 the global A<->B swap (the potential is symmetric in the two matrices).
 ``CanonicalMoment`` is the quotient object: the lexicographically least
 letter string over the full orbit, stored as its alternating run lengths
-(l1, l2, ..., lq), i.e. the index of m_{l1,...,lq}.
+(l1, l2, ..., lq), i.e. the index of m_{l1,...,lq}.  This module alone
+decides that form, so any runs of a class build the same object.
 
 The least string of an orbit is the least of four least rotations, one each
 of the word, its reverse, its swap and its reversed swap; no orbit set is
 built.  Booth ("Lexicographically least circular substrings", 1980) finds a
 least rotation in linear time, but for words of about twenty letters it is
 faster in Python to compare only the rotations that start at a longest run
-of A, found with ``str.find`` on the doubled word.
+of A, found with ``str.find`` on the doubled word.  That one least rotation
+(``_necklace``) serves every cyclic word of the package: the gluing count's
+cycles, the trace polynomial's and the estimators' words go through a
+bounded cache of it.
 
 The classes of one degree are enumerated without visiting all 2^d strings.
 The FKM algorithm (Fredricksen, Kessler and Maiorana; Ruskey, Savage and
@@ -20,13 +24,11 @@ Wang 1992) lists the binary necklaces, the strings that are their own least
 rotation, and a necklace is kept when neither reversal nor the swap gives a
 smaller string, as in Sawada's bracelet generation (SIAM J. Comput. 2001).
 
-A word is a plain ``str`` of the letters A and B, the empty string being
-the empty word; there is no other word type.  ``word_letters`` validates
-and upper-cases a word at each public entry point, and ``canonicalize``
-validates a string the first time it sees it.  The loop equations meet each
-necklace in many rotations, so a new string costs only its least rotation;
-its class was recorded when its degree was enumerated, which computes the
-orbit minimum of each even necklace once.
+A word is a plain ``str`` of A's and B's, "" the empty word.  ``word_letters``
+validates and upper-cases one at each public entry point, and ``canonicalize``
+a string the first time it sees it.  The loop equations meet each necklace
+in many rotations, so a new string costs only its least rotation: its class
+was recorded when its degree was enumerated.
 """
 
 from __future__ import annotations
@@ -47,12 +49,6 @@ def word_letters(w) -> str:
     if not set(letters) <= {A, B}:
         raise ValueError(f"word must use letters A/B only, got {w!r}")
     return letters
-
-
-@lru_cache(maxsize=1 << 12)   # the gluing count meets few distinct cycles many times
-def _min_rotation(w: str) -> str:
-    """Least rotation of any string by comparing every rotation; "" for ""."""
-    return min((w[i:] + w[:i] for i in range(len(w))), default="")
 
 
 def _least_rotation(letters: str, top: int) -> str:
@@ -127,6 +123,8 @@ def _necklace(letters: str) -> str:
     return _least_rotation(letters, max(map(len, (letters + letters).split(B))))
 
 
+_cycle_necklace = lru_cache(maxsize=1 << 12)(_necklace)   # gluings, traces and estimators repeat few cycles
+
 # The class of each even necklace of every degree enumerated so far, filled
 # by _canonical_moments alone, so a lookup never enumerates a degree.
 _NECKLACE_CLASSES: dict = {}
@@ -146,7 +144,7 @@ def _canonical_from_string(letters: str) -> "CanonicalMoment":
 
 @lru_cache(maxsize=1 << 15)
 def _canonical_from_necklace(necklace: str) -> "CanonicalMoment":
-    return CanonicalMoment(_runs_of(_canonical_rep(necklace)))
+    return CanonicalMoment._of(_runs_of(_canonical_rep(necklace)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +153,8 @@ class CanonicalMoment:
 
     runs == () encodes the empty word (moment value 1); a single run encodes
     a pure power tr A^l.  For q >= 2 the runs alternate A, B, A, B, ... in the
-    canonical representative, so q is even.
+    canonical representative, so q is even.  Any runs of the class build it,
+    as (2, 4) builds m_{4,2}: ``runs`` are always the canonical ones.
     """
 
     runs: tuple
@@ -168,7 +167,16 @@ class CanonicalMoment:
             raise ValueError(f"run lengths must be positive, got {runs}")
         if len(runs) > 1 and len(runs) % 2 != 0:
             raise ValueError(f"alternating cyclic runs need even q, got {runs}")
+        if len(runs) > 1:    # the class's own runs, whichever of its words ``runs`` spell
+            runs = _canonical_from_string(CanonicalMoment._of(runs).rep_word()).runs
         object.__setattr__(self, "runs", runs)
+
+    @classmethod
+    def _of(cls, runs: tuple) -> "CanonicalMoment":
+        """The class of runs that this module derived as canonical, built unchecked."""
+        c = object.__new__(cls)
+        object.__setattr__(c, "runs", runs)
+        return c
 
     @property
     def degree(self) -> int:
@@ -243,7 +251,7 @@ def _necklaces(n: int):
 def _canonical_moments(degree: int) -> tuple:
     """The classes of one degree, recording the class of each even necklace."""
     if degree == 0:
-        return (CanonicalMoment(()),)
+        return (CanonicalMoment._of(()),)
     out = []
     for s in _necklaces(degree):
         a = s.count(A)
@@ -251,7 +259,7 @@ def _canonical_moments(degree: int) -> tuple:
             continue
         rep = _canonical_rep(s)
         if rep == s:
-            out.append(CanonicalMoment(_runs_of(s)))
+            out.append(CanonicalMoment._of(_runs_of(s)))
             _NECKLACE_CLASSES[s] = out[-1]
         else:    # rep is a necklace listed before s
             _NECKLACE_CLASSES[s] = _NECKLACE_CLASSES[rep]
@@ -282,4 +290,4 @@ def parse_moment_label(text: str) -> CanonicalMoment:
     parts = [x.strip() for x in t.split(",")]
     if not all(x.isdecimal() and int(x) > 0 for x in parts):
         raise ValueError(f"moment label {text!r}: run lengths must be positive integers")
-    return canonicalize(CanonicalMoment(map(int, parts)).rep_word())
+    return CanonicalMoment(map(int, parts))

@@ -10,6 +10,9 @@ operation in ``dirac2mm.algebra.SurdScalar``, each moment looked up and
 parity-tested as it is met: the form ``dirac2mm.sde.residual`` had before
 it became one fused sum of products.  ``test_sde`` compares the two values.
 
+``least_rotation`` compares every rotation of a string, the ``test_words``
+reference for ``dirac2mm.words._necklace``.
+
 ``orbit`` and ``splits_at`` are the brute-force rotation x reversal x swap
 orbit of a letter string and its splits at each occurrence of a letter, the
 ``test_words`` and ``test_sde`` references for the canonical forms and the
@@ -362,6 +365,11 @@ def residual(eq, assignment, point):
     for x, y in eq.lhs:
         total = total - value(x) * value(y)
     return total
+
+
+def least_rotation(letters: str) -> str:
+    """The least of every rotation of a string (brute force); "" for ""."""
+    return min((letters[k:] + letters[:k] for k in range(len(letters))), default="")
 
 
 def orbit(letters: str) -> set[str]:

@@ -17,8 +17,7 @@ from fractions import Fraction as F
 import pytest
 
 from dirac2mm.algebra import CouplingPoint
-from dirac2mm.words import CanonicalMoment, iter_canonical_moments
-from dirac2mm.sde import generate_system, residual
+from dirac2mm.words import CanonicalMoment
 from dirac2mm import closedform as cf
 from dirac2mm import mapenum, solver, verification
 

@@ -306,7 +306,7 @@ def _t2_entry_points():
 @pytest.mark.parametrize("t2", [0, -1])
 @pytest.mark.parametrize("name", sorted(_t2_entry_points()))
 def test_nonpositive_t2_is_refused_by_name(name, t2):
-    with pytest.raises(ValueError, match=rf"^{name} needs t2 > 0$"):
+    with pytest.raises(ValueError, match=rf"^{name} needs t2 > 0, got {t2}$"):
         _t2_entry_points()[name](t2)
 
 

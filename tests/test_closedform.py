@@ -54,7 +54,13 @@ class TestMoment:
         assert cf.moment(CanonicalMoment((1, 1, 1, 3)), P11) == cf.moment("AAABAB", P11)
         with pytest.raises(cf.UnknownMoment) as info:
             cf.moment(CanonicalMoment((2, 8)), P11)
-        assert info.value.args == ("no tabulated closed form for m_{2,8} (degree 10 > 8)",)
+        assert info.value.args == ("no tabulated closed form for m_{8,2} (degree 10 > 8)",)
+
+    def test_branch_assignment_is_keyed_by_class(self):
+        # (2, 4) builds m_{4,2} and (1, 3, 3, 3) the degree-10 m_{3,1,3,3}
+        values = cf.branch_assignment(P11)
+        assert values[CanonicalMoment((2, 4))] == cf.moment(parse_moment_label("m_{4,2}"), P11)
+        assert values[CanonicalMoment((1, 3, 3, 3))] is values[parse_moment_label("m_{3,1,3,3}")]
 
     def test_nonpositive_t4_raises(self):
         with pytest.raises(ValueError):
@@ -228,7 +234,7 @@ class TestMomentSeries:
         assert cf.moment_series(CanonicalMoment((2, 4)), F(3, 2), 3) == cf.moment_series("AAAABB", F(3, 2), 3)
         with pytest.raises(cf.UnknownMoment) as info:
             cf.moment_series(CanonicalMoment((2, 8)), 1, 2)
-        assert info.value.args == ("no tabulated closed form for m_{2,8} (degree 10 > 8)",)
+        assert info.value.args == ("no tabulated closed form for m_{8,2} (degree 10 > 8)",)
 
     def test_degree_eight_pole_is_flagged(self):
         with pytest.raises(cf.PoleAtGaussianPoint):

@@ -1,12 +1,14 @@
 import hashlib
+import io
 import itertools
 import json
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
-from dirac2mm import mapenum
+from dirac2mm import cli, mapenum
 from dirac2mm.mapenum import (
     CELLS,
     CellKind,
@@ -227,6 +229,14 @@ class TestPlanarMemo:
         assert {(w, k): moment_coefficient(w, k, 1) for w, k in self.CASES} == cold
         assert len(sizes) == len(states) and max(sizes) <= cap
         assert sum(over) > 1      # the memo was emptied along the way
+
+    def test_verify_meets_1000_states(self):
+        # blue darts are spelled A and sort before red ones, spelled B;
+        # spelling red A instead makes verify meet 1,288 states
+        mapenum._PLANAR_COUNTS.clear()
+        with redirect_stdout(io.StringIO()):
+            assert cli.main(["verify"]) == 0
+        assert len(mapenum._PLANAR_COUNTS) == 1000
 
     @pytest.mark.slow
     def test_memo_stays_bounded_after_order_six(self):

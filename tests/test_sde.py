@@ -18,7 +18,7 @@ from dirac2mm.sde import (
     residual,
     single_block_words,
 )
-from dirac2mm.words import canonicalize, parse_moment_label
+from dirac2mm.words import CanonicalMoment, canonicalize
 from dirac2mm import closedform
 from reference import lhs_pairs, residual as reference_residual, splits_at
 
@@ -158,6 +158,13 @@ class TestResidual:
         p = CouplingPoint(1, 1)
         vals = closedform.branch_assignment(p)
         assert residual(generate_equation("A"), vals, p).is_zero()
+
+    def test_assignment_keyed_by_other_runs_of_each_class(self):
+        # reversed runs spell the reversed swap of the word: the same class
+        p = CouplingPoint(1, 1)
+        vals = {CanonicalMoment(m.runs[::-1]): v for m, v in closedform.branch_assignment(p).items()}
+        assert CanonicalMoment((2, 4)) in vals
+        assert all(residual(eq, vals, p).is_zero() for eq in generate_system(7))
 
     def test_homogeneous_equation_with_zero_assignment(self):
         p = CouplingPoint(1, 1)

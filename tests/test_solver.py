@@ -127,6 +127,7 @@ class TestSolveSeries:
         # (1, 1, 1, 3) spells m_{3,1,1,1}, (2, 4) spells m_{4,2}
         for runs, label in (((1, 1, 1, 3), "m_{3,1,1,1}"), ((2, 4), "m_{4,2}")):
             assert table.series(CanonicalMoment(runs)) is table.moments[parse_moment_label(label)]
+            assert table.moments[CanonicalMoment(runs)] is table.moments[parse_moment_label(label)]
 
     def test_all_degrees_present(self, table):
         for d in (2, 4, 6):
@@ -210,17 +211,17 @@ class TestRecipes:
         for c in moments[1:]:
             if c.degree > 14:
                 break
-            assert [w for w, _, _ in moment_equations(c, True)] == list(recipe_words(c)), c.label()
+            assert [w for w, _, _ in moment_equations(c.rep_word(), True)] == list(recipe_words(c)), c.label()
             got, want = _recipes_for(c, index, True), recipes_for(c, index, True)
             assert [tuple(map(sorted, r)) for r in got] == [tuple(map(sorted, r)) for r in want], c.label()
             checked += len(got)
         assert checked == 2175
 
     def test_top_band_has_no_insertions(self):
-        c = canonicalize("AABAAB")
-        assert all(terms == [] for _, _, terms in moment_equations(c, False))
-        assert [pairs for _, pairs, _ in moment_equations(c, False)] == [
-            pairs for _, pairs, _ in moment_equations(c, True)
+        rep = canonicalize("AABAAB").rep_word()
+        assert all(terms == [] for _, _, terms in moment_equations(rep, False))
+        assert [pairs for _, pairs, _ in moment_equations(rep, False)] == [
+            pairs for _, pairs, _ in moment_equations(rep, True)
         ]
 
 

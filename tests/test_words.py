@@ -18,7 +18,7 @@ from dirac2mm.words import (
     vanishes_by_parity,
     word_letters,
 )
-from reference import orbit, splits_at
+from reference import least_rotation, orbit, splits_at
 
 word_strings = st.text(alphabet="AB", min_size=0, max_size=12)
 
@@ -122,7 +122,7 @@ class TestCanonicalize:
         strings = ["".join(p) for n in range(13) for p in product("AB", repeat=n)]
         assert len(strings) == 8191
         for letters in strings:
-            assert words._necklace(letters) == words._min_rotation(letters), letters
+            assert words._necklace(letters) == least_rotation(letters), letters
             assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters), letters
 
 
@@ -241,6 +241,15 @@ class TestTypes:
         # int() used to truncate or reinterpret these into m_{2,1}, m_{1,1} and m_{3,1}
         with pytest.raises(ValueError, match=re.escape(f"run length must be an integer, got {bad}")):
             CanonicalMoment(runs)
+
+    def test_any_runs_of_a_class_build_it(self):
+        # (2, 4) spells AABBBB, a swap and rotation of AAAABB
+        assert CanonicalMoment((2, 4)) == CanonicalMoment((4, 2))
+        assert hash(CanonicalMoment((2, 4))) == hash(CanonicalMoment((4, 2)))
+        assert len({CanonicalMoment((2, 4)), CanonicalMoment((4, 2))}) == 1
+        assert CanonicalMoment((2, 4)).label() == "m_{4,2}"
+        assert CanonicalMoment((1, 1, 1, 3)).runs == (3, 1, 1, 1)
+        assert parse_moment_label("m_{3,3,1,1}") == parse_moment_label("m_{3,1,1,3}")
 
     def test_labels_and_parsing(self):
         c = parse_moment_label("m_{3,1,1,1}")
