@@ -20,7 +20,7 @@ from .words import (
     vanishes_by_parity,
 )
 from .sde import SdeEquation, CoefTag, generate_equation, generate_system, residual
-from .solver import MomentTable, solve_series, verify_closed_forms
+from .solver import MomentTable, solve_series
 from .mapenum import (
     CancellationReport,
     CellKind,
@@ -42,6 +42,7 @@ from .closedform import (
     moment_series,
     rescale_dirac,
     susceptibility_expansion,
+    verify_closed_forms,
 )
 from .montecarlo import (
     ChainResult,
@@ -58,12 +59,13 @@ __all__ = [
     "CouplingPoint", "MomentSeries", "SurdScalar", "rat",
     "CanonicalMoment", "canonicalize", "parse_moment_label", "vanishes_by_parity",
     "SdeEquation", "CoefTag", "generate_equation", "generate_system", "residual",
-    "MomentTable", "solve_series", "verify_closed_forms",
+    "MomentTable", "solve_series",
     "CancellationReport", "CellKind", "UnstableMap", "cancellation_report",
     "enumerate_gluings", "moment_coefficient",
     "Signature", "branch_assignment", "critical_point", "dirac_from_words",
     "dirac_moment", "free_energy", "free_energy_consistent", "gaussian_free_energy",
     "moment", "moment_series", "rescale_dirac", "susceptibility_expansion",
+    "verify_closed_forms",
     "ChainResult", "EstimateWithError", "SamplerConfig", "estimate_dirac",
     "estimate_moment", "run_chain",
 ]

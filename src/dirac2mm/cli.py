@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 
-from .algebra import CouplingPoint, exact_int, rat
+from .algebra import CouplingPoint, SurdScalar, exact_int, rat
 from .words import canonicalize, parse_moment_label, word_letters
 from . import closedform, mapenum, montecarlo, solver, verification
 from .sde import generate_equation, generate_system
@@ -149,13 +149,17 @@ def cmd_mc(args) -> int:
 
 
 def cmd_critical(args) -> int:
+    # every line is built before any is printed, so a decimal outside the
+    # float range leaves stdout empty
     t2 = rat(args.t2)
     tc = closedform.critical_point(t2)
     exp = closedform.susceptibility_expansion(t2, args.terms)
-    print(f"critical quartic coupling: {tc} = {float(tc):.10g}")
-    print(f"string susceptibility exponent gamma = {exp.gamma}")
-    for e, c in exp.terms:
-        print(f"  (t4 - tc)^{str(e):>4}: {c!r} = {c.to_float():+.10g}")
+    lines = [
+        f"critical quartic coupling: {tc} = {SurdScalar.rational(tc, 0).to_float():.10g}",
+        f"string susceptibility exponent gamma = {exp.gamma}",
+    ]
+    lines += [f"  (t4 - tc)^{str(e):>4}: {c!r} = {c.to_float():+.10g}" for e, c in exp.terms]
+    print("\n".join(lines))
     return 0
 
 

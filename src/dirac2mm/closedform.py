@@ -12,7 +12,8 @@ Note that the algebraic branch is a different object from the
 Gaussian-based perturbative expansion computed by ``solver`` /
 ``mapenum``: the closure constraint is incompatible with the Gaussian
 initial data, so the two agree only through low orders; the degree-8 entries of the branch even carry a simple pole at t4 = 0.
-``solver.verify_closed_forms`` quantifies the divergence order by order.
+``verify_closed_forms`` quantifies the divergence order by order.  Every
+closed-form value, a moment or a d_ell, is one integer form read by ``_as_surd``.
 
 On the branch d_4 = 4 / (t2 + s)^2.  At the critical coupling -t2^2 / 8 the
 surd vanishes, and s = sqrt(8 (t4 - critical)) makes the leading correction
@@ -43,7 +44,14 @@ from .algebra import (
     rat,
     rational_sqrt,
 )
-from .words import CanonicalMoment, _cycle_necklace, canonicalize, vanishes_by_parity
+from .words import (
+    CanonicalMoment,
+    _cycle_necklace,
+    canonicalize,
+    iter_canonical_moments,
+    parse_moment_label,
+    vanishes_by_parity,
+)
 from .sde import M2, CoefTag, generate_system
 
 
@@ -76,9 +84,6 @@ class Signature(enum.Enum):
         return f"({self.value[0]},{self.value[1]})"
 
 
-DIRAC_INDICES = (2, 4, 6)
-
-
 @lru_cache(maxsize=None, typed=True)   # typed: 2.0 must reach the check, not the entry of 2
 def dirac_trace_polynomial(ell: int, signature: Signature) -> tuple:
     """tr D^ell as ((u, v), c): the sum of c tr(u) tr(v) over least rotations u <= v.
@@ -106,11 +111,11 @@ _PLAIN = lambda c, i, j: (c, i, j, 0)
 _SURD = lambda c, i, j: (c, i, j, 1)
 
 
-def _family(c1, c2, c3, cs1, cs2, q, den):
-    """Degree-8-style numerator c1 t2^4 + c2 t2^2 t4 + c3 t4^2 - (cs1 t2^3 + cs2 t2 t4) s."""
+def _family(c1, c2, c3, cs1, cs2):
+    """(c1 t2^4 + c2 t2^2 t4 + c3 t4^2 - (cs1 t2^3 + cs2 t2 t4) s) / (524288 t4^4)."""
     return (
-        q,
-        den,
+        4,
+        524288,
         (
             _PLAIN(c1, 4, 0),
             _PLAIN(c2, 2, 1),
@@ -147,35 +152,34 @@ _NAMED_FORMS = {
     "m_{4,2}": _deg6(7),
     "m_{2,1,2,1}": _deg6(3),
     "m_{3,1,1,1}": _deg6(1),
-    "m_{8}": _family(49, 396, 408, 49, 200, 4, 524288),
-    "m_{6,2}": _family(15, 124, 136, 15, 64, 4, 524288),
-    "m_{4,4}": _family(11, 92, 104, 11, 48, 4, 524288),
-    "m_{2,2,2,2}": _family(9, 76, 88, 9, 40, 4, 524288),
-    "m_{4,1,2,1}": _family(5, 44, 56, 5, 24, 4, 524288),
-    "m_{3,2,1,2}": _family(5, 44, 56, 5, 24, 4, 524288),
-    "m_{2,1,1,2,1,1}": _family(3, 28, 40, 3, 16, 4, 524288),
-    "m_{3,1,3,1}": _family(3, 20, 8, 3, 8, 4, 524288),
-    "m_{3,3,1,1}": _family(3, 20, 8, 3, 8, 4, 524288),
-    "m_{5,1,1,1}": _family(3, 20, 8, 3, 8, 4, 524288),
-    "m_{1,1,1,1,1,1,1,1}": _family(3, 20, 8, 3, 8, 4, 524288),
-    "m_{2,2,1,1,1,1}": _family(1, 4, -8, 1, 0, 4, 524288),
+    "m_{8}": _family(49, 396, 408, 49, 200),
+    "m_{6,2}": _family(15, 124, 136, 15, 64),
+    "m_{4,4}": _family(11, 92, 104, 11, 48),
+    "m_{2,2,2,2}": _family(9, 76, 88, 9, 40),
+    "m_{4,1,2,1}": _family(5, 44, 56, 5, 24),
+    "m_{3,2,1,2}": _family(5, 44, 56, 5, 24),
+    "m_{2,1,1,2,1,1}": _family(3, 28, 40, 3, 16),
+    "m_{3,1,3,1}": _family(3, 20, 8, 3, 8),
+    "m_{3,3,1,1}": _family(3, 20, 8, 3, 8),
+    "m_{5,1,1,1}": _family(3, 20, 8, 3, 8),
+    "m_{1,1,1,1,1,1,1,1}": _family(3, 20, 8, 3, 8),
+    "m_{2,2,1,1,1,1}": _family(1, 4, -8, 1, 0),
 }
 
 
-def _build_table() -> dict:
-    from .words import parse_moment_label
+_MOMENT_TABLE = {parse_moment_label(label).runs: form for label, form in _NAMED_FORMS.items()}
+_TABLE_MOMENTS = tuple(CanonicalMoment(runs) for runs in _MOMENT_TABLE)
+_ONE = (0, 1, (_PLAIN(1, 0, 0),))
+_ZERO = (0, 1, ())
 
-    table = {}
-    for label, form in _NAMED_FORMS.items():
-        runs = parse_moment_label(label).runs
-        if runs in table and table[runs] != form:
-            raise AssertionError(f"conflicting closed forms for class of {label}")
-        table[runs] = form
-    return table
-
-
-_MOMENT_TABLE = _build_table()
-_TABLE_MOMENTS = tuple((CanonicalMoment(runs), runs) for runs in _MOMENT_TABLE)
+# ell -> the form of d_ell: (s - t2)/(4 t4), (t2^2 + 4 t4 - t2 s)/(8 t4^2) and
+# 19 (t2^2 s + 2 t4 s - t2^3 - 6 t2 t4)/(256 t4^3)
+_DIRAC_FORMS = {
+    2: (1, 4, (_PLAIN(-1, 1, 0), _SURD(1, 0, 0))),
+    4: (2, 8, (_PLAIN(1, 2, 0), _PLAIN(4, 0, 1), _SURD(-1, 1, 0))),
+    6: _deg6(19 * 128),
+}
+DIRAC_INDICES = tuple(_DIRAC_FORMS)
 
 MAX_TABLE_DEGREE = 8
 
@@ -192,21 +196,23 @@ class PoleAtGaussianPoint(ArithmeticError):
 def _powers_at(point: CouplingPoint) -> tuple:
     """(powers, scales) at ``point``, in integers, formed once.
 
-    With t2 = n2/m2, t4 = n4/m4 and I, J the largest exponents of the table,
-    powers[i, j] = t2^i t4^j m2^I m4^J, and scales[q] = (m4^q, m2^I m4^J n4^q),
-    so a numerator summed over ``powers`` times m4^q over den * scales[q][1]
-    is the entry's value.
+    With t2 = n2/m2, t4 = n4/m4 and I, J the largest exponents of the
+    moment and Dirac tables, powers[i, j] = t2^i t4^j m2^I m4^J, and
+    scales[q] = (m4^q, m2^I m4^J n4^q), so a numerator summed over
+    ``powers`` times m4^q over den * scales[q][1] is the form's value.
     """
-    pairs = {(i, j) for _, _, monomials in _MOMENT_TABLE.values() for _, i, j, _ in monomials}
-    qs = {q for q, _, _ in _MOMENT_TABLE.values()}
+    forms = [*_MOMENT_TABLE.values(), *_DIRAC_FORMS.values()]
+    pairs = {(i, j) for _, _, monomials in forms for _, i, j, _ in monomials}
+    qs = {q for q, _, _ in forms}
     (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
     I, J = max(i for i, _ in pairs), max(j for _, j in pairs)
     powers = {(i, j): n2**i * m2 ** (I - i) * n4**j * m4 ** (J - j) for i, j in pairs}
     return powers, {q: (m4**q, m2**I * m4**J * n4**q) for q in qs}
 
 
-def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
-    q, den, monomials = _MOMENT_TABLE[runs]
+def _as_surd(form, point: CouplingPoint) -> SurdScalar:
+    """The value of a (q, den, monomials) form at ``point``."""
+    q, den, monomials = form
     powers, scales = _powers_at(point)
     x = y = 0     # plain part, surd part: integers, as the table's coefficients are
     for coef, i, j, sp in monomials:
@@ -221,10 +227,15 @@ def _as_surd(runs, point: CouplingPoint) -> SurdScalar:
     )
 
 
-def _table_runs(c: CanonicalMoment) -> tuple:
-    """The key of c's class in the table."""
-    if c.runs in _MOMENT_TABLE:
-        return c.runs
+def _form(c: CanonicalMoment) -> tuple:
+    """The form of c's class: 1 for m_empty, 0 for a parity-odd class, else the table's."""
+    if c.is_empty():
+        return _ONE
+    if vanishes_by_parity(c):
+        return _ZERO
+    form = _MOMENT_TABLE.get(c.runs)
+    if form is not None:
+        return form
     beyond = f" (degree {c.degree} > {MAX_TABLE_DEGREE})" if c.degree > MAX_TABLE_DEGREE else ""
     raise UnknownMoment(f"no tabulated closed form for {c.label()}{beyond}")
 
@@ -237,11 +248,7 @@ def moment(c: CanonicalMoment | str, point: CouplingPoint) -> SurdScalar:
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
     point.require_physical()
-    if c.is_empty():
-        return SurdScalar(1, 0, point.ssq)
-    if vanishes_by_parity(c):
-        return SurdScalar(0, 0, point.ssq)
-    return _as_surd(_table_runs(c), point)
+    return _as_surd(_form(c), point)
 
 
 def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
@@ -257,11 +264,7 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
     order = exact_int(order, "order", 0)
     if not isinstance(c, CanonicalMoment):
         c = canonicalize(c)
-    if c.is_empty():
-        return MomentSeries.constant(1, t2, order)
-    if vanishes_by_parity(c):
-        return MomentSeries.zero(t2, order)
-    q, den, monomials = _MOMENT_TABLE[_table_runs(c)]
+    q, den, monomials = _form(c)
     work = order + q
     s = [t2]
     for n in range(1, work + 1):
@@ -281,6 +284,49 @@ def moment_series(c: CanonicalMoment | str, t2, order: int) -> MomentSeries:
                 f"coefficient {x} at order {k}; not divisible by t4^{q}"
             )
     return MomentSeries(t2, [x / den for x in num[q:]])
+
+
+@dataclass(frozen=True)
+class VerifyRecord:
+    """Comparison of one solver series against one closed-form expansion."""
+
+    moment: CanonicalMoment
+    ok: bool
+    first_mismatch: int | None
+    solver_coeffs: tuple
+    closed_coeffs: tuple | None
+    detail: str = ""
+
+
+def verify_closed_forms(table) -> list[VerifyRecord]:
+    """Compare a perturbative solution, a ``solver.MomentTable``, against the closed-form branch.
+
+    Every closed form is Taylor-expanded exactly (the surd by its binomial
+    series) at the table's t2 and order, and compared
+    coefficient by coefficient with each of the table's moments through its
+    degree, or through the closed forms' ``MAX_TABLE_DEGREE`` if
+    that is lower.  Mismatches are reported as data, including the first
+    diverging order; closed forms that are not power series at t4 = 0 (the
+    degree-8 branch values have a simple pole) are flagged as such.
+    """
+    records = []
+    for d in range(2, min(table.max_degree, MAX_TABLE_DEGREE) + 1, 2):
+        for c in iter_canonical_moments(d):
+            solver_coeffs = tuple(table.series(c).coeffs)
+            try:
+                closed = moment_series(c, table.t2, table.order)
+            except PoleAtGaussianPoint as exc:
+                records.append(VerifyRecord(c, False, None, solver_coeffs, None, detail=str(exc)))
+                continue
+            closed_coeffs = tuple(closed.coeffs)
+            pairs = enumerate(zip(solver_coeffs, closed_coeffs))
+            mismatch = next((k for k, (a, b) in pairs if a != b), None)
+            detail = "" if mismatch is None else (
+                f"first divergence at order {mismatch}: "
+                f"solver {solver_coeffs[mismatch]} vs closed form {closed_coeffs[mismatch]}"
+            )
+            records.append(VerifyRecord(c, mismatch is None, mismatch, solver_coeffs, closed_coeffs, detail))
+    return records
 
 
 # -- degree-10 completion ----------------------------------------------------
@@ -362,7 +408,7 @@ def branch_assignment(point: CouplingPoint) -> dict:
     """
     point.require_physical()
     ssq, t2, t4 = point.ssq, point.t2, point.t4
-    vals = {m: _as_surd(runs, point) for m, runs in _TABLE_MOMENTS}
+    vals = {m: _as_surd(_MOMENT_TABLE[m.runs], point) for m in _TABLE_MOMENTS}
     system = completion_system()
     # right side over 16 t4: (lhs - 8 t2 m_[WA] - 64 t4 m_2 m_[WA]) / (16 t4)
     scale, c2, bt = 1 / (16 * t4), -t2 / (2 * t4), -4
@@ -395,17 +441,10 @@ def _check_ell(ell: int) -> int:
 
 
 def dirac_moment(ell: int, point: CouplingPoint) -> SurdScalar:
-    """Exact closed form of the normalized Dirac trace power d_ell, (a + b s) / den."""
+    """Exact closed form of the normalized Dirac trace power d_ell, read off its table form."""
     ell = _check_ell(ell)
     point.require_physical()
-    t2, t4 = point.t2, point.t4
-    if ell == 2:
-        a, b, den = -t2, 1, 4 * t4
-    elif ell == 4:
-        a, b, den = t2 * t2 + 4 * t4, -t2, 8 * t4 * t4
-    else:
-        a, b, den = -19 * (t2**3 + 6 * t2 * t4), 19 * (t2 * t2 + 2 * t4), 256 * t4**3
-    return SurdScalar(a / den, b / den, point.ssq)
+    return _as_surd(_DIRAC_FORMS[ell], point)
 
 
 @lru_cache(maxsize=None)
@@ -436,7 +475,7 @@ def dirac_from_words(ell: int, point: CouplingPoint) -> SurdScalar:
     """
     runs, terms = _dirac_word_sum(_check_ell(ell))
     point.require_physical()
-    values = [_as_surd(r, point) for r in runs] + [None]
+    values = [_as_surd(_MOMENT_TABLE[r], point) for r in runs] + [None]
     return SurdScalar.sum_of_products([(c, values[i], values[j]) for c, i, j in terms], point.ssq)
 
 

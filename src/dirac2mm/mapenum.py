@@ -435,7 +435,7 @@ def branch_graph_dot(m: UnstableMap) -> str:
     comp_of = _components(layout, partner)
     lines = ["graph branches {"]
     for c in sorted(set(comp_of)):
-        root_mark = " (root)" if comp_of[0] == c else ""
+        root_mark = " (root)" if m.word and comp_of[0] == c else ""
         lines.append(f'  c{c} [label="component {c}{root_mark}"];')
     for pa, pb in layout.branches:
         lines.append(f"  c{comp_of[pa]} -- c{comp_of[pb]};")

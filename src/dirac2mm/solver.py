@@ -21,7 +21,8 @@ band less per order; the working table is extended internally so any
 (D, K) request is closed automatically.  The top band is read only at
 order 0, so its insertions are never built and its left sides are dropped
 once used.  The equations of each moment come from its rep word at once
-(``sde.moment_equations``), not word by word.
+(``sde.moment_equations``), not word by word.  The comparison of these
+series with the algebraic branch lives beside the branch's closed forms.
 """
 
 from __future__ import annotations
@@ -180,61 +181,3 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
         t2=t2, max_degree=D, order=K, moments=kept, enforcement_conflicts=tuple(conflicts)
     )
 
-
-@dataclass(frozen=True)
-class VerifyRecord:
-    """Comparison of one solver series against one closed-form expansion."""
-
-    moment: CanonicalMoment
-    ok: bool
-    first_mismatch: int | None
-    solver_coeffs: tuple
-    closed_coeffs: tuple | None
-    detail: str = ""
-
-
-def verify_closed_forms(table: MomentTable) -> list[VerifyRecord]:
-    """Compare a perturbative solution against the closed-form branch.
-
-    Every closed form is Taylor-expanded exactly (the surd by its binomial
-    series) at the table's t2 and order, and compared
-    coefficient by coefficient with each of the table's moments through its
-    degree, or through the closed forms' ``closedform.MAX_TABLE_DEGREE`` if
-    that is lower.  Mismatches are reported as data, including the first
-    diverging order; closed forms that are not power series at t4 = 0 (the
-    degree-8 branch values have a simple pole) are flagged as such.
-    """
-    from . import closedform
-
-    records = []
-    for d in range(2, min(table.max_degree, closedform.MAX_TABLE_DEGREE) + 1, 2):
-        for c in iter_canonical_moments(d):
-            solver_coeffs = tuple(table.series(c).coeffs)
-            try:
-                closed = closedform.moment_series(c, table.t2, table.order)
-            except closedform.PoleAtGaussianPoint as exc:
-                records.append(
-                    VerifyRecord(c, False, None, solver_coeffs, None, detail=str(exc))
-                )
-                continue
-            closed_coeffs = tuple(closed.coeffs)
-            mismatch = None
-            for k, (a, b) in enumerate(zip(solver_coeffs, closed_coeffs)):
-                if a != b:
-                    mismatch = k
-                    break
-            ok = mismatch is None
-            records.append(
-                VerifyRecord(
-                    c,
-                    ok,
-                    mismatch,
-                    solver_coeffs,
-                    closed_coeffs,
-                    detail="" if ok else (
-                        f"first divergence at order {mismatch}: "
-                        f"solver {solver_coeffs[mismatch]} vs closed form {closed_coeffs[mismatch]}"
-                    ),
-                )
-            )
-    return records

@@ -165,7 +165,7 @@ ALTERNATING_SERIES_T21 = (Fraction(0), Fraction(1, 256), Fraction(-9, 256), Frac
 
 def check_oracle_triangle() -> CheckResult:
     table = solver.solve_series(D=8, K=3, t2=1)
-    records = solver.verify_closed_forms(table)
+    records = closedform.verify_closed_forms(table)
     lines = []
     matches = [r for r in records if r.ok]
     for r in records:
@@ -200,10 +200,7 @@ def check_oracle_triangle() -> CheckResult:
     )
 
     deg6 = [parse_moment_label(x) for x in ("m_{6}", "m_{4,2}", "m_{2,1,2,1}", "m_{3,1,1,1}")]
-    dens_ok = all(
-        closedform._MOMENT_TABLE[c.runs][0] == 3 and closedform._MOMENT_TABLE[c.runs][1] == 32768
-        for c in deg6
-    )
+    dens_ok = all(closedform._form(c)[:2] == (3, 32768) for c in deg6)
     lines.append(f"degree-6 closed-form denominators are 32768 t4^3: {dens_ok}")
 
     passed = documented and dens_ok and pattern_ok

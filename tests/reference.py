@@ -42,6 +42,11 @@ polynomials in v = sqrt(t4 - critical), term by term in
 ``dirac2mm.closedform.susceptibility_expansion`` had before it wrote each
 coefficient off d_4 = 4 / (t2 + s)^2.  ``test_closedform`` compares the two.
 
+``dirac_moment`` writes d_2, d_4 and d_6 as hand-typed (a + b s) / den in
+``Fraction`` arithmetic: the form ``dirac2mm.closedform.dirac_moment`` had
+before it read each d_ell off a table form.  ``test_closedform`` compares
+the two.
+
 ``completion_system`` reduces the degree-10 completion system by
 Gauss-Jordan elimination over Q: the form
 ``dirac2mm.closedform.completion_system`` had before it stored the result
@@ -270,6 +275,17 @@ def susceptibility_series(t2, num_terms: int) -> list:
             acc = acc - series[j] * den[k - j]
         series.append(acc * inv0)
     return series
+
+
+def dirac_moment(ell: int, point) -> algebra.SurdScalar:
+    """d_ell = (a + b s) / den at ``point``, for ell in (2, 4, 6)."""
+    t2, t4 = point.t2, point.t4
+    a, b, den = {
+        2: (-t2, 1, 4 * t4),
+        4: (t2 * t2 + 4 * t4, -t2, 8 * t4 * t4),
+        6: (-19 * (t2**3 + 6 * t2 * t4), 19 * (t2 * t2 + 2 * t4), 256 * t4**3),
+    }[ell]
+    return algebra.SurdScalar(a / den, b / den, point.ssq)
 
 
 def completion_system() -> CompletionSystem:

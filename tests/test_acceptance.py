@@ -67,7 +67,7 @@ def solver_table():
 
 @pytest.fixture(scope="module")
 def verify_records(solver_table):
-    return solver.verify_closed_forms(solver_table)
+    return cf.verify_closed_forms(solver_table)
 
 
 def test_criterion_4_runtime_bound(solver_table):

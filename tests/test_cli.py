@@ -304,6 +304,17 @@ class TestCritical:
         assert "gamma = 1/2" in out
         assert "-1/8" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("--t2", "1e-170", "--terms", "2"),    # t_c underflows; its decimal printed as -0
+        ("--t2", "1e-170", "--terms", "4"),    # a coefficient overflows after three lines
+        ("--t2", "1e-400"),
+        ("--t2", "1e200"),                     # t_c overflows in float()
+    ])
+    def test_decimal_outside_the_float_range_prints_nothing(self, capsys, argv):
+        code, out, err = run(capsys, "critical", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: a nonzero value outside the float range 5e-324 <= |x| <= 1.8e308 has no float\n"
+
 
 class TestVerifyDispatch:
     @pytest.fixture

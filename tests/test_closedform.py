@@ -43,6 +43,11 @@ class TestMoment:
         b = cf.moment(parse_moment_label("m_{3,1,1,3}"), P11)
         assert a == b
 
+    def test_table_has_one_class_per_label(self):
+        # no two labels name the same class, so no form is silently overwritten
+        assert len(cf._NAMED_FORMS) == len(cf._MOMENT_TABLE) == 20
+        assert set(cf._MOMENT_TABLE) == {parse_moment_label(label).runs for label in cf._NAMED_FORMS}
+
     def test_unknown_degree_raises(self):
         with pytest.raises(cf.UnknownMoment):
             cf.moment(parse_moment_label("m_{10}"), P11)
@@ -298,6 +303,15 @@ class TestDirac:
             cf.dirac_moment(3, P11)
         with pytest.raises(ValueError):
             cf.dirac_moment(8, P11)
+
+    def test_forms_equal_the_hand_typed_closed_forms(self):
+        # a seeded grid, (3/2, 7/32) where ssq = 4 and s is rational, and (2, 3)
+        points = random_points(20, seed=11) + [CouplingPoint(F(3, 2), F(7, 32)), CouplingPoint(2, 3)]
+        for p in points:
+            for ell in cf.DIRAC_INDICES:
+                got, want = cf.dirac_moment(ell, p), reference.dirac_moment(ell, p)
+                assert (got.a, got.b, got.ssq) == (want.a, want.b, want.ssq), (ell, p)
+        assert cf.DIRAC_INDICES == (2, 4, 6)
 
     def test_from_words_equals_closed_form(self):
         for p in random_points(10, seed=3):

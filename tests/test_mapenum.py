@@ -356,6 +356,11 @@ class TestExports:
         payload = dump_maps_json(maps[:2])
         assert '"word": "AA"' in payload
 
+    def test_dot_marks_no_root_without_a_word_polygon(self):
+        # a vacuum gluing has no root edge; a word's polygon carries it
+        assert "(root)" not in branch_graph_dot(next(enumerate_gluings("", 1)))
+        assert "(root)" in branch_graph_dot(next(m for m in enumerate_gluings("AA", 1) if m.planar))
+
 
 def _pinned_cases():
     for degree in range(1, 5):

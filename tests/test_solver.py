@@ -10,8 +10,8 @@ from dirac2mm.solver import (
     InconsistentSystem,
     _recipes_for,
     solve_series,
-    verify_closed_forms,
 )
+from dirac2mm.closedform import verify_closed_forms
 from dirac2mm.words import (
     CanonicalMoment,
     _canonical_from_string,
