@@ -31,9 +31,9 @@ def _print_surd(label, value):
 def cmd_moments(args) -> int:
     point = _point(args)
     if args.all:
-        writer = csv.writer(sys.stdout)
-        for row in closedform.moment_table_rows(point):
-            writer.writerow(row)
+        # every row is built before any is written, so a decimal outside the
+        # float range leaves stdout empty
+        csv.writer(sys.stdout).writerows(list(closedform.moment_table_rows(point)))
         return 0
     c = parse_moment_label(args.index)
     _print_surd(c.label(), closedform.moment(c, point))

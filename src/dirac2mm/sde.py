@@ -187,9 +187,12 @@ def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
     splits at the A at q, the pair is the classes of the two arcs of rep
     between p and q, each built as the rotation "A"*s + middle (middle the
     letters between the two A-runs), and the word of q gets the pair
-    swapped.  An insertion replaces the A at p in rep, a rotation of
-    w + insertion; insertions are (moment, tag) in rendering order, and are
-    left empty without ``with_insertions``.
+    swapped.  A half holds the A's strictly between p and q, an even count
+    only when q is an odd number of A's after p, so the split loop steps
+    over every other A and then tests the letter count alone.  An insertion
+    replaces the A at p in rep, a rotation of w + insertion; insertions are
+    (moment, tag) in rendering order, and are left empty without
+    ``with_insertions``.
     """
     period = (rep + rep).find(rep, 1)
     # each A as (position, start and end of its A-run)
@@ -205,11 +208,13 @@ def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
     count = rep.count(A, 0, period)    # one word per A before the period
     pairs = [[] for _ in range(count)]
     for i in range(count):
-        for j in range(i + 1, len(sites)):
-            x, y = sites[i], sites[j]
-            # rep is even in length and in A, so both arcs are iff the arc
-            # x -> y is: its y[0] - x[0] - 1 letters and j - i - 1 A's
-            if (y[0] - x[0] - 1) % 2 == 0 and (j - i - 1) % 2 == 0:
+        x = sites[i]
+        # rep is even in length and in A, so both arcs are even iff the arc
+        # x -> y is: its j - i - 1 A's are even for every other j, and its
+        # y[0] - x[0] - 1 letters when y[0] - x[0] is odd
+        for j in range(i + 1, len(sites), 2):
+            y = sites[j]
+            if (y[0] - x[0]) % 2:
                 left, right = canonicalize(arc(x, y)), canonicalize(arc(y, x))
                 pairs[i].append((left, right))
                 if j < count:

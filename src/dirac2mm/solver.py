@@ -21,8 +21,12 @@ band less per order; the working table is extended internally so any
 (D, K) request is closed automatically.  The top band is read only at
 order 0, so its insertions are never built and its left sides are dropped
 once used.  The equations of each moment come from its rep word at once
-(``sde.moment_equations``), not word by word.  The comparison of these
-series with the algebraic branch lives beside the branch's closed forms.
+(``sde.moment_equations``), not word by word.  The same pair of moments
+splits many words, so at each order k >= 1 a pair's convolution
+sum_j M[x][j] M[y][k-j] is formed once and every determination that reads
+it adds it up; each determination is still summed and compared on its own.
+The comparison of these series with the algebraic branch lives beside the
+branch's closed forms.
 """
 
 from __future__ import annotations
@@ -55,9 +59,9 @@ def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list
     out = []
     for _, pairs, terms in moment_equations(c.rep_word(), with_insertions):
         out.append((
-            tuple((index[x.runs], index[y.runs]) for x, y in pairs),
-            tuple(index[m.runs] for m, tag in terms if tag is CoefTag.Q),
-            tuple(index[m.runs] for m, tag in terms if tag is CoefTag.QNEG),
+            tuple([(index[x.runs], index[y.runs]) for x, y in pairs]),
+            tuple([index[m.runs] for m, tag in terms if tag is CoefTag.Q]),
+            tuple([index[m.runs] for m, tag in terms if tag is CoefTag.QNEG]),
         ))
     return out
 
@@ -142,6 +146,9 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
     # order 0 only Lhs remains, built from lower degrees down to m_[] = 1
     rows, recipes, conflicts = [[1] + [0] * K], [None], []
     for k in range(K + 1):
+        # each pair's sum over j of M[x][j] M[y][k-j], once per order k >= 1:
+        # both halves of a pair are of lower degree, so their rows are final here
+        products = {}
         for i, c in enumerate(all_moments[1:], 1):
             if c.degree > degree_cap[k]:
                 break
@@ -159,9 +166,17 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
             bitrace = 64 * sum(rows[m2][j] * row[k - 1 - j] for j in range(k))
             values = []
             for pairs, plus, minus in own:
-                det = sum(rows[x][j] * rows[y][k - j] for x, y in pairs for j in range(k + 1))
-                if k:
-                    det -= 16 * (sum(rows[m][k - 1] for m in plus) - sum(rows[m][k - 1] for m in minus))
+                if k == 0:    # one product per pair: nothing to share, and no dict of the top band's pairs
+                    values.append(sum(rows[x][0] * rows[y][0] for x, y in pairs))
+                    continue
+                det = 0
+                for pair in pairs:
+                    product = products.get(pair)
+                    if product is None:
+                        x, y = pair
+                        product = products[pair] = sum(rows[x][j] * rows[y][k - j] for j in range(k + 1))
+                    det += product
+                det -= 16 * (sum(rows[m][k - 1] for m in plus) - sum(rows[m][k - 1] for m in minus))
                 values.append(det - bitrace)
             if any(v != values[0] for v in values[1:]):
                 at_t2 = tuple(value(c, k, v) for v in values)

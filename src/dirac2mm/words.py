@@ -21,8 +21,12 @@ bounded cache of it.
 The classes of one degree are enumerated without visiting all 2^d strings.
 The FKM algorithm (Fredricksen, Kessler and Maiorana; Ruskey, Savage and
 Wang 1992) lists the binary necklaces, the strings that are their own least
-rotation, and a necklace is kept when neither reversal nor the swap gives a
-smaller string, as in Sawada's bracelet generation (SIAM J. Comput. 2001).
+rotation, in lexicographic order.  An orbit holds at most four necklaces,
+those of the word, its reverse, its swap and its reversed swap, and its
+least string is the least of them, so the first of an orbit's necklaces
+listed is its class's rep, as in Sawada's bracelet generation (SIAM J.
+Comput. 2001); that class is recorded for the other three at once, and
+the pass skips each of them when it meets it later.
 
 A word is a plain ``str`` of A's and B's, "" the empty word.  ``word_letters``
 validates and upper-cases one at each public entry point, and ``canonicalize``
@@ -249,20 +253,27 @@ def _necklaces(n: int):
 
 @lru_cache(maxsize=64)   # one entry per degree in use
 def _canonical_moments(degree: int) -> tuple:
-    """The classes of one degree, recording the class of each even necklace."""
+    """The classes of one degree, recording the class of each even necklace.
+
+    An even necklace not seen yet in this pass is the first of its orbit
+    listed, so its class's rep; the class is recorded for the orbit's other
+    necklaces, which the pass then skips.
+    """
     if degree == 0:
         return (CanonicalMoment._of(()),)
     out = []
+    seen = set()
     for s in _necklaces(degree):
         a = s.count(A)
-        if a % 2 or (degree - a) % 2:
+        if a % 2 or (degree - a) % 2 or s in seen:
             continue
-        rep = _canonical_rep(s)
-        if rep == s:
-            out.append(CanonicalMoment._of(_runs_of(s)))
-            _NECKLACE_CLASSES[s] = out[-1]
-        else:    # rep is a necklace listed before s
-            _NECKLACE_CLASSES[s] = _NECKLACE_CLASSES[rep]
+        c = _NECKLACE_CLASSES[s] = CanonicalMoment._of(_runs_of(s))
+        out.append(c)
+        rev = s[::-1]
+        for variant in (rev, s.translate(_SWAP), rev.translate(_SWAP)):
+            v = _necklace(variant)
+            seen.add(v)
+            _NECKLACE_CLASSES[v] = c
     return tuple(sorted(out, key=lambda c: c.runs))
 
 

@@ -13,6 +13,12 @@ it became one fused sum of products.  ``test_sde`` compares the two values.
 ``least_rotation`` compares every rotation of a string, the ``test_words``
 reference for ``dirac2mm.words._necklace``.
 
+``canonical_classes`` enumerates one degree's classes with one orbit
+minimum per even necklace, a necklace kept as a class when it is its own
+minimum: the form ``dirac2mm.words._canonical_moments`` had before it took
+the first necklace of each orbit as its rep.  ``test_words`` compares the
+two.
+
 ``orbit`` and ``splits_at`` are the brute-force rotation x reversal x swap
 orbit of a letter string and its splits at each occurrence of a letter, the
 ``test_words`` and ``test_sde`` references for the canonical forms and the
@@ -62,7 +68,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from dirac2mm import algebra
+from dirac2mm import algebra, words
 from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
 from dirac2mm.closedform import CompletionSystem, Signature
 from dirac2mm.sde import M2, CoefTag, MissingMoment, generate_system
@@ -386,6 +392,20 @@ def residual(eq, assignment, point):
 def least_rotation(letters: str) -> str:
     """The least of every rotation of a string (brute force); "" for ""."""
     return min((letters[k:] + letters[:k] for k in range(len(letters))), default="")
+
+
+def canonical_classes(degree: int) -> tuple[list, dict]:
+    """(runs of each class, {even necklace: runs of its class}) of one degree >= 1."""
+    classes, recorded = [], {}
+    for s in words._necklaces(degree):
+        a = s.count(A)
+        if a % 2 or (degree - a) % 2:
+            continue
+        rep = words._canonical_rep(s)
+        if rep == s:
+            classes.append(words._runs_of(s))
+        recorded[s] = words._runs_of(rep)
+    return sorted(classes), recorded
 
 
 def orbit(letters: str) -> set[str]:

@@ -35,6 +35,12 @@ class TestMoments:
         assert (code, out) == (1, "")
         assert "t2 > 0 and t4 > 0" in err
 
+    def test_table_with_a_decimal_outside_the_float_range_prints_nothing(self, capsys):
+        # the degree-6 decimals near 1e297 pass, a later one overflows: no row is written
+        code, out, err = run(capsys, "moments", "--all", "--t2", "1e-100", "--t4", "1e-300")
+        assert (code, out) == (1, "")
+        assert err == "error: a nonzero value outside the float range 5e-324 <= |x| <= 1.8e308 has no float\n"
+
     def test_domain_error_exit_code(self, capsys):
         code, _, err = run(capsys, "moments", "--t2", "1", "--t4", "0", "--index", "2")
         assert code == 1
@@ -336,6 +342,65 @@ class TestVerifyDispatch:
 
     def test_strict_counts_discrepancies_as_failures(self, capsys, canned_report):
         assert run(capsys, "verify", "--strict")[0] == 2
+
+
+class TestVerifyReportsFailure:
+    """One value under each exact check tampered: the check reports FAIL and verify exits 2."""
+
+    @pytest.mark.parametrize("label, detail, end", [
+        ("m_{2,1,2,1}", "        - nonzero residuals at ", ""),
+        # the degree-10 completion is then inconsistent, and branch_assignment raises
+        ("m_{4,2}", "        - no branch values at ", ": ArithmeticError('inconsistent completion system')"),
+    ])
+    def test_a_wrong_closed_form_fails_check_3(self, capsys, monkeypatch, label, detail, end):
+        # the table entry of one degree-6 moment given the named form of m_{6}
+        from dirac2mm import closedform
+        from dirac2mm.words import parse_moment_label
+
+        runs = parse_moment_label(label).runs
+        monkeypatch.setitem(closedform._MOMENT_TABLE, runs, closedform._NAMED_FORMS["m_{6}"])
+        code, out, _ = run(capsys, "verify")
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == ["[FAIL] 3 closed-form branch solves every equation exactly"]
+        details = [line for line in out.splitlines() if line.startswith(detail)]
+        assert details and all(line.endswith(end) for line in details)
+
+    def test_a_wrong_series_coefficient_fails_check_4(self, capsys, monkeypatch):
+        # the order-3 coefficient of m_{1,1,1,1} in the (8, 3) table, off by 1
+        from dirac2mm import solver
+        from dirac2mm.algebra import MomentSeries
+        from dirac2mm.words import CanonicalMoment
+
+        true_solve = solver.solve_series
+
+        def tampered(D, K, t2):
+            table = true_solve(D, K, t2)
+            c = CanonicalMoment((1, 1, 1, 1))
+            if K == 3:
+                coeffs = table.moments[c].coeffs
+                table.moments[c] = MomentSeries(table.t2, coeffs[:3] + (coeffs[3] + 1,))
+            return table
+
+        monkeypatch.setattr(solver, "solve_series", tampered)
+        code, out, _ = run(capsys, "verify")
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == ["[FAIL] 4 oracle triangle: solver vs closed forms"]
+        assert "matches frozen oracle value: False)" in out
+
+    def test_a_wrong_gluing_count_fails_check_5(self, capsys, monkeypatch):
+        # the order-2 coefficient of m_{2,2} from the planar count, 91/256, off by 1
+        from dirac2mm import mapenum
+
+        true_coefficient = mapenum.moment_coefficient
+
+        def tampered(w, k, t2):
+            return true_coefficient(w, k, t2) + (w == "AABB" and k == 2)
+
+        monkeypatch.setattr(mapenum, "moment_coefficient", tampered)
+        code, out, _ = run(capsys, "verify")
+        assert code == 2
+        assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == ["[FAIL] 5 map enumeration agreement + cancellation census"]
+        assert "        - m_{2,2} k=2: maps 347/256 != solver 91/256" in out.splitlines()
 
 
 # SHA-256 of the whole stdout of `dirac2mm verify` (55 lines): every number

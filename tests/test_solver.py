@@ -200,6 +200,34 @@ class TestDeterminationConsistency:
             solver_mod.solve_series(D=4, K=1, t2=F(3, 2))
         assert str(caught.value) == message
 
+    def test_disagreement_at_order_2_is_caught(self, monkeypatch):
+        # the split (m_{2,2}, m_{2,2}) of the word AABBAAABB, replaced by
+        # (m_{2}, m_{2,1,2,1}): the two products agree at orders 0 and 1 and
+        # differ at order 2, so only there do the determinations of m_{3,2,3,2}
+        # part, while every other split of the same pair keeps its true value
+        import dirac2mm.solver as solver_mod
+
+        true_equations = solver_mod.moment_equations
+        m22 = canonicalize("AABB")
+        swapped = (canonicalize("AA"), canonicalize("AABAAB"))
+
+        def tampered(c, with_insertions):
+            out = []
+            for w, pairs, terms in true_equations(c, with_insertions):
+                if w == "AABBAAABB":
+                    pairs = [swapped if p == (m22, m22) else p for p in pairs]
+                out.append((w, pairs, terms))
+            return out
+
+        monkeypatch.setattr(solver_mod, "moment_equations", tampered)
+        message = (
+            "order 2 of m_{3,2,3,2}: determinations disagree: "
+            "[Fraction(667, 1679616), Fraction(4001, 10077696), Fraction(4001, 10077696)]"
+        )
+        with pytest.raises(InconsistentSystem) as caught:
+            solver_mod.solve_series(D=10, K=2, t2=F(3, 2))
+        assert str(caught.value) == message
+
 
 class TestRecipes:
     def test_match_the_word_by_word_reference(self):

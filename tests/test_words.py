@@ -18,7 +18,7 @@ from dirac2mm.words import (
     vanishes_by_parity,
     word_letters,
 )
-from reference import least_rotation, orbit, splits_at
+from reference import canonical_classes, least_rotation, orbit, splits_at
 
 word_strings = st.text(alphabet="AB", min_size=0, max_size=12)
 
@@ -138,6 +138,22 @@ class TestNecklaceClasses:
                 rep = words._canonical_rep(s)
                 assert words._NECKLACE_CLASSES[s].rep_word() == rep, s
                 assert words._NECKLACE_CLASSES[s].runs == words._runs_of(rep), s
+
+    @pytest.mark.parametrize("degree", [
+        *range(2, 19, 2), pytest.param(20, marks=pytest.mark.slow), pytest.param(22, marks=pytest.mark.slow),
+    ])
+    def test_first_of_each_orbit_matches_one_orbit_minimum_per_necklace(self, degree):
+        # solve_series(10, 6) enumerates every even degree up to 22
+        classes, recorded = canonical_classes(degree)
+        assert [c.runs for c in iter_canonical_moments(degree)] == classes
+        assert {s: c.runs for s, c in words._NECKLACE_CLASSES.items() if len(s) == degree} == recorded
+
+    def test_a_degree_enumerated_again_lists_the_same_classes(self):
+        # the necklaces recorded by the first pass do not shorten the second
+        first = iter_canonical_moments(12)
+        words._canonical_moments.cache_clear()
+        assert iter_canonical_moments(12) == first
+        assert [c.runs for c in first] == brute_force_classes(12)
 
     def test_a_long_word_enumerates_nothing(self):
         # its class comes from its own orbit minimum, one necklace-cache miss
