@@ -17,9 +17,11 @@ because the second moments of the two matrices coincide.
 ``moment_equations`` gives at once the left sides and insertions of every
 word w whose wA is a rotation of one string: the arc between two A's serves
 the equations of both, and strings are formed so that equal classes mostly
-meet equal strings, which the canonicalization cache answers.  It is the one
-builder of the equations: the solver passes a class's rep word, and
-``generate_equation(w)`` the rotation of wA that starts after its last B.
+meet equal strings, which the caller's string map answers with one lookup
+each.  It is the one builder of the equations: the solver passes a class's
+rep word and a map from each string to its row in the solver's table, and
+``generate_equation(w)`` the rotation of wA that starts after its last B and
+a map from each string to its class.
 
 An equation's terms are planned once, on its first evaluation: the moments
 it reads and its products c*x*y, those that vanish by parity dropped.  At a
@@ -176,7 +178,7 @@ class SdeEquation:
         return (tuple(sorted((x.runs, y.runs) for x, y in self.lhs)), c2, quartic, bt)
 
 
-def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
+def moment_equations(rep: str, with_insertions: bool, classes: Mapping) -> list[tuple]:
     """(w, lhs pairs, insertions) of each distinct word w with wA a rotation of rep, in order.
 
     ``rep`` starts an A-run and ends with B, or is all A's: a class's rep
@@ -192,7 +194,9 @@ def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
     over every other A and then tests the letter count alone.  An insertion
     replaces the A at p in rep, a rotation of w + insertion; insertions are
     (moment, tag) in rendering order, and are left empty without
-    ``with_insertions``.
+    ``with_insertions``.  A moment is ``classes[s]`` of its string s: the
+    caller's map decides what stands for a class, and answers each string
+    with one subscript.
     """
     period = (rep + rep).find(rep, 1)
     # each A as (position, start and end of its A-run)
@@ -215,7 +219,7 @@ def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
         for j in range(i + 1, len(sites), 2):
             y = sites[j]
             if (y[0] - x[0]) % 2:
-                left, right = canonicalize(arc(x, y)), canonicalize(arc(y, x))
+                left, right = classes[arc(x, y)], classes[arc(y, x)]
                 pairs[i].append((left, right))
                 if j < count:
                     pairs[j].append((right, left))
@@ -225,9 +229,17 @@ def moment_equations(rep: str, with_insertions: bool) -> list[tuple]:
         before, after = rep[:p], rep[p + 1 :]
         terms = []
         if with_insertions:
-            terms = [(canonicalize(before + ins + after), tag) for ins, tag in _INSERTIONS]
+            terms = [(classes[before + ins + after], tag) for ins, tag in _INSERTIONS]
         out.append((after + before, pairs[i], terms))
     return out
+
+
+class _Classes(dict):
+    """The class of each string one equation meets, canonicalized on its first lookup."""
+
+    def __missing__(self, s: str) -> CanonicalMoment:
+        c = self[s] = canonicalize(s)
+        return c
 
 
 def generate_equation(w: str) -> SdeEquation:
@@ -245,7 +257,7 @@ def generate_equation(w: str) -> SdeEquation:
     if vanishes_by_parity(wa):
         return SdeEquation(lhs=(), rhs=(), source_word=w)
     k = w.rfind(B) + 1
-    entries = moment_equations(w[k:] + A + w[:k], True)
+    entries = moment_equations(w[k:] + A + w[:k], True, _Classes())
     _, lhs, insertions = entries[(len(w) - k) % len(entries)]
     rhs = ((wa, CoefTag.C2), *insertions, (wa, CoefTag.BT))
     return SdeEquation(lhs=lhs, rhs=rhs, source_word=w, rhs_display=rhs)

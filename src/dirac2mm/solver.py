@@ -21,7 +21,9 @@ band less per order; the working table is extended internally so any
 (D, K) request is closed automatically.  The top band is read only at
 order 0, so its insertions are never built and its left sides are dropped
 once used.  The equations of each moment come from its rep word at once
-(``sde.moment_equations``), not word by word.  The same pair of moments
+(``sde.moment_equations``), not word by word, with each arc and insertion
+string read as its table row from one string map per solve (``_Rows``):
+a string is canonicalized on its first lookup only.  The same pair of moments
 splits many words, so at each order k >= 1 a pair's convolution
 sum_j M[x][j] M[y][k-j] is formed once and every determination that reads
 it adds it up; each determination is still summed and compared on its own.
@@ -48,22 +50,43 @@ class InconsistentSystem(ArithmeticError):
     """Two loop equations determined different values for one coefficient."""
 
 
-def _recipes_for(c: CanonicalMoment, index: dict, with_insertions: bool) -> list[tuple]:
+# A solve's string map is emptied between two classes once it holds more
+# strings than this, so that deep solves keep a bounded footprint:
+# solve_series(8, 4) meets 5,195 strings, (10, 6) more than the cap.
+_ROWS_CAP = 1 << 16
+
+
+class _Rows(dict):
+    """The table row of each string one solve meets, canonicalized on its first lookup.
+
+    ``index`` maps each class's run tuple to its row.
+    """
+
+    def __init__(self, index: dict):
+        super().__init__()
+        self.index = index
+
+    def __missing__(self, s: str) -> int:
+        row = self[s] = self.index[canonicalize(s).runs]
+        return row
+
+
+def _recipes_for(c: CanonicalMoment, rows: _Rows, with_insertions: bool) -> tuple:
     """One (lhs pairs, +16 t4 insertions, -16 t4 insertions) per word of c.
 
-    Every entry is a row index into the integer table, looked up in
-    ``index`` by run tuple.  Without ``with_insertions`` both insertion
-    tuples are empty: the top degree band is read only at order 0, where
-    the insertions do not enter.
+    Every entry is a row index into the integer table: ``moment_equations``
+    reads each string's row off ``rows``.  Without ``with_insertions`` both
+    insertion tuples are empty: the top degree band is read only at order 0,
+    where the insertions do not enter.
     """
     out = []
-    for _, pairs, terms in moment_equations(c.rep_word(), with_insertions):
+    for _, pairs, terms in moment_equations(c.rep_word(), with_insertions, rows):
         out.append((
-            tuple([(index[x.runs], index[y.runs]) for x, y in pairs]),
-            tuple([index[m.runs] for m, tag in terms if tag is CoefTag.Q]),
-            tuple([index[m.runs] for m, tag in terms if tag is CoefTag.QNEG]),
+            tuple(pairs),
+            tuple([m for m, tag in terms if tag is CoefTag.Q]),
+            tuple([m for m, tag in terms if tag is CoefTag.QNEG]),
         ))
-    return out
+    return tuple(out)    # kept for every class below the top band, so not over-allocated
 
 
 @dataclass
@@ -135,6 +158,7 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
         all_moments.extend(iter_canonical_moments(d))
     # keyed by run tuples, whose hash and equality run in C
     index = {c.runs: i for i, c in enumerate(all_moments)}
+    string_rows = _Rows(index)
     m2 = index[M2.runs]
     pinned = index.get((1, 1, 1, 1)) if enforce_vanishing_alternating else None
 
@@ -153,8 +177,10 @@ def solve_series(D: int, K: int, t2, enforce_vanishing_alternating: bool = False
             if c.degree > degree_cap[k]:
                 break
             if k == 0:
+                if len(string_rows) > _ROWS_CAP:
+                    string_rows.clear()
                 below_top = c.degree < degree_cap[0]
-                own = _recipes_for(c, index, below_top)
+                own = _recipes_for(c, string_rows, below_top)
                 rows.append([])
                 recipes.append(own if below_top else None)
             else:

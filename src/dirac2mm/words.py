@@ -59,17 +59,20 @@ def _least_rotation(letters: str, top: int) -> str:
     """Least rotation of a word that has both letters and longest A-run ``top``.
 
     The least rotation starts at a longest cyclic run of A, so only those
-    starts are compared.
+    starts are compared, keeping the least met so far; most words have one.
     """
     n = len(letters)
     doubled = letters + letters
     key = B + A * top
-    rotations = []
     i = doubled.find(key)
+    least = doubled[i + 1 : i + 1 + n]
+    i = doubled.find(key, i + 1)
     while 0 <= i < n:
-        rotations.append(doubled[i + 1 : i + 1 + n])
+        rotation = doubled[i + 1 : i + 1 + n]
+        if rotation < least:
+            least = rotation
         i = doubled.find(key, i + 1)
-    return min(rotations)
+    return least
 
 
 def _canonical_rep(letters: str) -> str:
@@ -134,10 +137,12 @@ _cycle_necklace = lru_cache(maxsize=1 << 12)(_necklace)   # gluings, traces and 
 _NECKLACE_CLASSES: dict = {}
 
 
-# Both caches are bounded so that deep solves keep a fixed footprint.
-# solve_series(8, 4) canonicalizes 5,195 distinct strings, and the necklace
-# of each has a recorded class, so neither cache evicts there and only a
-# necklace of a degree not enumerated pays for its orbit minimum here.
+# Both caches are bounded so that deep solves keep a fixed footprint.  A
+# solve canonicalizes each distinct string once, on a miss of its own string
+# map (5,195 for solve_series(8, 4)), so hits here come from later solves
+# and from generate_equation.  The necklace of each string has a recorded
+# class, so only a necklace of a degree not enumerated pays for its orbit
+# minimum here.
 @lru_cache(maxsize=1 << 16)
 def _canonical_from_string(letters: str) -> "CanonicalMoment":
     letters = word_letters(letters)   # validated once per distinct string
@@ -257,21 +262,32 @@ def _canonical_moments(degree: int) -> tuple:
 
     An even necklace not seen yet in this pass is the first of its orbit
     listed, so its class's rep; the class is recorded for the orbit's other
-    necklaces, which the pass then skips.
+    necklaces, which the pass then skips.  Those are least rotations of the
+    rep's reverse, swap and reversed swap, whose longest A-runs are read off
+    the rep's runs: its first, since a necklace starts with its longest
+    A-run, and the longest of its B-runs for the two swapped words.  The
+    orbit of the pure power holds A*degree and B*degree alone.
     """
     if degree == 0:
         return (CanonicalMoment._of(()),)
-    out = []
-    seen = set()
+    if degree % 2:    # every word is odd in A or in B
+        return ()
+    power = _NECKLACE_CLASSES[A * degree] = _NECKLACE_CLASSES[B * degree] = CanonicalMoment._of((degree,))
+    out = [power]
+    seen = {A * degree, B * degree}
     for s in _necklaces(degree):
-        a = s.count(A)
-        if a % 2 or (degree - a) % 2 or s in seen:
+        if s in seen or s.count(A) % 2:
             continue
-        c = _NECKLACE_CLASSES[s] = CanonicalMoment._of(_runs_of(s))
+        runs = _runs_of(s)
+        c = _NECKLACE_CLASSES[s] = CanonicalMoment._of(runs)
         out.append(c)
+        top_a, top_b = runs[0], max(runs[1::2])
         rev = s[::-1]
-        for variant in (rev, s.translate(_SWAP), rev.translate(_SWAP)):
-            v = _necklace(variant)
+        for v in (
+            _least_rotation(rev, top_a),
+            _least_rotation(s.translate(_SWAP), top_b),
+            _least_rotation(rev.translate(_SWAP), top_b),
+        ):
             seen.add(v)
             _NECKLACE_CLASSES[v] = c
     return tuple(sorted(out, key=lambda c: c.runs))

@@ -5,10 +5,11 @@ from fractions import Fraction as F
 import pytest
 
 from dirac2mm import words
-from dirac2mm.sde import CoefTag, moment_equations
+from dirac2mm.sde import CoefTag, _Classes, moment_equations
 from dirac2mm.solver import (
     InconsistentSystem,
     _recipes_for,
+    _Rows,
     solve_series,
 )
 from dirac2mm.closedform import verify_closed_forms
@@ -165,11 +166,11 @@ class TestDeterminationConsistency:
 
         true_equations = solver_mod.moment_equations
 
-        def tampered(c, with_insertions):
+        def tampered(c, with_insertions, classes):
             out = []
-            for w, pairs, terms in true_equations(c, with_insertions):
+            for w, pairs, terms in true_equations(c, with_insertions, classes):
                 if w == "ABB":
-                    pairs = [p for p in pairs if p != (CanonicalMoment(()), canonicalize("BB"))]
+                    pairs = [p for p in pairs if p != (classes[""], classes["BB"])]
                 out.append((w, pairs, terms))
             return out
 
@@ -186,9 +187,9 @@ class TestDeterminationConsistency:
 
         true_equations = solver_mod.moment_equations
 
-        def tampered(c, with_insertions):
+        def tampered(c, with_insertions, classes):
             out = []
-            for w, pairs, terms in true_equations(c, with_insertions):
+            for w, pairs, terms in true_equations(c, with_insertions, classes):
                 if w == "ABB":
                     terms = [entry for entry in terms if entry[1] is not CoefTag.Q]
                 out.append((w, pairs, terms))
@@ -208,12 +209,12 @@ class TestDeterminationConsistency:
         import dirac2mm.solver as solver_mod
 
         true_equations = solver_mod.moment_equations
-        m22 = canonicalize("AABB")
-        swapped = (canonicalize("AA"), canonicalize("AABAAB"))
 
-        def tampered(c, with_insertions):
+        def tampered(c, with_insertions, classes):
+            m22 = classes["AABB"]
+            swapped = (classes["AA"], classes["AABAAB"])
             out = []
-            for w, pairs, terms in true_equations(c, with_insertions):
+            for w, pairs, terms in true_equations(c, with_insertions, classes):
                 if w == "AABBAAABB":
                     pairs = [swapped if p == (m22, m22) else p for p in pairs]
                 out.append((w, pairs, terms))
@@ -229,28 +230,81 @@ class TestDeterminationConsistency:
         assert str(caught.value) == message
 
 
+# the classes of degree <= 16, whose insertions close those of degree <= 14,
+# and the row of each in a solver's table
+_MOMENTS = [CanonicalMoment(())] + [c for d in range(2, 17, 2) for c in iter_canonical_moments(d)]
+_INDEX = {c.runs: i for i, c in enumerate(_MOMENTS)}
+_UP_TO_14 = [c for c in _MOMENTS[1:] if c.degree <= 14]
+
+
 class TestRecipes:
     def test_match_the_word_by_word_reference(self):
         # every moment of degree <= 14: the same recipe words in the same
         # order, each with the same multiset of pairs and of insertions
-        moments = [CanonicalMoment(())] + [c for d in range(2, 17, 2) for c in iter_canonical_moments(d)]
-        index = {c.runs: i for i, c in enumerate(moments)}
+        rows = _Rows(_INDEX)
         checked = 0
-        for c in moments[1:]:
-            if c.degree > 14:
-                break
-            assert [w for w, _, _ in moment_equations(c.rep_word(), True)] == list(recipe_words(c)), c.label()
-            got, want = _recipes_for(c, index, True), recipes_for(c, index, True)
+        for c in _UP_TO_14:
+            assert [w for w, _, _ in moment_equations(c.rep_word(), True, rows)] == list(recipe_words(c)), c.label()
+            got, want = _recipes_for(c, rows, True), recipes_for(c, _INDEX, True)
             assert [tuple(map(sorted, r)) for r in got] == [tuple(map(sorted, r)) for r in want], c.label()
             checked += len(got)
         assert checked == 2175
 
+    def test_row_map_reads_the_rows_of_the_class_map(self):
+        # the same words, and each pair and insertion in the same place, as
+        # the classes of the same strings followed by their rows
+        rows = _Rows(_INDEX)
+        for c in _UP_TO_14:
+            rep = c.rep_word()
+            want = [
+                (w, [(_INDEX[x.runs], _INDEX[y.runs]) for x, y in pairs], [(_INDEX[m.runs], tag) for m, tag in terms])
+                for w, pairs, terms in moment_equations(rep, True, _Classes())
+            ]
+            assert moment_equations(rep, True, rows) == want, c.label()
+
     def test_top_band_has_no_insertions(self):
         rep = canonicalize("AABAAB").rep_word()
-        assert all(terms == [] for _, _, terms in moment_equations(rep, False))
-        assert [pairs for _, pairs, _ in moment_equations(rep, False)] == [
-            pairs for _, pairs, _ in moment_equations(rep, True)
+        assert all(terms == [] for _, _, terms in moment_equations(rep, False, _Classes()))
+        assert [pairs for _, pairs, _ in moment_equations(rep, False, _Classes())] == [
+            pairs for _, pairs, _ in moment_equations(rep, True, _Classes())
         ]
+
+
+class TestRowMap:
+    def test_small_cap_keeps_the_map_bounded_and_the_table(self, monkeypatch):
+        # emptied only between classes: each class starts from at most the
+        # cap and adds at most the strings it meets on its own
+        import dirac2mm.solver as solver_mod
+
+        uncapped = solve_series(8, 3, F(3, 2)).moments
+        cap, recipes, before, over = 40, solver_mod._recipes_for, [], []
+
+        def spy(c, rows, with_insertions):
+            before.append(len(rows))
+            own = recipes(c, rows, with_insertions)
+            alone = _Rows(rows.index)
+            recipes(c, alone, with_insertions)
+            over.append(len(rows) - len(alone))
+            return own
+
+        monkeypatch.setattr(solver_mod, "_ROWS_CAP", cap)
+        monkeypatch.setattr(solver_mod, "_recipes_for", spy)
+        assert solve_series(8, 3, F(3, 2)).moments == uncapped
+        assert max(before) <= cap and max(over) <= cap
+        assert before.count(0) > 1      # the map was emptied along the way
+
+    def test_each_string_is_canonicalized_once_per_solve(self, monkeypatch):
+        import dirac2mm.solver as solver_mod
+
+        met, canonical = [], solver_mod.canonicalize
+
+        def spy(s):
+            met.append(s)
+            return canonical(s)
+
+        monkeypatch.setattr(solver_mod, "canonicalize", spy)
+        solve_series(8, 4, F(3, 2))
+        assert len(met) == len(set(met)) == 5195
 
 
 class TestVerifyClosedForms:
@@ -312,6 +366,17 @@ SERIES_DIGESTS = {
 def test_series_matches_frozen_digest(K, t2):
     payload = json.dumps(solve_series(8, K, t2).as_json(), sort_keys=True)
     assert hashlib.sha256(payload.encode()).hexdigest() == SERIES_DIGESTS[(K, t2)]
+
+
+@pytest.mark.slow
+def test_deep_series_past_the_string_map_cap_matches_frozen_digest():
+    # about 6 s: solve_series(10, 6, 1) meets more than 2^16 strings, so its
+    # string map is emptied between classes; the digest was frozen before
+    # the solver had a string map
+    payload = json.dumps(solve_series(10, 6, 1).as_json(), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "c14a5d6244a45350f12ae504b89231f8de68261f89c17abcbe86d4e94dbc734d"
+    )
 
 
 def test_canonical_cache_is_bounded():
