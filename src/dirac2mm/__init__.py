@@ -44,14 +44,6 @@ from .closedform import (
     susceptibility_expansion,
     verify_closed_forms,
 )
-from .montecarlo import (
-    ChainResult,
-    EstimateWithError,
-    SamplerConfig,
-    estimate_dirac,
-    estimate_moment,
-    run_chain,
-)
 
 __version__ = "0.1.0"
 
@@ -69,3 +61,16 @@ __all__ = [
     "ChainResult", "EstimateWithError", "SamplerConfig", "estimate_dirac",
     "estimate_moment", "run_chain",
 ]
+
+# The sampler is the only layer that needs numpy, so it is imported on first
+# use of one of its names (PEP 562) and the exact layers load without numpy.
+_SAMPLER_NAMES = frozenset({
+    "ChainResult", "EstimateWithError", "SamplerConfig", "estimate_dirac", "estimate_moment", "run_chain",
+})
+
+
+def __getattr__(name):
+    if name in _SAMPLER_NAMES:
+        from . import montecarlo
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

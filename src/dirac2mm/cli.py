@@ -16,7 +16,7 @@ import sys
 
 from .algebra import CouplingPoint, SurdScalar, exact_int, rat
 from .words import canonicalize, parse_moment_label, word_letters
-from . import closedform, mapenum, montecarlo, solver, verification
+from . import closedform, mapenum, solver, verification
 from .sde import generate_equation, generate_system
 
 
@@ -109,6 +109,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from . import montecarlo   # the one numpy layer, loaded only to sample
+
     point = _point(args)
     cfg = montecarlo.SamplerConfig(
         n=args.n,

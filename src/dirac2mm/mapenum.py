@@ -18,10 +18,10 @@ cylinder is two discs joined by a branch (a tube), so chi = V - E + F -
 branches together, and genus = pieces - chi / 2.  A gluing contributes at
 leading order iff it is one piece, rooted at the word polygon, of genus 0.
 
-Planar gluings are built dart by dart.  ``_layouts`` yields the feasible
-cell multisets of an order.  The partial surface S' (the polygons glued
-along the edges matched so far, each cylinder one annulus) is a tuple of
-components, each a tuple of the boundary cycles of its open darts, and
+Planar gluings are built dart by dart.  ``_cell_multisets`` yields the
+feasible cell multisets of an order.  The partial surface S' (the polygons
+glued along the edges matched so far, each cylinder one annulus) is a tuple
+of components, each a tuple of the boundary cycles of its open darts, and
 ``_moves`` glues the first open dart to each open dart of its colour: on
 the same cycle the cycle splits, in another component the two merge.  A
 gluing is planar exactly when the finished surface is one sphere: with n
@@ -39,15 +39,20 @@ chi_i = 2 and the branch graph is a tree (Guionnet & Maurel-Segala, ALEA 1,
 Every other move keeps each component planar, so every leaf it reaches is
 planar.  The number of planar leaves below a node depends only on the
 colour words of the open cycles (a blue dart spelled A, a red one B, so
-``words._necklace`` rotates them), whatever the word or layout it came
-from, so ``_count`` makes the moves on colour words, memoised in one
-module-level dict that every call shares, and ``moment_coefficient`` and
-``cancellation_report`` sum layout weights times these counts.  The memo is
-emptied, between two layouts and never inside a recursion, once it holds
-more than 2^16 states.
-``_planar_matchings`` makes the same moves on dart labels for the labelled
-planar maps of ``enumerate --dump``.  ``_matchings`` is the plain brute
-force that ``enumerate_gluings`` lists every matching from.
+``words._necklace`` rotates them), whatever the word or cell multiset it
+came from.  So the count never labels a dart: ``_planar_count`` starts from
+the word's colour necklace beside each cell's component, read off
+``_CELL_COMPONENTS``, and ``_count`` makes the moves on colour words,
+memoised in one module-level dict that every call shares.  Moves that
+leave equal states, into equal free components or cycles or at the
+equivalent darts of a periodic cycle, are made once and weighted by their
+number.  ``moment_coefficient`` and ``cancellation_report`` sum the cell
+weights times these counts.  The memo is emptied, between two cell
+multisets and never inside a recursion, once it holds more than 2^16
+states.  ``_planar_matchings`` makes the same moves on the dart labels of
+a ``_Layout`` for the labelled planar maps of ``enumerate --dump``.
+``_matchings`` is the plain brute force that ``enumerate_gluings`` lists
+every matching from.
 """
 
 from __future__ import annotations
@@ -134,6 +139,11 @@ class UnstableMap:
         }
 
 
+# A colour word spells a blue dart A and a red one B (blue first, as "B" < "R").
+_SPELLING = {BLUE: "A", RED: "B"}
+_WORD_COLOURS = str.maketrans("AB", "BA")   # a word's letter A is a red half-edge
+
+
 class _Layout:
     """Dart numbering for a word polygon plus a sequence of cells."""
 
@@ -156,12 +166,10 @@ class _Layout:
                 self.polygon_of.extend([n_poly] * m)
                 n_poly += 1
             self.components.append(tuple(cycles))
-        # str.translate: labels to colour word, blue spelled A and red B (blue first, as "B" < "R")
-        self.colour = {d: "A" if c == BLUE else "B" for d, c in enumerate(self.colors)}
+        self.colour = {d: _SPELLING[c] for d, c in enumerate(self.colors)}   # for str.translate
         self.n_polygons = n_poly
         self.reds = [i for i, c in enumerate(self.colors) if c == RED]
         self.blues = [i for i, c in enumerate(self.colors) if c == BLUE]
-        self.weight = _weight(kinds)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -174,18 +182,18 @@ def _weight(kinds: tuple) -> Fraction:
 _REDS = {kind: sum(b.count(RED) for b in cell.boundaries) for kind, cell in CELLS.items()}
 
 
-def _layouts(w: str, k: int):
-    """The layout of each k-cell multiset whose colour counts are both even.
+def _cell_multisets(w: str, k: int):
+    """Each k-cell multiset whose colour counts with the word's are both even.
 
-    The counts are read off the kinds, so no other layout is built: every
-    cell has four darts, so its blues have the parity of its reds.
+    The counts are read off the kinds: every cell has four darts, so its
+    blues have the parity of its reds.
     """
     reds = w.count("A")
     blues = len(w) - reds
     for kinds in itertools.combinations_with_replacement(list(CellKind), exact_int(k, "order k", 0)):
         cell_reds = sum(_REDS[kind] for kind in kinds)
         if (reds + cell_reds) % 2 == 0 and (blues + cell_reds) % 2 == 0:
-            yield _Layout(w, kinds)
+            yield kinds
 
 
 def _matchings(layout: _Layout):
@@ -214,69 +222,90 @@ def _matchings(layout: _Layout):
     return walk(0)
 
 
-def _moves(state: tuple, colour: dict) -> list:
-    """(partner, cycles, rest) for each planar gluing of the first open dart.
+def _moves(state: tuple, colour: dict | None = None) -> list:
+    """(partner, cycles, rest, n) for each planar gluing of the first open dart.
 
     ``state`` is S' as a tuple of components, each a tuple of its nonempty
-    open cycles, and ``colour`` translates a cycle to its colour word (``{}``
-    when the cycles are colour words).  ``cycles`` are the new component's,
-    empty ones included, and ``rest`` the other components.
+    open cycles.  The cycles are colour words, or dart labels that
+    ``colour`` translates to them.  ``cycles`` are the new component's,
+    empty ones included, and ``rest`` the other components.  Moves that
+    leave equal states are made once, and ``n`` is how many they are: into
+    one of a run of equal neighbours in ``rest`` or in a component, or at
+    one dart of each period of a periodic cycle.  Only colour words repeat,
+    so with dart labels every ``n`` is 1.
     """
     (cycle, *others), rest = state[0], state[1:]
-    first, tail = cycle[0].translate(colour), cycle[1:]
+    first, tail = cycle[0], cycle[1:]
+    if colour is not None:
+        first = first.translate(colour)
     moves = [
-        (tail[j], others + [tail[:j], tail[j + 1 :]], rest)
-        for j, c in enumerate(tail.translate(colour)) if c == first
+        (tail[j], others + [tail[:j], tail[j + 1 :]], rest, 1)
+        for j, c in enumerate(tail if colour is None else tail.translate(colour)) if c == first
     ]
     for i, comp in enumerate(rest):   # never another cycle of this component: a handle
+        if i and comp == rest[i - 1]:
+            continue
+        n, left = rest.count(comp), rest[:i] + rest[i + 1 :]
         for m, other in enumerate(comp):
-            kept, left = others + list(comp[:m] + comp[m + 1 :]), rest[:i] + rest[i + 1 :]
+            spelled = other if colour is None else other.translate(colour)
+            if first not in spelled or m and other == comp[m - 1]:
+                continue
+            period = (other + other).find(other, 1)
+            same = n * comp.count(other) * (len(other) // period)
+            kept = others + list(comp[:m] + comp[m + 1 :])
             moves += [
-                (other[j], kept + [tail + other[j + 1 :] + other[:j]], left)
-                for j, c in enumerate(other.translate(colour)) if c == first
+                (other[j], kept + [tail + other[j + 1 :] + other[:j]], left, same)
+                for j, c in enumerate(spelled[:period]) if c == first
             ]
     return [move for move in moves if any(move[1]) or not move[2]]   # no closed piece
 
 
 def _component(cycles) -> tuple:
     """A component of S' as the sorted least rotations of its open cycles."""
-    return tuple(sorted(_cycle_necklace(c) for c in cycles if c))
+    return tuple(sorted(map(_cycle_necklace, filter(None, cycles))))
 
+
+# The component of each cell kind, before any gluing.
+_CELL_COMPONENTS = {
+    kind: _component("".join(map(_SPELLING.get, b)) for b in cell.boundaries)
+    for kind, cell in CELLS.items()
+}
 
 # Planar completions of each canonical state met so far, shared by every
 # call.  One moment_coefficient("AA", 7, 1) alone meets 164,568 states, so an
 # evicting cache would drop live states mid-recursion; this one is emptied
-# whole, only between layouts, once it exceeds _MEMO_CAP.
+# whole, only between cell multisets, once it exceeds _MEMO_CAP.
 _PLANAR_COUNTS: dict = {}
 _MEMO_CAP = 1 << 16
 
 
-def _planar_count(layout: _Layout) -> int:
-    """The number of planar matchings of ``layout``, without labelled darts.
+def _planar_count(w: str, kinds: tuple) -> int:
+    """The number of planar matchings of the word w with the cells ``kinds``.
 
     The completions of a partial surface depend only on its components and
     the colour words of their open boundary cycles, so ``_count`` recurses
-    over that canonical state, memoised in ``_PLANAR_COUNTS``.
+    over that canonical state, memoised in ``_PLANAR_COUNTS``.  The start
+    state is the word's colour necklace beside each cell's component; no
+    dart is labelled.
     """
     if len(_PLANAR_COUNTS) > _MEMO_CAP:
         _PLANAR_COUNTS.clear()
-    if not layout.word:       # nothing is rooted: only the empty gluing counts
-        return int(not layout.colors)
-    colour = layout.colour
-    return _count(tuple(sorted(
-        _component(c.translate(colour) for c in comp) for comp in layout.components
-    )))
+    if not w:                 # nothing is rooted: only the empty gluing counts
+        return int(not kinds)
+    root = (_cycle_necklace(w.translate(_WORD_COLOURS)),)
+    return _count(tuple(sorted((root, *map(_CELL_COMPONENTS.get, kinds)))))
 
 
 def _count(state: tuple) -> int:
     """Planar completions of a sorted tuple of ``_component``s."""
     memo = _PLANAR_COUNTS
-    if state in memo:
-        return memo[state]
+    total = memo.get(state)
+    if total is not None:
+        return total
     total = 0
-    for _, cycles, rest in _moves(state, {}):
+    for _, cycles, rest, n in _moves(state):
         comp = _component(cycles)     # none left: the gluing is complete
-        total += _count(tuple(sorted((*rest, comp)))) if comp else 1
+        total += n * _count(tuple(sorted((*rest, comp)))) if comp else n
     memo[state] = total
     return total
 
@@ -290,12 +319,12 @@ def _planar_matchings(layout: _Layout) -> list:
             found.append(partner[:])
             return
         a = ord(state[0][0][0])
-        for b, cycles, rest in _moves(state, layout.colour):
+        for b, cycles, rest, _ in _moves(state, layout.colour):
             partner[a], partner[ord(b)] = ord(b), a
             comp = tuple(c for c in cycles if c)
             walk((comp, *rest) if comp else rest)
 
-    if _planar_count(layout):   # also refuses the layouts with no word to root them
+    if _planar_count(layout.word, layout.kinds):   # also refuses the layouts with no word to root them
         walk(tuple(layout.components))
     darts = layout.reds + layout.blues
     return sorted(found, key=lambda p: [p[d] for d in darts])
@@ -350,7 +379,8 @@ def _analyze(layout: _Layout, partner: list[int]):
 
 def _gluings(w: str, k: int, planar: bool):
     """The labelled gluings of (w, k); with ``planar`` only the planar ones."""
-    for layout in _layouts(w, k):
+    for kinds in _cell_multisets(w, k):
+        layout = _Layout(w, kinds)
         for partner in _planar_matchings(layout) if planar else _matchings(layout):
             genus, is_planar, connected = _analyze(layout, partner)
             yield UnstableMap(
@@ -360,7 +390,7 @@ def _gluings(w: str, k: int, planar: bool):
                 genus=genus,
                 planar=is_planar,
                 connected=connected,
-                weight=layout.weight,
+                weight=_weight(kinds),
             )
 
 
@@ -380,13 +410,14 @@ def moment_coefficient(w: str, k: int, t2) -> Fraction:
 
     Planar connected gluings only; each contributes its signed cell weight
     times the propagator factor (8 t2)^(-edges), and every gluing of (w, k)
-    has (deg w + 4k) / 2 edges.  The planar counts come from the module's
-    one memo, which later calls reuse.
+    has (deg w + 4k) / 2 edges.  Each cell multiset's planar count is a
+    recursion over colour words, with no labelled dart, and comes from the
+    module's one memo, which later calls reuse.
     """
     w = word_letters(w)
     t2 = positive_t2(t2, "moment_coefficient")
     scale = (8 * t2) ** ((len(w) + 4 * exact_int(k, "order k", 0)) // 2)
-    return sum(layout.weight * _planar_count(layout) for layout in _layouts(w, k)) / scale
+    return sum(_weight(kinds) * _planar_count(w, kinds) for kinds in _cell_multisets(w, k)) / scale
 
 
 @dataclass(frozen=True)
@@ -412,15 +443,15 @@ def cancellation_report(k: int) -> CancellationReport:
     whose branch closes a handle and leaves planarity).  The uncancelled
     planar maps themselves are listed by ``enumerate --dump``.
     """
-    counts = [(layout, _planar_count(layout)) for layout in _layouts("ABAB", k)]
-    signed = sum((layout.weight * n for layout, n in counts), Fraction(0))
+    counts = [(kinds, _weight(kinds), _planar_count("ABAB", kinds)) for kinds in _cell_multisets("ABAB", k)]
+    signed = sum((weight * n for _, weight, n in counts), Fraction(0))
     return CancellationReport(
         k=k,
-        positive_weight_count=sum(n for layout, n in counts if layout.weight > 0),
-        negative_weight_count=sum(n for layout, n in counts if layout.weight < 0),
+        positive_weight_count=sum(n for _, weight, n in counts if weight > 0),
+        negative_weight_count=sum(n for _, weight, n in counts if weight < 0),
         signed_sum=signed,
         all_have_distinguished_cell=all(
-            any(c in _DISTINGUISHED for c in layout.kinds) for layout, n in counts if n
+            any(c in _DISTINGUISHED for c in kinds) for kinds, _, n in counts if n
         ),
         paired=(signed == 0),
     )

@@ -12,8 +12,9 @@ from dirac2mm import cli, mapenum
 from dirac2mm.mapenum import (
     CELLS,
     CellKind,
+    _Layout,
     _analyze,
-    _layouts,
+    _cell_multisets,
     _matchings,
     _planar_count,
     _planar_matchings,
@@ -122,6 +123,10 @@ class TestMomentCoefficient:
         assert moment_coefficient("AA", 1, F(5, 2)) == table.series("AA").coefficient(1)
 
 
+def _layouts(w, k):
+    return [_Layout(w, kinds) for kinds in _cell_multisets(w, k)]
+
+
 def _assert_walk_is_planar_subsequence(degree, k):
     for c in iter_canonical_moments(degree):
         for layout in _layouts(c.rep_word(), k):
@@ -154,7 +159,7 @@ def _assert_count_equals_walk(degree, k):
     for c in iter_canonical_moments(degree):
         for layout in _layouts(c.rep_word(), k):
             leaves = sum(1 for p in _matchings(layout) if _analyze(layout, p)[1])
-            assert _planar_count(layout) == leaves, (c.label(), layout.kinds)
+            assert _planar_count(layout.word, layout.kinds) == leaves, (c.label(), layout.kinds)
 
 
 class TestPlanarCount:
@@ -178,10 +183,10 @@ def _words(max_degree):
     return ["".join(w) for d in range(max_degree + 1) for w in itertools.product("AB", repeat=d)]
 
 
-def _cold(layout):
-    """(planar count, states met) of one layout counted from an empty memo."""
+def _cold(w, kinds):
+    """(planar count, states met) of one cell multiset counted from an empty memo."""
     mapenum._PLANAR_COUNTS.clear()
-    return _planar_count(layout), len(mapenum._PLANAR_COUNTS)
+    return _planar_count(w, kinds), len(mapenum._PLANAR_COUNTS)
 
 
 class TestPlanarMemo:
@@ -213,14 +218,14 @@ class TestPlanarMemo:
         # cap and adds at most the states it meets on its own
         states = {}
         for w, k in self.CASES:
-            for layout in _layouts(w, k):
-                states[w, layout.kinds] = _cold(layout)[1]
+            for kinds in _cell_multisets(w, k):
+                states[w, kinds] = _cold(w, kinds)[1]
         cap, count, sizes, over = 40, mapenum._planar_count, [], []
 
-        def spy(layout):
+        def spy(w, kinds):
             over.append(len(mapenum._PLANAR_COUNTS) > cap)
-            n = count(layout)
-            sizes.append(len(mapenum._PLANAR_COUNTS) - states[layout.word, layout.kinds])
+            n = count(w, kinds)
+            sizes.append(len(mapenum._PLANAR_COUNTS) - states[w, kinds])
             return n
 
         monkeypatch.setattr(mapenum, "_MEMO_CAP", cap)
@@ -250,9 +255,9 @@ class TestPlanarMemo:
         warm = moment_coefficient("ABAB", 5, 1)
         size = len(mapenum._PLANAR_COUNTS)
         assert size < 50_370
-        cold = [(layout, *_cold(layout)) for layout in _layouts("ABAB", 5)]
+        cold = [(kinds, *_cold("ABAB", kinds)) for kinds in _cell_multisets("ABAB", 5)]
         assert size <= mapenum._MEMO_CAP + max(n for _, _, n in cold)
-        assert warm == sum(layout.weight * count for layout, count, _ in cold) / F(8) ** 12
+        assert warm == sum(mapenum._weight(kinds) * count for kinds, count, _ in cold) / F(8) ** 12
 
     def test_layouts_are_filtered_before_they_are_built(self):
         # the parity read off the kinds keeps what building every layout and
@@ -261,9 +266,39 @@ class TestPlanarMemo:
             for k in range(4):
                 built = (mapenum._Layout(w, kinds) for kinds in itertools.combinations_with_replacement(list(CellKind), k))
                 want = [layout.kinds for layout in built if len(layout.reds) % 2 == 0 and len(layout.blues) % 2 == 0]
-                got = [layout.kinds for layout in _layouts(w, k)]
+                got = list(_cell_multisets(w, k))
                 assert got == want, (w, k)
                 assert not (len(w) % 2 and got)
+
+
+class TestColourWordCount:
+    def test_count_builds_no_labelled_layout(self, monkeypatch):
+        # the count starts from the word's colour necklace and each cell
+        # kind's component, so refusing to label darts changes no value
+        cases = [(w, k) for w in _words(4) for k in range(3)]
+
+        def run():
+            mapenum._PLANAR_COUNTS.clear()
+            return [moment_coefficient(w, k, 1) for w, k in cases], [cancellation_report(k) for k in range(3)]
+
+        want = run()
+
+        def refuse(*_):
+            raise AssertionError("the planar count built a labelled layout")
+
+        monkeypatch.setattr(mapenum, "_Layout", refuse)
+        assert run() == want
+
+    @pytest.mark.slow
+    def test_runs_of_identical_cells_at_order_three(self):
+        # three cells of which two or three are alike leave runs of equal free
+        # components, each glued into once and counted by its multiplicity
+        repeated = 0
+        for w in _words(4):
+            for layout in _layouts(w, 3):
+                repeated += len(set(layout.kinds)) < 3
+                assert _planar_count(w, layout.kinds) == len(_planar_matchings(layout)), (w, layout.kinds)
+        assert repeated == 539
 
 
 class TestEmptyWord:

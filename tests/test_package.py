@@ -19,6 +19,14 @@ def test_star_import_binds_exactly_the_exports():
     assert sorted(namespace) == sorted(dirac2mm.__all__)
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(dirac2mm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_runs_without_scipy():
     # scipy is a test dependency only: blocking its import must not matter to
     # the exact checks or to the N = 1 detailed-balance check
@@ -28,7 +36,19 @@ def test_runs_without_scipy():
         "assert cli.main(['verify']) == 0\n"
         "montecarlo.n1_marginal_ks(CouplingPoint(1, 1), samples=2000, seed=1)\n"
     )
-    src = str(Path(dirac2mm.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    _run_fresh(code)
+
+
+def test_exact_layers_leave_numpy_unloaded():
+    # only the sampler needs numpy: the package import and the exact
+    # verification suite load none of it, and a sampler name loads it
+    code = (
+        "import sys, dirac2mm\n"
+        "assert 'numpy' not in sys.modules, 'import dirac2mm'\n"
+        "from dirac2mm import cli\n"
+        "assert cli.main(['verify']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'dirac2mm verify'\n"
+        "dirac2mm.SamplerConfig\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    _run_fresh(code)
