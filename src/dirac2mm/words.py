@@ -29,10 +29,10 @@ Comput. 2001); that class is recorded for the other three at once, and
 the pass skips each of them when it meets it later.
 
 A word is a plain ``str`` of A's and B's, "" the empty word.  ``word_letters``
-validates and upper-cases one at each public entry point, and ``canonicalize``
-a string the first time it sees it.  The loop equations meet each necklace
-in many rotations, so a new string costs only its least rotation: its class
-was recorded when its degree was enumerated.
+validates and upper-cases one at each public entry point, ``canonicalize``
+on every call, which then reads the class recorded for the string's least
+rotation.  Only a necklace not recorded forms its orbit (``_orbit``, as the
+enumeration does) and records it.
 """
 
 from __future__ import annotations
@@ -75,33 +75,6 @@ def _least_rotation(letters: str, top: int) -> str:
     return least
 
 
-def _canonical_rep(letters: str) -> str:
-    """Least string of the orbit of a letter string; "" for "".
-
-    It is the least of the least rotations of the word, its reverse, its swap
-    and its reversed swap.  A swapped variant starts with the word's longest
-    B-run, an unswapped one with its longest A-run, and a longer leading run
-    of A is lexicographically smaller, so only the variants whose leading
-    run is the longer one compete.
-    """
-    n = len(letters)
-    doubled = letters + letters
-    top_a = max(map(len, doubled.split(B)))
-    top_b = max(map(len, doubled.split(A)))
-    if max(top_a, top_b) >= n:
-        return A * n
-    rev = letters[::-1]
-    candidates = []
-    if top_a >= top_b:
-        candidates += [_least_rotation(letters, top_a), _least_rotation(rev, top_a)]
-    if top_b >= top_a:
-        candidates += [
-            _least_rotation(letters.translate(_SWAP), top_b),
-            _least_rotation(rev.translate(_SWAP), top_b),
-        ]
-    return min(candidates)
-
-
 def _runs_of(rep: str) -> tuple[int, ...]:
     """Alternating run lengths of the canonical representative string.
 
@@ -132,28 +105,27 @@ def _necklace(letters: str) -> str:
 
 _cycle_necklace = lru_cache(maxsize=1 << 12)(_necklace)   # gluings, traces and estimators repeat few cycles
 
-# The class of each even necklace of every degree enumerated so far, filled
-# by _canonical_moments alone, so a lookup never enumerates a degree.
+# The class of each necklace met: the one store between a string and its
+# class.  An enumeration records each even necklace of its degree, a lookup
+# miss the necklaces of one orbit.  Past _CLASSES_CAP (solve_series(10, 6, 1)
+# records 131,942) it is emptied whole, never during an enumeration; a degree
+# still in _canonical_moments' cache is then not recorded again, and its
+# necklaces take the miss path, which records their orbits again.
 _NECKLACE_CLASSES: dict = {}
+_CLASSES_CAP = 1 << 18
 
 
-# Both caches are bounded so that deep solves keep a fixed footprint.  A
-# solve canonicalizes each distinct string once, on a miss of its own string
-# map (5,195 for solve_series(8, 4)), so hits here come from later solves
-# and from generate_equation.  The necklace of each string has a recorded
-# class, so only a necklace of a degree not enumerated pays for its orbit
-# minimum here.
-@lru_cache(maxsize=1 << 16)
-def _canonical_from_string(letters: str) -> "CanonicalMoment":
-    letters = word_letters(letters)   # validated once per distinct string
-    necklace = _necklace(letters)
-    c = _NECKLACE_CLASSES.get(necklace)
-    return c if c is not None else _canonical_from_necklace(necklace)
+def _orbit(s: str, top_a: int, top_b: int) -> tuple:
+    """Least rotations of the reverse, the swap and the reversed swap of s.
 
-
-@lru_cache(maxsize=1 << 15)
-def _canonical_from_necklace(necklace: str) -> "CanonicalMoment":
-    return CanonicalMoment._of(_runs_of(_canonical_rep(necklace)))
+    s has both letters, and its longest cyclic runs of A and B are top_a and top_b.
+    """
+    rev = s[::-1]
+    return (
+        _least_rotation(rev, top_a),
+        _least_rotation(s.translate(_SWAP), top_b),
+        _least_rotation(rev.translate(_SWAP), top_b),
+    )
 
 
 @dataclass(frozen=True)
@@ -177,7 +149,7 @@ class CanonicalMoment:
         if len(runs) > 1 and len(runs) % 2 != 0:
             raise ValueError(f"alternating cyclic runs need even q, got {runs}")
         if len(runs) > 1:    # the class's own runs, whichever of its words ``runs`` spell
-            runs = _canonical_from_string(CanonicalMoment._of(runs).rep_word()).runs
+            runs = canonicalize(CanonicalMoment._of(runs).rep_word()).runs
         object.__setattr__(self, "runs", runs)
 
     @classmethod
@@ -218,14 +190,24 @@ class CanonicalMoment:
 def canonicalize(w: str) -> CanonicalMoment:
     """Orbit-minimal moment index of a word; deterministic.
 
-    A word is validated on its first canonicalization only, so the cached
-    lookup stays cheap inside the loop-equation recursion.
+    The word is validated on every call.  Its class is the one recorded for
+    its necklace; on a miss, the class of the least necklace of its orbit,
+    recorded for each necklace of that orbit.
     """
-    try:
-        return _canonical_from_string(w)
-    except TypeError:    # unhashable, such as a list of letters
-        pass
-    return _canonical_from_string(word_letters(w))
+    necklace = _necklace(word_letters(w))
+    c = _NECKLACE_CLASSES.get(necklace)
+    if c is not None:
+        return c
+    if A not in necklace or B not in necklace:    # the pure power or the empty word
+        return CanonicalMoment._of((len(necklace),) if necklace else ())
+    doubled = necklace + necklace
+    orbit = (necklace, *_orbit(necklace, max(map(len, doubled.split(B))), max(map(len, doubled.split(A)))))
+    c = CanonicalMoment._of(_runs_of(min(orbit)))
+    if len(_NECKLACE_CLASSES) > _CLASSES_CAP:
+        _NECKLACE_CLASSES.clear()
+    for v in orbit:
+        _NECKLACE_CLASSES[v] = c
+    return c
 
 
 def vanishes_by_parity(c: CanonicalMoment) -> bool:
@@ -262,12 +244,14 @@ def _canonical_moments(degree: int) -> tuple:
 
     An even necklace not seen yet in this pass is the first of its orbit
     listed, so its class's rep; the class is recorded for the orbit's other
-    necklaces, which the pass then skips.  Those are least rotations of the
-    rep's reverse, swap and reversed swap, whose longest A-runs are read off
-    the rep's runs: its first, since a necklace starts with its longest
-    A-run, and the longest of its B-runs for the two swapped words.  The
-    orbit of the pure power holds A*degree and B*degree alone.
+    necklaces, which the pass then skips.  Those are ``_orbit``'s least
+    rotations of the rep's reverse, swap and reversed swap, whose longest
+    runs are read off the rep's runs: its first, since a necklace starts
+    with its longest A-run, and the longest of its B-runs.  The orbit of the
+    pure power holds A*degree and B*degree alone.
     """
+    if len(_NECKLACE_CLASSES) > _CLASSES_CAP:
+        _NECKLACE_CLASSES.clear()
     if degree == 0:
         return (CanonicalMoment._of(()),)
     if degree % 2:    # every word is odd in A or in B
@@ -281,13 +265,7 @@ def _canonical_moments(degree: int) -> tuple:
         runs = _runs_of(s)
         c = _NECKLACE_CLASSES[s] = CanonicalMoment._of(runs)
         out.append(c)
-        top_a, top_b = runs[0], max(runs[1::2])
-        rev = s[::-1]
-        for v in (
-            _least_rotation(rev, top_a),
-            _least_rotation(s.translate(_SWAP), top_b),
-            _least_rotation(rev.translate(_SWAP), top_b),
-        ):
+        for v in _orbit(s, runs[0], max(runs[1::2])):
             seen.add(v)
             _NECKLACE_CLASSES[v] = c
     return tuple(sorted(out, key=lambda c: c.runs))

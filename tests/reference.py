@@ -13,11 +13,14 @@ it became one fused sum of products.  ``test_sde`` compares the two values.
 ``least_rotation`` compares every rotation of a string, the ``test_words``
 reference for ``dirac2mm.words._necklace``.
 
-``canonical_classes`` enumerates one degree's classes with one orbit
-minimum per even necklace, a necklace kept as a class when it is its own
-minimum: the form ``dirac2mm.words._canonical_moments`` had before it took
-the first necklace of each orbit as its rep.  ``test_words`` compares the
-two.
+``canonical_rep`` is the least string of a word's orbit from the least
+rotations of its four variants, only those whose leading run is the longer
+one compared: the form ``dirac2mm.words`` had before a string's class was
+read off one record of necklace classes.  ``canonical_classes`` enumerates
+one degree's classes with one ``canonical_rep`` per even necklace, a
+necklace kept as a class when it is its own minimum: the form
+``dirac2mm.words._canonical_moments`` had before it took the first necklace
+of each orbit as its rep.  ``test_words`` compares the two.
 
 ``orbit`` and ``splits_at`` are the brute-force rotation x reversal x swap
 orbit of a letter string and its splits at each occurrence of a letter, the
@@ -72,7 +75,7 @@ from dirac2mm import algebra, words
 from dirac2mm.algebra import RadicandMismatch, positive_t2, rat, rational_sqrt
 from dirac2mm.closedform import CompletionSystem, Signature
 from dirac2mm.sde import M2, CoefTag, MissingMoment, generate_system
-from dirac2mm.words import A, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
+from dirac2mm.words import A, B, CanonicalMoment, canonicalize, vanishes_by_parity, word_letters
 
 
 @dataclass(frozen=True)
@@ -394,6 +397,34 @@ def least_rotation(letters: str) -> str:
     return min((letters[k:] + letters[:k] for k in range(len(letters))), default="")
 
 
+def canonical_rep(letters: str) -> str:
+    """Least string of the orbit of a letter string; "" for "".
+
+    It is the least of the least rotations of the word, its reverse, its swap
+    and its reversed swap.  A swapped variant starts with the word's longest
+    B-run, an unswapped one with its longest A-run, and a longer leading run
+    of A is lexicographically smaller, so only the variants whose leading
+    run is the longer one compete.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    top_a = max(map(len, doubled.split(B)))
+    top_b = max(map(len, doubled.split(A)))
+    if max(top_a, top_b) >= n:
+        return A * n
+    rev = letters[::-1]
+    swap = str.maketrans("AB", "BA")
+    candidates = []
+    if top_a >= top_b:
+        candidates += [words._least_rotation(letters, top_a), words._least_rotation(rev, top_a)]
+    if top_b >= top_a:
+        candidates += [
+            words._least_rotation(letters.translate(swap), top_b),
+            words._least_rotation(rev.translate(swap), top_b),
+        ]
+    return min(candidates)
+
+
 def canonical_classes(degree: int) -> tuple[list, dict]:
     """(runs of each class, {even necklace: runs of its class}) of one degree >= 1."""
     classes, recorded = [], {}
@@ -401,7 +432,7 @@ def canonical_classes(degree: int) -> tuple[list, dict]:
         a = s.count(A)
         if a % 2 or (degree - a) % 2:
             continue
-        rep = words._canonical_rep(s)
+        rep = canonical_rep(s)
         if rep == s:
             classes.append(words._runs_of(s))
         recorded[s] = words._runs_of(rep)

@@ -4,7 +4,6 @@ from fractions import Fraction as F
 
 import pytest
 
-from dirac2mm import words
 from dirac2mm.sde import CoefTag, _Classes, moment_equations
 from dirac2mm.solver import (
     InconsistentSystem,
@@ -15,7 +14,6 @@ from dirac2mm.solver import (
 from dirac2mm.closedform import verify_closed_forms
 from dirac2mm.words import (
     CanonicalMoment,
-    _canonical_from_string,
     canonicalize,
     iter_canonical_moments,
     parse_moment_label,
@@ -377,18 +375,3 @@ def test_deep_series_past_the_string_map_cap_matches_frozen_digest():
     assert hashlib.sha256(payload.encode()).hexdigest() == (
         "c14a5d6244a45350f12ae504b89231f8de68261f89c17abcbe86d4e94dbc734d"
     )
-
-
-def test_canonical_cache_is_bounded():
-    solve_series(8, 4, 1)
-    info = _canonical_from_string.cache_info()
-    assert info.maxsize is not None and info.currsize <= info.maxsize
-
-
-def test_every_word_cache_is_bounded():
-    # the string cache, the necklace cache behind it and the classes per degree
-    solve_series(8, 4, 1)
-    caches = {name: f.cache_info() for name, f in vars(words).items() if hasattr(f, "cache_info")}
-    assert {"_canonical_from_string", "_canonical_from_necklace"} <= set(caches)
-    for name, info in caches.items():
-        assert info.maxsize is not None and info.currsize <= info.maxsize, name

@@ -2,6 +2,7 @@ import io
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from itertools import groupby, product
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirac2mm import cli, mapenum, montecarlo, sde, words
+from dirac2mm.solver import solve_series
 from dirac2mm.words import (
     CanonicalMoment,
     canonicalize,
@@ -18,7 +20,7 @@ from dirac2mm.words import (
     vanishes_by_parity,
     word_letters,
 )
-from reference import canonical_classes, least_rotation, orbit, splits_at
+from reference import canonical_classes, canonical_rep, least_rotation, orbit, splits_at
 
 word_strings = st.text(alphabet="AB", min_size=0, max_size=12)
 
@@ -114,11 +116,10 @@ class TestCanonicalize:
     def test_degree_counts(self):
         assert [len(iter_canonical_moments(d)) for d in (2, 4, 6, 8)] == [1, 3, 4, 12]
 
-    def test_every_word_through_length_12_matches_exhaustive_oracle(self):
-        # all 8,191 strings, with both caches cold: the first string of each
-        # necklace builds its class and its rotations reuse it
-        words._canonical_from_string.cache_clear()
-        words._canonical_from_necklace.cache_clear()
+    def test_every_word_through_length_12_matches_exhaustive_oracle(self, monkeypatch):
+        # all 8,191 strings, from an empty record: the first string of each
+        # orbit records its class and every other string reads it
+        monkeypatch.setattr(words, "_NECKLACE_CLASSES", {})
         strings = ["".join(p) for n in range(13) for p in product("AB", repeat=n)]
         assert len(strings) == 8191
         for letters in strings:
@@ -135,7 +136,7 @@ class TestNecklaceClasses:
             even = [s for s in words._necklaces(d) if s.count("A") % 2 == 0]
             assert even and all(s in words._NECKLACE_CLASSES for s in even), d
             for s in even:
-                rep = words._canonical_rep(s)
+                rep = canonical_rep(s)
                 assert words._NECKLACE_CLASSES[s].rep_word() == rep, s
                 assert words._NECKLACE_CLASSES[s].runs == words._runs_of(rep), s
 
@@ -143,10 +144,13 @@ class TestNecklaceClasses:
         *range(2, 19, 2), pytest.param(20, marks=pytest.mark.slow), pytest.param(22, marks=pytest.mark.slow),
     ])
     def test_first_of_each_orbit_matches_one_orbit_minimum_per_necklace(self, degree):
-        # solve_series(10, 6) enumerates every even degree up to 22
+        # solve_series(10, 6) enumerates every even degree up to 22; lookups
+        # record odd necklaces as well, so only the even ones are compared
         classes, recorded = canonical_classes(degree)
         assert [c.runs for c in iter_canonical_moments(degree)] == classes
-        assert {s: c.runs for s, c in words._NECKLACE_CLASSES.items() if len(s) == degree} == recorded
+        assert {
+            s: c.runs for s, c in words._NECKLACE_CLASSES.items() if len(s) == degree and s.count("A") % 2 == 0
+        } == recorded
 
     def test_a_degree_enumerated_again_lists_the_same_classes(self):
         # the necklaces recorded by the first pass do not shorten the second
@@ -156,16 +160,73 @@ class TestNecklaceClasses:
         assert [c.runs for c in first] == brute_force_classes(12)
 
     def test_a_long_word_enumerates_nothing(self):
-        # its class comes from its own orbit minimum, one necklace-cache miss
+        # its class comes from its own orbit minimum, recorded for the four
+        # necklaces of its orbit
         enumerated = words._canonical_moments.cache_info()
         recorded = len(words._NECKLACE_CLASSES)
-        misses = words._canonical_from_necklace.cache_info().misses
         letters = "AB" * 7 + "A" * 12 + "BBA" * 4 + "BA"
         assert len(letters) == 40
-        assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters)
+        c = canonicalize(letters)
+        assert c.rep_word() == exhaustive_orbit_minimum(letters)
         assert words._canonical_moments.cache_info() == enumerated
-        assert len(words._NECKLACE_CLASSES) == recorded
-        assert words._canonical_from_necklace.cache_info().misses == misses + 1
+        assert len(words._NECKLACE_CLASSES) == recorded + 4
+        assert list(words._NECKLACE_CLASSES.values())[-4:] == [c] * 4
+
+
+class _CountedRecord(dict):
+    """A necklace record that counts its emptyings."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestNecklaceRecordCap:
+    @pytest.fixture(autouse=True)
+    def fresh_enumeration(self):
+        words._canonical_moments.cache_clear()
+        yield
+        words._canonical_moments.cache_clear()
+
+    @staticmethod
+    def cap_at_40(monkeypatch) -> _CountedRecord:
+        """An empty record capped at 40 necklaces, far fewer than one solve meets."""
+        record = _CountedRecord()
+        monkeypatch.setattr(words, "_NECKLACE_CLASSES", record)
+        monkeypatch.setattr(words, "_CLASSES_CAP", 40)
+        return record
+
+    def test_every_word_through_length_12_under_the_cap(self, monkeypatch):
+        # a miss empties a record past the cap, then records one orbit
+        record = self.cap_at_40(monkeypatch)
+        for n in range(13):
+            for p in product("AB", repeat=n):
+                letters = "".join(p)
+                assert canonicalize(letters).rep_word() == exhaustive_orbit_minimum(letters), letters
+                assert len(record) <= 40 + 4
+        assert record.clears > 0
+
+    def test_series_under_the_cap_equals_the_uncapped_table(self, monkeypatch):
+        monkeypatch.setattr(words, "_NECKLACE_CLASSES", {})
+        uncapped = solve_series(8, 3, Fraction(3, 2)).as_json()
+        words._canonical_moments.cache_clear()
+        record = self.cap_at_40(monkeypatch)
+        assert solve_series(8, 3, Fraction(3, 2)).as_json() == uncapped
+        assert record.clears > 0
+
+    def test_a_degree_held_after_an_emptying_takes_the_miss_path(self, monkeypatch):
+        # degree 12 stays in _canonical_moments' cache, so it is not recorded
+        # again: each even necklace gets its class from its own orbit
+        record = self.cap_at_40(monkeypatch)
+        iter_canonical_moments(12)
+        enumerated = words._canonical_moments.cache_info()
+        record.clear()
+        even = [s for s in words._necklaces(12) if s.count("A") % 2 == 0]
+        for s in even:
+            assert canonicalize(s).rep_word() == canonical_rep(s), s
+        assert words._canonical_moments.cache_info().misses == enumerated.misses
 
 
 def brute_force_classes(degree: int) -> list:
