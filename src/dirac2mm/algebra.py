@@ -7,9 +7,12 @@ that field exactly, never approximately: a value a + b*s is kept as integers
 (p + q*s)/d over one denominator, and its components a and b read as
 Fractions.  Values are combined in integers in one place only, the sum of
 products sum of c*x*y (``SurdScalar.sum_of_products``): it is accumulated
-in integers and reduced by a single gcd at the end.  ``+``, ``-`` and ``*``
-are sums of one or two terms, and loop-equation residuals, the degree-10
-completion and the Dirac word sums are each one sum at a point.
+in integers and reduced by a single gcd at the end.  Its coefficients may be
+integers over one denominator ``den``, divided out once at the end, so a sum
+with rational coefficients reads no Fraction per term.  ``+``, ``-`` and
+``*`` are sums of one or two terms, and loop-equation residuals, the
+degree-10 completion and the Dirac word sums are each one sum at a point,
+their coefficients integers over one denominator.
 ``MomentSeries`` holds the coefficients of a power series in the quartic
 coupling t4, truncated at some order, at a fixed rational t2: the value in
 which the perturbative solver, the map enumerator and the closed forms'
@@ -163,32 +166,40 @@ class SurdScalar:
         return self
 
     @classmethod
-    def _from_ints(cls, p: int, q: int, d: int, ssq: Fraction) -> "SurdScalar":
-        """(p + q*s)/d over the radicand ``ssq``, reduced; d != 0."""
+    def _from_ints(cls, p: int, q: int, d: int, ssq: Fraction, u: int, v: int) -> "SurdScalar":
+        """(p + q*s)/d over the radicand ``ssq`` = u/v, reduced; d != 0."""
         x = object.__new__(cls)
-        x._ssq, x._u, x._v = ssq, ssq.numerator, ssq.denominator
+        x._ssq, x._u, x._v = ssq, u, v
         return x._reduce(p, q, d)
 
     @classmethod
-    def sum_of_products(cls, terms, ssq) -> "SurdScalar":
-        """The sum of c*x*y over ``terms`` of (c, x, y), reduced once.
+    def sum_of_products(cls, terms, ssq, den=1) -> "SurdScalar":
+        """The sum of c*x*y over ``terms`` of (c, x, y), divided by ``den``, reduced once.
 
-        c is a rational that ``rat`` reads; x and y are SurdScalars over
-        ``ssq``, or None for 1.  The sum is accumulated as integers
-        (P + Q*s)/D, a denominator multiplied in only where it differs from
-        D, and reduced by one gcd at the end, so a term costs a few integer
-        products.
+        c is a rational that ``rat`` reads, x and y are SurdScalars over
+        ``ssq`` or None for 1, and ``den`` is a positive int.  An int c reads
+        no Fraction, so a caller whose coefficients are integers over one
+        ``den`` sums in integers alone.  The sum is accumulated as integers
+        (P + Q*s)/D, a term's denominator multiplied into D only where D is
+        not already a multiple of it, divided by ``den`` and reduced by one
+        gcd at the end, so a term costs a few integer products.
         """
-        ssq = rat(ssq)
+        if type(den) is not int or den < 1:
+            den = exact_int(den, "den", 1)
+        if type(ssq) is not Fraction:
+            ssq = rat(ssq)
         u, v = ssq.numerator, ssq.denominator
         P, Q, D = 0, 0, 1
         for c, x, y in terms:
+            if type(c) is int:
+                n, e = c, 1
+            else:
+                c = c if type(c) is Fraction else rat(c)
+                n, e = c.numerator, c.denominator
             if x is None:
                 x, y = y, None
-            if type(c) is not int and type(c) is not Fraction:
-                c = rat(c)
             if x is None:
-                p, q, d = c.numerator, 0, c.denominator
+                p, q, d = n, 0, e
             else:
                 if x._ssq is not ssq and x._ssq != ssq:
                     raise RadicandMismatch(f"radicands differ: {ssq} vs {x._ssq}")
@@ -200,15 +211,18 @@ class SurdScalar:
                     # the one product formula of the field, with ssq = u/v
                     p1, q1, p2, q2 = x._p, x._q, y._p, y._q
                     p, q, d = p1 * p2 * v + q1 * q2 * u, (p1 * q2 + q1 * p2) * v, x._d * y._d * v
-                n = c.numerator
                 if n != 1:
                     p, q = p * n, q * n
-                d *= c.denominator
+                if e != 1:
+                    d *= e
             if d == D:
                 P, Q = P + p, Q + q
+            elif not D % d:
+                k = D // d
+                P, Q = P + p * k, Q + q * k
             else:
                 P, Q, D = P * d + p * D, Q * d + q * D, D * d
-        return cls._from_ints(P, Q, D, ssq)
+        return cls._from_ints(P, Q, D * den, ssq, u, v)
 
     # -- constructors -------------------------------------------------
 
@@ -245,7 +259,7 @@ class SurdScalar:
         if r is None:
             return self
         e = r.denominator
-        return self._from_ints(self._p * e + self._q * r.numerator, 0, self._d * e, self._ssq)
+        return self._from_ints(self._p * e + self._q * r.numerator, 0, self._d * e, self._ssq, self._u, self._v)
 
     def rational_value(self) -> Fraction:
         red = self.reduced()
@@ -260,7 +274,7 @@ class SurdScalar:
         return SurdScalar.sum_of_products(((1, self, None), term), self._ssq)
 
     def __neg__(self):
-        return self._from_ints(-self._p, -self._q, self._d, self._ssq)
+        return self._from_ints(-self._p, -self._q, self._d, self._ssq, self._u, self._v)
 
     def __sub__(self, other):
         term = (-1, other, None) if isinstance(other, SurdScalar) else (-rat(other), None, None)
@@ -284,9 +298,9 @@ class SurdScalar:
         if n == 0:
             # only possible when ssq is a rational square; divide in Q
             v = self.rational_value()
-            return self._from_ints(v.denominator, 0, v.numerator, self._ssq)
+            return self._from_ints(v.denominator, 0, v.numerator, self._ssq, self._u, self._v)
         dv = self._d * self._v
-        return self._from_ints(self._p * dv, -self._q * dv, n, self._ssq)
+        return self._from_ints(self._p * dv, -self._q * dv, n, self._ssq, self._u, self._v)
 
     def __truediv__(self, other):
         """self * other.inverse(); the radicands are compared before the inversion."""
@@ -314,7 +328,7 @@ class SurdScalar:
         if isinstance(other, SurdScalar):
             y = other.reduced()
         elif isinstance(other, (int, Fraction)):
-            y = self._from_ints(other.numerator, 0, other.denominator, self._ssq)
+            y = self._from_ints(other.numerator, 0, other.denominator, self._ssq, self._u, self._v)
         else:
             return NotImplemented
         x = self.reduced()

@@ -13,7 +13,8 @@ Gaussian-based perturbative expansion computed by ``solver`` /
 ``mapenum``: the closure constraint is incompatible with the Gaussian
 initial data, so the two agree only through low orders; the degree-8 entries of the branch even carry a simple pole at t4 = 0.
 ``verify_closed_forms`` quantifies the divergence order by order.  Every
-closed-form value, a moment or a d_ell, is one integer form read by ``_as_surd``.
+closed-form value, a moment or a d_ell, is one integer form read by ``_as_surd``,
+which sums the forms compiled at import over a per-point list of integer powers.
 
 On the branch d_4 = 4 / (t2 + s)^2.  At the critical coupling -t2^2 / 8 the
 surd vanishes, and s = sqrt(8 (t4 - critical)) makes the leading correction
@@ -192,39 +193,71 @@ class PoleAtGaussianPoint(ArithmeticError):
     """The branch value is not a power series at t4 = 0."""
 
 
+# The exponent pairs (i, j) of t2^i t4^j in the moment and Dirac tables, the
+# largest exponents I and J, and the largest power q of t4 in a denominator.
+_TABLE_FORMS = (*_MOMENT_TABLE.values(), *_DIRAC_FORMS.values())
+_PAIRS = sorted({(i, j) for _, _, monomials in _TABLE_FORMS for _, i, j, _ in monomials})
+_I, _J = max(i for i, _ in _PAIRS), max(j for _, j in _PAIRS)
+_MAX_Q = max(q for q, _, _ in _TABLE_FORMS)
+
+
+def _compile(form) -> tuple:
+    """(form, q, den, plain, surd) of a form with int coefficients; plain and
+    surd list each monomial as (coefficient, index of its pair in ``_PAIRS``)."""
+    q, den, monomials = form
+    part = lambda sp: tuple((c, _PAIRS.index((i, j))) for c, i, j, s in monomials if s == sp)
+    return form, q, den, part(0), part(1)
+
+
+# each table form, _ONE and _ZERO compiled, by identity: a form put in a table
+# later, or one with a Fraction coefficient, is not here and is read exactly
+_COMPILED = {
+    id(form): _compile(form)
+    for form in (*_TABLE_FORMS, _ONE, _ZERO)
+    if all(type(c) is int for c, _, _, _ in form[2])
+}
+
+
 @lru_cache(maxsize=16)
 def _powers_at(point: CouplingPoint) -> tuple:
-    """(powers, scales) at ``point``, in integers, formed once.
+    """(powers, scales, u, v) at ``point``, in integers, formed once.
 
-    With t2 = n2/m2, t4 = n4/m4 and I, J the largest exponents of the
-    moment and Dirac tables, powers[i, j] = t2^i t4^j m2^I m4^J, and
-    scales[q] = (m4^q, m2^I m4^J n4^q), so a numerator summed over
-    ``powers`` times m4^q over den * scales[q][1] is the form's value.
+    With t2 = n2/m2 and t4 = n4/m4, powers[k] = t2^i t4^j m2^I m4^J for the
+    k-th pair (i, j) of ``_PAIRS``, and scales[q] = (m4^q, m2^I m4^J n4^q),
+    so a numerator summed over ``powers`` times m4^q over den * scales[q][1]
+    is the form's value; u/v is the radicand.
     """
-    forms = [*_MOMENT_TABLE.values(), *_DIRAC_FORMS.values()]
-    pairs = {(i, j) for _, _, monomials in forms for _, i, j, _ in monomials}
-    qs = {q for q, _, _ in forms}
     (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
-    I, J = max(i for i, _ in pairs), max(j for _, j in pairs)
-    powers = {(i, j): n2**i * m2 ** (I - i) * n4**j * m4 ** (J - j) for i, j in pairs}
-    return powers, {q: (m4**q, m2**I * m4**J * n4**q) for q in qs}
+    a = [n2**i * m2 ** (_I - i) for i in range(_I + 1)]
+    b = [n4**j * m4 ** (_J - j) for j in range(_J + 1)]
+    top = a[0] * b[0]
+    scales = [(m4**q, top * n4**q) for q in range(_MAX_Q + 1)]
+    ssq = point.ssq
+    return [a[i] * b[j] for i, j in _PAIRS], scales, ssq.numerator, ssq.denominator
 
 
 def _as_surd(form, point: CouplingPoint) -> SurdScalar:
-    """The value of a (q, den, monomials) form at ``point``."""
-    q, den, monomials = form
-    powers, scales = _powers_at(point)
-    x = y = 0     # plain part, surd part: integers, as the table's coefficients are
-    for coef, i, j, sp in monomials:
-        if sp:
-            y += coef * powers[i, j]
-        else:
-            x += coef * powers[i, j]
+    """The value of a (q, den, monomials) form at ``point``.
+
+    A compiled form is summed in integers over ``_powers_at``; any other is
+    summed in Fractions, monomial by monomial.
+    """
+    entry = _COMPILED.get(id(form))
+    if entry is None or entry[0] is not form:
+        q, den, monomials = form
+        t2, t4 = point.t2, point.t4
+        part = lambda sp: sum((c * t2**i * t4**j for c, i, j, s in monomials if s == sp), Fraction(0))
+        scale = den * t4**q
+        return SurdScalar(part(0) / scale, part(1) / scale, point.ssq)
+    _, q, den, plain, surd = entry
+    powers, scales, u, v = _powers_at(point)
+    x = y = 0
+    for c, k in plain:
+        x += c * powers[k]
+    for c, k in surd:
+        y += c * powers[k]
     up, down = scales[q]
-    return SurdScalar._from_ints(
-        x.numerator * y.denominator * up, y.numerator * x.denominator * up,
-        x.denominator * y.denominator * den * down, point.ssq,
-    )
+    return SurdScalar._from_ints(x * up, y * up, den * down, point.ssq, u, v)
 
 
 def _form(c: CanonicalMoment) -> tuple:
@@ -378,17 +411,44 @@ _COMPLETION_SOLVE = (
 )
 _COMPLETION_CONSISTENCY = ((0, 0, -10, 10, 10, 0, -10, 0, 0, 0),)
 
+# the rows as ((equation, 10 x coefficient), ...), which a point applies over den = 10
+_sparse = lambda row: tuple((j, v) for j, v in enumerate(row) if v)
+_SOLVE_ROWS = tuple(_sparse(row) for _, row in _COMPLETION_SOLVE)
+_CONSISTENCY_ROWS = tuple(_sparse(row) for row in _COMPLETION_CONSISTENCY)
+
 
 @lru_cache(maxsize=None)
 def completion_system() -> CompletionSystem:
     """The system of the degree-7-word equations, read off the stored reduction."""
-    sparse = lambda row: tuple((j, Fraction(v, 10)) for j, v in enumerate(row) if v)
+    over_ten = lambda row: tuple((j, Fraction(v, 10)) for j, v in row)
     return CompletionSystem(
         tuple(eq for eq in generate_system(7) if len(eq.source_word) == 7),
         tuple(CanonicalMoment(runs) for runs, _ in _COMPLETION_SOLVE),
-        tuple(sparse(row) for _, row in _COMPLETION_SOLVE),
-        tuple(sparse(row) for row in _COMPLETION_CONSISTENCY),
+        tuple(over_ten(row) for row in _SOLVE_ROWS),
+        tuple(over_ten(row) for row in _CONSISTENCY_ROWS),
     )
+
+
+@lru_cache(maxsize=1)
+def _right_side_terms() -> tuple:
+    """Per equation of ``completion_system()``, the terms (k, i, j) of its right side.
+
+    A term is the k-th of ``branch_assignment``'s three coefficients, those
+    of a left side's product, of m_[WA] and of m_2 m_[WA] in the right side
+    over 16 t4, times the values of ``_TABLE_MOMENTS[i]`` and ``[j]``,
+    index -1 standing for 1.
+    """
+    index = {m: i for i, m in enumerate(_TABLE_MOMENTS)} | {CanonicalMoment(()): -1}
+    out = []
+    for eq in completion_system().equations:
+        terms = [(0, index[x], index[y]) for x, y in eq.lhs]
+        for m, tag in eq.rhs:
+            if tag is CoefTag.C2:
+                terms.append((1, index[m], -1))
+            elif tag is CoefTag.BT:
+                terms.append((2, index[M2], index[m]))
+        out.append(tuple(terms))
+    return tuple(out)
 
 
 def branch_assignment(point: CouplingPoint) -> dict:
@@ -398,35 +458,34 @@ def branch_assignment(point: CouplingPoint) -> dict:
     referenced by the degree-7-word equations are completed exactly from
     ``completion_system()``, whose reduction over Q is stored: at each point
     only the right sides are formed, checked against its consistency row and
-    mapped to the solution, each as one fused sum of products.  The factor
-    1/(16 t4) is folded into the right sides' three coefficients once per
-    point, so the rows keep their point-free rational coefficients.  The
-    system has rank 9, and its 3 free coordinates are set to zero, which
-    any residual check is insensitive to.  The table and that completion
-    close the equations of words up to degree 7 and no further: degree 9
-    would need degree-12 moments.
+    mapped to the solution, each as one fused sum of products with integer
+    coefficients over one denominator.  The factor 1/(16 t4) is folded into
+    the right sides' three coefficients once per point, as integers over
+    16 n4 m2 (t2 = n2/m2, t4 = n4/m4), and the rows apply their point-free
+    10 x coefficients over 10.  The system has rank 9, and its 3 free
+    coordinates are set to zero, which any residual check is insensitive
+    to.  The table and that completion close the equations of words up to
+    degree 7 and no further: degree 9 would need degree-12 moments.
     """
     point.require_physical()
-    ssq, t2, t4 = point.ssq, point.t2, point.t4
-    vals = {m: _as_surd(_MOMENT_TABLE[m.runs], point) for m in _TABLE_MOMENTS}
-    system = completion_system()
-    # right side over 16 t4: (lhs - 8 t2 m_[WA] - 64 t4 m_2 m_[WA]) / (16 t4)
-    scale, c2, bt = 1 / (16 * t4), -t2 / (2 * t4), -4
-    value = lambda m: None if m.is_empty() else vals[m]
-    rhs = []
-    for eq in system.equations:
-        terms = [(scale, value(x), value(y)) for x, y in eq.lhs]
-        for m, tag in eq.rhs:
-            if tag is CoefTag.C2:
-                terms.append((c2, vals[m], None))
-            elif tag is CoefTag.BT:
-                terms.append((bt, vals[M2], vals[m]))
-        rhs.append(SurdScalar.sum_of_products(terms, ssq))
-    apply = lambda row: SurdScalar.sum_of_products([(v, rhs[j], None) for j, v in row], ssq)
-    if any(not apply(row).is_zero() for row in system.consistency):
+    ssq = point.ssq
+    values = [_as_surd(_MOMENT_TABLE[m.runs], point) for m in _TABLE_MOMENTS]
+    vals = dict(zip(_TABLE_MOMENTS, values))
+    values.append(None)      # index -1: m_empty, 1
+    # right side over 16 t4: (lhs - 8 t2 m_[WA] - 64 t4 m_2 m_[WA]) / (16 t4),
+    # whose coefficients 1/(16 t4), -t2/(2 t4) and -4 are these over 16 n4 m2
+    (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
+    coefficient, den = (m2 * m4, -8 * n2 * m4, -64 * n4 * m2), 16 * n4 * m2
+    rhs = [
+        SurdScalar.sum_of_products([(coefficient[k], values[i], values[j]) for k, i, j in terms], ssq, den)
+        for terms in _right_side_terms()
+    ]
+    apply = lambda row: SurdScalar.sum_of_products([(v, rhs[j], None) for j, v in row], ssq, 10)
+    if any(not apply(row).is_zero() for row in _CONSISTENCY_ROWS):
         raise ArithmeticError("inconsistent completion system")
-    for m, row in zip(system.unknowns, system.solve):
-        vals[m] = apply(row)
+    zero = SurdScalar.rational(0, ssq)
+    for m, row in zip(completion_system().unknowns, _SOLVE_ROWS):
+        vals[m] = apply(row) if row else zero
     return vals
 
 

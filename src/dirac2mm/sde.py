@@ -24,9 +24,12 @@ rep word and a map from each string to its row in the solver's table, and
 a map from each string to its class.
 
 An equation's terms are planned once, on its first evaluation: the moments
-it reads and its products c*x*y, those that vanish by parity dropped.  At a
-point, ``residual`` looks each moment up once and evaluates the plan as one
-fused sum of products in Q(s) (``SurdScalar.sum_of_products``).
+it reads and its products c*x*y, those that vanish by parity dropped, each
+c named by a small int.  At a point, ``residual`` looks each moment up once
+and evaluates the plan as one fused sum of products in Q(s)
+(``SurdScalar.sum_of_products``).  Its coefficients are integers over one
+denominator, formed once per point: the numerators of 8 t2, +-16 t4, 64 t4
+and -1 over m2 m4, where t2 = n2/m2 and t4 = n4/m4.
 """
 
 from __future__ import annotations
@@ -58,6 +61,10 @@ class CoefTag(enum.Enum):
 
 # insertion words of the potential gradient, in rendering order
 _INSERTIONS = (("AAA", CoefTag.Q), ("BAB", CoefTag.QNEG), ("ABB", CoefTag.Q), ("BBA", CoefTag.Q))
+
+# each tag's place in ``_coefficients``; the last, _LHS, is a left-side product's -1
+_TAG_INDEX = {CoefTag.C2: 0, CoefTag.Q: 1, CoefTag.QNEG: 2, CoefTag.BT: 3}
+_BT, _LHS = _TAG_INDEX[CoefTag.BT], 4
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,11 @@ class SdeEquation:
         """(moments, terms) of ``residual``, formed on the first evaluation.
 
         ``moments`` lists each moment the residual reads, once, in the order
-        it is looked up; a term (tag, i, j) is coefficient(tag) times the
-        values of moments[i] and moments[j], index -1 standing for 1.  The
-        tag None marks a left-side product, subtracted.  Terms with a moment
-        that vanishes by parity are left out.
+        it is looked up; a term (k, i, j) is the k-th coefficient of
+        ``_coefficients`` times the values of moments[i] and moments[j],
+        index -1 standing for 1: k is a tag's ``_TAG_INDEX``, or ``_LHS``
+        for a left-side product, subtracted.  Terms with a moment that
+        vanishes by parity are left out.
         """
         moments: list[CanonicalMoment] = []
 
@@ -105,12 +113,12 @@ class SdeEquation:
                 moments.append(m)
             return moments.index(m)
 
-        rhs = [(tag, index(m)) for m, tag in self.rhs if not vanishes_by_parity(m)]
-        m2 = index(M2) if any(tag is CoefTag.BT for tag, _ in rhs) else -1    # looked up after the right side's moments
-        terms = [(tag, i, m2 if tag is CoefTag.BT else -1) for tag, i in rhs]
+        rhs = [(_TAG_INDEX[tag], index(m)) for m, tag in self.rhs if not vanishes_by_parity(m)]
+        m2 = index(M2) if any(k == _BT for k, _ in rhs) else -1    # looked up after the right side's moments
+        terms = [(k, i, m2 if k == _BT else -1) for k, i in rhs]
         for x, y in self.lhs:
             if not (vanishes_by_parity(x) or vanishes_by_parity(y)):
-                terms.append((None, index(x), index(y)))
+                terms.append((_LHS, index(x), index(y)))
         return tuple(moments), tuple(terms)
 
     # -- rendering -------------------------------------------------------
@@ -306,10 +314,15 @@ class MissingMoment(KeyError):
 
 
 @lru_cache(maxsize=16)
-def _coefficients(point: CouplingPoint) -> dict:
-    """Each tag's coefficient at ``point``, formed once; None, a left-side product, is -1."""
-    t2, t4 = point.t2, point.t4
-    return {CoefTag.C2: 8 * t2, CoefTag.Q: 16 * t4, CoefTag.QNEG: -16 * t4, CoefTag.BT: 64 * t4, None: -1}
+def _coefficients(point: CouplingPoint) -> tuple:
+    """(numerators, den) at ``point``, formed once: 8 t2, 16 t4, -16 t4, 64 t4 and -1 over den = m2 m4.
+
+    With t2 = n2/m2 and t4 = n4/m4 these are the integers 8 n2 m4, +-16 n4 m2,
+    64 n4 m2 and -m2 m4, in the order of ``_TAG_INDEX`` and then ``_LHS``.
+    """
+    (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
+    den = m2 * m4
+    return (8 * n2 * m4, 16 * n4 * m2, -16 * n4 * m2, 64 * n4 * m2, -den), den
 
 
 def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], point: CouplingPoint) -> SurdScalar:
@@ -317,7 +330,8 @@ def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], 
 
     The equation's terms are planned once (``SdeEquation._plan``); here each
     moment is looked up once, an int or Fraction value taken as rational,
-    and the terms are summed as one fused sum of products.
+    and the terms are summed as one fused sum of products, their integer
+    coefficients over one denominator.
     """
     ssq = point.ssq
     moments, terms = eq._plan
@@ -329,5 +343,5 @@ def residual(eq: SdeEquation, assignment: Mapping[CanonicalMoment, SurdScalar], 
             raise MissingMoment(f"assignment missing value for {m.label()}") from None
         values.append(v if isinstance(v, SurdScalar) else SurdScalar(v, 0, ssq))
     values.append(None)      # index -1: the empty moment, 1
-    coefficient = _coefficients(point)
-    return SurdScalar.sum_of_products([(coefficient[tag], values[i], values[j]) for tag, i, j in terms], ssq)
+    coefficient, den = _coefficients(point)
+    return SurdScalar.sum_of_products([(coefficient[k], values[i], values[j]) for k, i, j in terms], ssq, den)

@@ -151,13 +151,19 @@ class CanonicalMoment:
         if len(runs) > 1:    # the class's own runs, whichever of its words ``runs`` spell
             runs = canonicalize(CanonicalMoment._of(runs).rep_word()).runs
         object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_hash", hash(runs))
 
     @classmethod
     def _of(cls, runs: tuple) -> "CanonicalMoment":
         """The class of runs that this module derived as canonical, built unchecked."""
         c = object.__new__(cls)
         object.__setattr__(c, "runs", runs)
+        object.__setattr__(c, "_hash", hash(runs))
         return c
+
+    def __hash__(self):
+        """hash(runs), formed once: classes key every assignment and table."""
+        return self._hash
 
     @property
     def degree(self) -> int:

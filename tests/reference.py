@@ -60,11 +60,17 @@ the two.
 Gauss-Jordan elimination over Q: the form
 ``dirac2mm.closedform.completion_system`` had before it stored the result
 as a literal.  ``test_closedform`` re-derives the literal exactly.
+
+``big_points`` are seeded coupling points whose t2 and t4 have numerators
+and denominators of 40 to 64 bits, the inputs on which ``test_closedform``
+and ``test_sde`` run the integer evaluation at a point against these
+references far from the small points of the other tests.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -472,3 +478,15 @@ def insertions(w: str) -> list:
     """(m_[w insertion], tag) of the four quartic insertions of w, in rendering order."""
     words = (("AAA", CoefTag.Q), ("BAB", CoefTag.QNEG), ("ABB", CoefTag.Q), ("BBA", CoefTag.Q))
     return [(canonicalize(w + insertion), tag) for insertion, tag in words]
+
+
+def big_points(count: int = 5, seed: int = 35) -> list:
+    """``count`` points (t2, t4) > 0, each numerator and denominator of 40 to 64 bits."""
+    rng = random.Random(seed)
+    part = lambda: rng.randrange(1 << (rng.randint(40, 64) - 1), 1 << 64)
+    out = []
+    while len(out) < count:
+        t2, t4 = Fraction(part(), part()), Fraction(part(), part())
+        if all(40 <= n.bit_length() <= 64 for t in (t2, t4) for n in t.as_integer_ratio()):
+            out.append(algebra.CouplingPoint(t2, t4))
+    return out

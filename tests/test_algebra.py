@@ -247,6 +247,44 @@ class TestSumOfProducts:
         with pytest.raises(TypeError):
             SurdScalar.sum_of_products([(0.5, None, None)], 2)
 
+    def test_integer_coefficients_over_one_denominator(self):
+        # int coefficients c over den, their twin with the Fraction
+        # coefficients c/den, and the term-by-term reference sum
+        rng = random.Random(20261022)
+
+        def operand(ssq):
+            if rng.random() < 0.25:
+                return None, None
+            part = lambda: F(0) if rng.random() < 0.25 else F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+            a, b = part(), part()
+            return SurdScalar(a, b, ssq), ReferenceSurd(a, b, ssq)
+
+        for _ in range(3000):
+            ssq = rng.choice(DIFFERENTIAL_RADICANDS)
+            den = rng.choice([1, 10, rng.randint(2, 64), rng.randint(1, 2**64)])
+            ints, fractions, want = [], [], ReferenceSurd(0, 0, ssq)
+            for _ in range(rng.randint(0, 8)):
+                c = rng.choice([rng.randint(-9, 9), rng.randint(-2**40, 2**40)])
+                (x, rx), (y, ry) = operand(ssq), operand(ssq)
+                ints.append((c, x, y))
+                fractions.append((F(c, den), x, y))
+                want = want + ReferenceSurd(F(c, den), 0, ssq) * (rx if rx is not None else 1) * (ry if ry is not None else 1)
+            got = SurdScalar.sum_of_products(ints, ssq, den)
+            twin = SurdScalar.sum_of_products(fractions, ssq)
+            assert _components(got) == _components(twin) == _components(want), (ints, den)
+            assert got == twin and hash(got) == hash(twin) == hash(want)
+
+    @pytest.mark.parametrize("den, text", [
+        (0, "den must be >= 1, got 0"), (-3, "den must be >= 1, got -3"),
+        (True, "den must be an integer, got True"), (1.5, "den must be an integer, got 1.5"),
+        (F(3), "den must be an integer, got Fraction(3, 1)"),
+    ])
+    def test_denominator_must_be_a_positive_int(self, den, text):
+        for terms in ([], [(3, None, None)], [(1, SurdScalar(1, 2, 5), SurdScalar(F(1, 3), 1, 5))]):
+            with pytest.raises(ValueError) as info:
+                SurdScalar.sum_of_products(terms, 5, den)
+            assert type(info.value) is ValueError and str(info.value) == text
+
 
 class TestCouplingPoint:
     def test_ssq(self):

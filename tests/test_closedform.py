@@ -203,6 +203,14 @@ class TestCompletion:
             for m, v in want.items():
                 assert (got[m].a, got[m].b, got[m].ssq) == (v.a, v.b, v.ssq), (p, m.label())
 
+    def test_equals_elimination_at_big_integer_points(self):
+        # t2 and t4 with numerators and denominators of 40 to 64 bits
+        for p in reference.big_points():
+            got, want = cf.branch_assignment(p), brute_force_assignment(p)
+            assert got.keys() == want.keys()
+            for m, v in want.items():
+                assert (got[m].a, got[m].b, got[m].ssq) == (v.a, v.b, v.ssq), (p, m.label())
+
     def test_values_are_pinned(self):
         digest = hashlib.sha256()
         for p in COMPLETION_POINTS:
@@ -317,6 +325,15 @@ class TestDirac:
         for p in random_points(10, seed=3):
             for ell in (2, 4, 6):
                 assert cf.dirac_from_words(ell, p) == cf.dirac_moment(ell, p)
+
+    def test_from_words_equals_closed_form_at_big_integer_points(self):
+        for p in reference.big_points():
+            for ell in (2, 4):
+                got, want = cf.dirac_from_words(ell, p), cf.dirac_moment(ell, p)
+                assert (got.a, got.b, got.ssq) == (want.a, want.b, want.ssq), (ell, p)
+            for ell in cf.DIRAC_INDICES:
+                got, want = cf.dirac_moment(ell, p), reference.dirac_moment(ell, p)
+                assert (got.a, got.b, got.ssq) == (want.a, want.b, want.ssq), (ell, p)
 
     def test_from_words_rejects_invalid_index(self):
         for ell in (3, 8, 2.5):

@@ -20,7 +20,7 @@ from dirac2mm.sde import (
 )
 from dirac2mm.words import CanonicalMoment, canonicalize
 from dirac2mm import closedform
-from reference import lhs_pairs, residual as reference_residual, splits_at
+from reference import big_points, lhs_pairs, residual as reference_residual, splits_at
 
 
 def rhs_map(eq):
@@ -243,6 +243,25 @@ def test_residual_values_equal_the_term_by_term_reference():
             assert got == want and hash(got) == hash(want)
             nonzero += not want.is_zero()
     assert nonzero > len(points) * 5
+
+
+def test_residual_values_equal_the_reference_at_big_integer_points():
+    # t2 and t4 with numerators and denominators of 40 to 64 bits, so the
+    # coefficients' numerators and their denominator m2 m4 are big integers
+    rng = random.Random(35)
+    equations = generate_system(7)
+    nonzero = 0
+    for p in big_points():
+        vals = dict(closedform.branch_assignment(p))
+        for eq in equations:
+            assert residual(eq, vals, p).is_zero(), (p, eq.source_word)
+        for m in rng.sample(sorted(vals, key=lambda m: m.runs), 4):
+            vals[m] = vals[m] + SurdScalar(F(rng.randint(-9, 9), rng.randint(1, 9)), F(rng.randint(1, 9), 7), p.ssq)
+        for eq in equations:
+            got, want = residual(eq, vals, p), reference_residual(eq, vals, p)
+            assert (got.a, got.b, got.ssq, type(got)) == (want.a, want.b, want.ssq, type(want)), (p, eq.source_word)
+            nonzero += not want.is_zero()
+    assert nonzero > 5 * 5
 
 
 def test_render_latex():

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import io
+import pickle
 import random
 import re
 from contextlib import redirect_stderr, redirect_stdout
@@ -327,6 +330,15 @@ class TestTypes:
         assert CanonicalMoment((2, 4)).label() == "m_{4,2}"
         assert CanonicalMoment((1, 1, 1, 3)).runs == (3, 1, 1, 1)
         assert parse_moment_label("m_{3,3,1,1}") == parse_moment_label("m_{3,1,1,3}")
+
+    def test_stored_hash_is_the_hash_of_the_runs_and_survives_copies(self):
+        c = CanonicalMoment((2, 4))
+        assert hash(c) == hash(CanonicalMoment((4, 2))) == hash(canonicalize("AAAABB")) == hash((4, 2))
+        for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c), copy.copy(c)):
+            assert twin == c and hash(twin) == hash(c) and twin.runs == (4, 2)
+            assert {twin: 1}[c] == 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.runs = (2, 2)
 
     def test_labels_and_parsing(self):
         c = parse_moment_label("m_{3,1,1,1}")
