@@ -13,8 +13,9 @@ Gaussian-based perturbative expansion computed by ``solver`` /
 ``mapenum``: the closure constraint is incompatible with the Gaussian
 initial data, so the two agree only through low orders; the degree-8 entries of the branch even carry a simple pole at t4 = 0.
 ``verify_closed_forms`` quantifies the divergence order by order.  Every
-closed-form value, a moment or a d_ell, is one integer form read by ``_as_surd``,
-which sums the forms compiled at import over a per-point list of integer powers.
+closed-form value, a moment or a d_ell, is one (q, den, monomials) form, read
+as it stands on every call by ``_as_surd``, which sums its monomials in integers
+over two per-point lists of integer powers.
 
 On the branch d_4 = 4 / (t2 + s)^2.  At the critical coupling -t2^2 / 8 the
 surd vanishes, and s = sqrt(8 (t4 - critical)) makes the leading correction
@@ -193,39 +194,22 @@ class PoleAtGaussianPoint(ArithmeticError):
     """The branch value is not a power series at t4 = 0."""
 
 
-# The exponent pairs (i, j) of t2^i t4^j in the moment and Dirac tables, the
-# largest exponents I and J, and the largest power q of t4 in a denominator.
+# The largest exponents I and J of t2 and t4 in a numerator of the moment and
+# Dirac tables, and the largest power q of t4 in a denominator.
 _TABLE_FORMS = (*_MOMENT_TABLE.values(), *_DIRAC_FORMS.values())
-_PAIRS = sorted({(i, j) for _, _, monomials in _TABLE_FORMS for _, i, j, _ in monomials})
-_I, _J = max(i for i, _ in _PAIRS), max(j for _, j in _PAIRS)
+_I = max(i for _, _, monomials in _TABLE_FORMS for _, i, _, _ in monomials)
+_J = max(j for _, _, monomials in _TABLE_FORMS for _, _, j, _ in monomials)
 _MAX_Q = max(q for q, _, _ in _TABLE_FORMS)
-
-
-def _compile(form) -> tuple:
-    """(form, q, den, plain, surd) of a form with int coefficients; plain and
-    surd list each monomial as (coefficient, index of its pair in ``_PAIRS``)."""
-    q, den, monomials = form
-    part = lambda sp: tuple((c, _PAIRS.index((i, j))) for c, i, j, s in monomials if s == sp)
-    return form, q, den, part(0), part(1)
-
-
-# each table form, _ONE and _ZERO compiled, by identity: a form put in a table
-# later, or one with a Fraction coefficient, is not here and is read exactly
-_COMPILED = {
-    id(form): _compile(form)
-    for form in (*_TABLE_FORMS, _ONE, _ZERO)
-    if all(type(c) is int for c, _, _, _ in form[2])
-}
 
 
 @lru_cache(maxsize=16)
 def _powers_at(point: CouplingPoint) -> tuple:
-    """(powers, scales, u, v) at ``point``, in integers, formed once.
+    """(a, b, scales, u, v) at ``point``, in integers, formed once.
 
-    With t2 = n2/m2 and t4 = n4/m4, powers[k] = t2^i t4^j m2^I m4^J for the
-    k-th pair (i, j) of ``_PAIRS``, and scales[q] = (m4^q, m2^I m4^J n4^q),
-    so a numerator summed over ``powers`` times m4^q over den * scales[q][1]
-    is the form's value; u/v is the radicand.
+    With t2 = n2/m2 and t4 = n4/m4, a[i] = n2^i m2^(I-i) and
+    b[j] = n4^j m4^(J-j), so a[i] b[j] = t2^i t4^j m2^I m4^J, and
+    scales[q] = (m4^q, m2^I m4^J n4^q), so a numerator summed over a[i] b[j]
+    times m4^q over den * scales[q][1] is the form's value; u/v is the radicand.
     """
     (n2, m2), (n4, m4) = point.t2.as_integer_ratio(), point.t4.as_integer_ratio()
     a = [n2**i * m2 ** (_I - i) for i in range(_I + 1)]
@@ -233,31 +217,28 @@ def _powers_at(point: CouplingPoint) -> tuple:
     top = a[0] * b[0]
     scales = [(m4**q, top * n4**q) for q in range(_MAX_Q + 1)]
     ssq = point.ssq
-    return [a[i] * b[j] for i, j in _PAIRS], scales, ssq.numerator, ssq.denominator
+    return a, b, scales, ssq.numerator, ssq.denominator
 
 
 def _as_surd(form, point: CouplingPoint) -> SurdScalar:
-    """The value of a (q, den, monomials) form at ``point``.
+    """The value of a (q, den, monomials) form at ``point``, summed in integers.
 
-    A compiled form is summed in integers over ``_powers_at``; any other is
-    summed in Fractions, monomial by monomial.
+    Each monomial (c, i, j, e) adds c a[i] b[j] of ``_powers_at`` to the plain
+    (e = 0) or the surd (e = 1) numerator, both over a common denominator d
+    that starts at 1; a coefficient's denominator (1 for an int) is folded
+    into d by their lcm, and d multiplies ``den`` at the end.
     """
-    entry = _COMPILED.get(id(form))
-    if entry is None or entry[0] is not form:
-        q, den, monomials = form
-        t2, t4 = point.t2, point.t4
-        part = lambda sp: sum((c * t2**i * t4**j for c, i, j, s in monomials if s == sp), Fraction(0))
-        scale = den * t4**q
-        return SurdScalar(part(0) / scale, part(1) / scale, point.ssq)
-    _, q, den, plain, surd = entry
-    powers, scales, u, v = _powers_at(point)
-    x = y = 0
-    for c, k in plain:
-        x += c * powers[k]
-    for c, k in surd:
-        y += c * powers[k]
+    q, den, monomials = form
+    a, b, scales, u, v = _powers_at(point)
+    xy, d = [0, 0], 1
+    for c, i, j, e in monomials:
+        m = c.denominator
+        if d % m:
+            g = m // math.gcd(d, m)
+            xy, d = [xy[0] * g, xy[1] * g], d * g
+        xy[e] += c.numerator * (d // m) * a[i] * b[j]
     up, down = scales[q]
-    return SurdScalar._from_ints(x * up, y * up, den * down, point.ssq, u, v)
+    return SurdScalar._from_ints(xy[0] * up, xy[1] * up, d * den * down, point.ssq, u, v)
 
 
 def _form(c: CanonicalMoment) -> tuple:

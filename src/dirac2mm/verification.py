@@ -373,9 +373,9 @@ def check_monte_carlo() -> CheckResult:
     lines.append(f"N=1 marginal KS distance {dist:.4f} on {nks} samples (< 0.02): {'ok' if ks_ok else 'FAIL'}")
     detail = (
         "" if abab_zero else
-        "the alternating-word average sits significantly above zero: the exact finite-size "
-        "genus-one contribution ~ 1/(64 N^2) plus the positive leading-order coefficient found "
-        "by both exact oracles"
+        "the alternating-word average sits significantly above zero: the positive planar "
+        "coefficient found by both exact oracles plus a signature-dependent 1/N^2 correction, "
+        "of the size of the GUE value 1/(64 N^2)"
     )
     return CheckResult(
         "9 Monte Carlo: statistical checks at N=10",

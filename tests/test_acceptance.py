@@ -256,7 +256,7 @@ def test_criterion_9_alternating_word_consistent_with_zero(mc_scan):
 @pytest.mark.slow
 def test_criterion_9_alternating_word_matches_finite_size_expectation(mc_scan):
     # the measurement is the planar value at t4 = 1 (about 2.05e-4, above the
-    # t4 = 0 torus term 1/(64 N^2) = 1.56e-4) less a signature-dependent
+    # GUE value 1/(64 N^2) = 1.56e-4) less a signature-dependent
     # 1/N^2 correction: positive, and within 0.3-4 x 1/(64 N^2)
     scan, _ = mc_scan
     torus_term = 1 / (64 * 100)

@@ -67,6 +67,31 @@ class TestMoment:
         assert values[CanonicalMoment((2, 4))] == cf.moment(parse_moment_label("m_{4,2}"), P11)
         assert values[CanonicalMoment((1, 3, 3, 3))] is values[parse_moment_label("m_{3,1,3,3}")]
 
+    @pytest.mark.parametrize("first", [False, True])
+    def test_a_fraction_coefficient_is_folded_into_the_denominator(self, monkeypatch, first):
+        # (1/3) t2^3 t4 s: a coefficient with denominator 3 on the pair (3, 1),
+        # which no table form uses, after or before the int monomials; the
+        # patched entry is read as it stands, and the original one again once
+        # the patch is undone
+        m = parse_moment_label("m_{4,2}")
+        q, den, monomials = form = cf._MOMENT_TABLE[m.runs]
+        extra = ((F(1, 3), 3, 1, 1),)
+        tampered = (q, den, extra + monomials if first else monomials + extra)
+
+        def by_fractions(form, p):
+            q, den, monomials = form
+            part = lambda e: sum(F(c) * p.t2**i * p.t4**j for c, i, j, x in monomials if x == e)
+            return part(0) / (den * p.t4**q), part(1) / (den * p.t4**q)
+
+        for p in random_points(10, seed=11) + reference.big_points():
+            with monkeypatch.context() as patch:
+                patch.setitem(cf._MOMENT_TABLE, m.runs, tampered)
+                got = cf.moment(m, p)
+            assert (got.a, got.b) == by_fractions(tampered, p) and got.ssq == p.ssq, p
+            assert by_fractions(tampered, p) != by_fractions(form, p)
+            back = cf.moment(m, p)
+            assert (back.a, back.b) == by_fractions(form, p) and back.ssq == p.ssq, p
+
     def test_nonpositive_t4_raises(self):
         with pytest.raises(ValueError):
             cf.moment("AA", CouplingPoint(1, 0))
